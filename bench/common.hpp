@@ -8,13 +8,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -46,24 +48,56 @@ struct Args {
   /// Off by default so the stock figures stay byte-identical.
   bool adaptive = false;
 
+  /// Parse the bench flags. A valued flag with a missing or malformed value
+  /// exits 2 with a usage message instead of running with a default.
   static Args parse(int argc, char** argv, u64 default_scale = 32) {
     Args a;
     a.scale = default_scale;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--full") == 0) {
+      const std::string_view flag = argv[i];
+      const auto value = [&]() -> std::string_view {
+        if (i + 1 >= argc) usage_error(argv[0], flag, "");
+        return argv[++i];
+      };
+      if (flag == "--full") {
         a.full = true;
         a.scale = 1;
-      } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-        a.threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--vcpus") == 0 && i + 1 < argc) {
-        a.vcpus = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--gran") == 0 && i + 1 < argc) {
-        if (const auto m = parse_gran_mode(argv[++i])) a.gran = *m;
-      } else if (std::strcmp(argv[i], "--adaptive") == 0) {
+      } else if (flag == "--threads") {
+        a.threads = parse_count(argv[0], flag, value());
+      } else if (flag == "--vcpus") {
+        a.vcpus = parse_count(argv[0], flag, value());
+      } else if (flag == "--gran") {
+        const std::string_view v = value();
+        const std::optional<GranMode> m = parse_gran_mode(v);
+        if (!m) usage_error(argv[0], flag, v);
+        a.gran = *m;
+      } else if (flag == "--adaptive") {
         a.adaptive = true;
       }
     }
     return a;
+  }
+
+ private:
+  [[noreturn]] static void usage_error(const char* prog, std::string_view flag,
+                                       std::string_view v) {
+    std::fprintf(stderr,
+                 "%s: bad or missing value '%.*s' for %.*s\n"
+                 "usage: %s [--full] [--threads N] [--vcpus N] "
+                 "[--gran 4k|2m|2m+split] [--adaptive]\n",
+                 prog, static_cast<int>(v.size()), v.data(), static_cast<int>(flag.size()),
+                 flag.data(), prog);
+    std::exit(2);
+  }
+
+  /// A whole decimal number that fits in `unsigned`; anything else exits 2.
+  static unsigned parse_count(const char* prog, std::string_view flag, std::string_view v) {
+    unsigned n = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+    if (v.empty() || ec != std::errc{} || end != v.data() + v.size()) {
+      usage_error(prog, flag, v);
+    }
+    return n;
   }
 };
 

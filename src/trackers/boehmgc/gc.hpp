@@ -15,7 +15,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "base/flat_gva_set.hpp"
 #include "base/types.hpp"
 #include "base/vtime.hpp"
 #include "ooh/tracker.hpp"
@@ -92,19 +91,28 @@ class GcHeap {
   GcCycleStats collect();
 
   [[nodiscard]] const GcStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] u64 live_objects() const noexcept { return objects_.size(); }
+  [[nodiscard]] u64 live_objects() const noexcept {
+    return slots_.size() - free_slots_.size();
+  }
   [[nodiscard]] u64 live_bytes() const noexcept { return live_bytes_; }
   [[nodiscard]] u64 heap_used_bytes() const noexcept { return bump_ - heap_base_; }
-  [[nodiscard]] bool is_object(Gva obj) const { return objects_.contains(obj); }
+  [[nodiscard]] bool is_object(Gva obj) const noexcept { return find(obj) != kNoSlot; }
   [[nodiscard]] guest::Process& process() noexcept { return proc_; }
 
  private:
   struct Object {
-    u64 size = 0;  ///< header + slots + payload, in bytes.
+    Gva addr = 0;
+    u64 size = 0;  ///< header + slots + payload, in bytes; 0 = free slot.
     std::vector<Gva> refs;
+    u32 mark = 0;  ///< reachable in the current cycle iff == epoch_.
   };
+  static constexpr u32 kNoSlot = ~u32{0};
 
+  /// Slot of the live object at `addr`, or kNoSlot.
+  [[nodiscard]] u32 find(Gva addr) const noexcept;
   [[nodiscard]] Object& obj(Gva addr);
+  /// Mark the object at `addr` reachable; queue it for scanning if new.
+  void mark(Gva addr);
   void maybe_collect();
   [[nodiscard]] std::vector<Gva> acquire_dirty_pages(GcCycleStats& st);
 
@@ -120,21 +128,24 @@ class GcHeap {
   u64 allocated_since_gc_ = 0;
   u64 live_bytes_ = 0;
 
-  // objects_ iteration order is load-bearing: the sweep walks it to build
-  // the free list, so it feeds future allocation addresses (and through them
-  // the guest access stream). Do not swap the container or pre-reserve it —
-  // either changes iteration order and breaks bit-identical virtual time.
-  std::unordered_map<Gva, Object> objects_;
+  // Object slab: dense slots recycled through a free-slot stack, found by
+  // address through a table with one entry per 16-byte heap granule
+  // (slot + 1, 0 = no object starts there), grown with bump_. Slot order is
+  // never observable: the sweep sorts its garbage by address, so free-list
+  // order -- and through it every later allocation address -- is defined.
+  std::vector<Object> slots_;
+  std::vector<u32> free_slots_;
+  std::vector<u32> granule_slot_;
+  std::vector<u32> page_objects_;  ///< heap page -> objects overlapping it.
+  u32 epoch_ = 0;                  ///< current mark stamp.
+
   std::unordered_set<Gva> roots_;
   std::vector<Gva> locals_;  ///< stack-scan stand-in (see Local).
   std::unordered_map<u64, std::vector<Gva>> free_lists_;  ///< size -> free blocks.
-  std::unordered_map<u64, std::unordered_set<Gva>> page_objects_;  ///< page -> objects.
 
   // Per-cycle mark/sweep scratch, reused so steady-state cycles allocate
-  // nothing. Only membership and counts are read from these — never
-  // iteration order — so they are free to use any layout.
-  FlatGvaSet reachable_;
-  std::vector<Gva> frontier_;  ///< FIFO: drained via a head cursor.
+  // nothing.
+  std::vector<u32> frontier_;  ///< slots to scan; FIFO via a head cursor.
   std::vector<Gva> to_free_;
 
   GcStats stats_;

@@ -101,9 +101,25 @@ TEST(GcHeap, RefSlotAndDataBoundsChecked) {
   EXPECT_THROW(h.write_ref(o, 2, 0), std::out_of_range);
   EXPECT_THROW((void)h.read_ref(o, 5), std::out_of_range);
   EXPECT_THROW(h.write_data(o, 16, 1), std::out_of_range);
+  EXPECT_THROW(h.write_data(o, ~u64{0} - 7, 1), std::out_of_range) << "offset + 8 wraps";
   EXPECT_THROW(h.write_ref(o, 0, 0xdeadbeef), std::invalid_argument)
       << "targets must be live objects";
   EXPECT_THROW((void)h.alloc(0, 999 * kGiB), std::bad_alloc);
+  EXPECT_THROW((void)h.alloc(0, ~u64{0} - 15), std::bad_alloc) << "object size wraps to 0";
+}
+
+TEST(GcHeap, SweepRefillsFreeListsInAddressOrder) {
+  GcFixture f;
+  GcHeap& h = f.heap;
+  std::vector<Gva> garbage;
+  for (int i = 0; i < 8; ++i) garbage.push_back(h.alloc(0, 32));
+  (void)h.collect();
+  // The sweep pushes garbage in ascending address order and allocation pops
+  // from the back, so reuse runs from the highest address down -- whatever
+  // order the host containers hold the objects in.
+  for (auto it = garbage.rbegin(); it != garbage.rend(); ++it) {
+    EXPECT_EQ(h.alloc(0, 32), *it);
+  }
 }
 
 TEST(GcHeap, WriteRefReadRefRoundTrip) {

@@ -2,8 +2,8 @@
 """End-to-end figure wall-clock harness (PR 9 epoch-parallel engine).
 
 gbench_sim_primitives times simulator primitives; this tool times what the
-user actually waits for: whole figure binaries (fig5, fig8, fig10 at their
-small/default configs) from exec to exit. It emits google-benchmark
+user actually waits for: whole figure binaries (fig5, fig6, fig8, fig10 at
+their small/default configs) from exec to exit. It emits google-benchmark
 compatible JSON so tools/check_bench_regression.py can gate the numbers
 against a committed baseline exactly like the microbenches.
 
@@ -41,9 +41,11 @@ from pathlib import Path
 
 # (target, extra argv, fans cells across the epoch pool?). fig10 drives its
 # multi-VM fleet through the TestBed worker pool (pre-epoch machinery), so
-# it gets timed but not the serial-vs-parallel stdout compare.
+# it gets timed but not the serial-vs-parallel stdout compare; fig6 runs
+# its cells serially.
 TARGETS: list[tuple[str, list[str], bool]] = [
     ("fig5_boehm_tracker", [], True),
+    ("fig6_boehm_tracked", [], False),
     ("fig8_criu_checkpoint", [], True),
     ("fig10_scalability_tracker", [], False),
 ]
