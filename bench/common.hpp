@@ -48,15 +48,16 @@ struct Args {
   /// Off by default so the stock figures stay byte-identical.
   bool adaptive = false;
 
-  /// Parse the bench flags. A valued flag with a missing or malformed value
-  /// exits 2 with a usage message instead of running with a default.
+  /// Parse the bench flags. An unknown flag, or a valued flag with a missing
+  /// or malformed value, exits 2 with a usage message instead of running
+  /// with a default.
   static Args parse(int argc, char** argv, u64 default_scale = 32) {
     Args a;
     a.scale = default_scale;
     for (int i = 1; i < argc; ++i) {
       const std::string_view flag = argv[i];
       const auto value = [&]() -> std::string_view {
-        if (i + 1 >= argc) usage_error(argv[0], flag, "");
+        if (i + 1 >= argc) bad_value(argv[0], flag, "");
         return argv[++i];
       };
       if (flag == "--full") {
@@ -69,25 +70,30 @@ struct Args {
       } else if (flag == "--gran") {
         const std::string_view v = value();
         const std::optional<GranMode> m = parse_gran_mode(v);
-        if (!m) usage_error(argv[0], flag, v);
+        if (!m) bad_value(argv[0], flag, v);
         a.gran = *m;
       } else if (flag == "--adaptive") {
         a.adaptive = true;
+      } else {
+        usage_error(argv[0], "unknown flag '" + std::string(flag) + "'");
       }
     }
     return a;
   }
 
  private:
-  [[noreturn]] static void usage_error(const char* prog, std::string_view flag,
-                                       std::string_view v) {
+  [[noreturn]] static void usage_error(const char* prog, const std::string& why) {
     std::fprintf(stderr,
-                 "%s: bad or missing value '%.*s' for %.*s\n"
+                 "%s: %s\n"
                  "usage: %s [--full] [--threads N] [--vcpus N] "
                  "[--gran 4k|2m|2m+split] [--adaptive]\n",
-                 prog, static_cast<int>(v.size()), v.data(), static_cast<int>(flag.size()),
-                 flag.data(), prog);
+                 prog, why.c_str(), prog);
     std::exit(2);
+  }
+
+  [[noreturn]] static void bad_value(const char* prog, std::string_view flag,
+                                     std::string_view v) {
+    usage_error(prog, "bad or missing value '" + std::string(v) + "' for " + std::string(flag));
   }
 
   /// A whole decimal number that fits in `unsigned`; anything else exits 2.
@@ -95,7 +101,7 @@ struct Args {
     unsigned n = 0;
     const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
     if (v.empty() || ec != std::errc{} || end != v.data() + v.size()) {
-      usage_error(prog, flag, v);
+      bad_value(prog, flag, v);
     }
     return n;
   }

@@ -198,25 +198,29 @@ void GuestKernel::touch_run(Process& proc, Gva base, u64 stride, u64 n,
   sim::Mmu& mmu = mmu_of(proc);
   Scheduler& sched = scheduler_of(proc);
   sim::ExecContext& ctx = ctx_of(proc);
+  const VirtDuration work = nsecs(ctx.cost.workload_write_ns);
   u64 i = 0;
   while (i < n) {
-    // Fast path: serve as many accesses as cached translations allow. The
-    // lambda replays exactly what the kOk arm of access() plus the caller's
-    // touch_write/touch_read would have done after the MMU hit.
-    i += mmu.access_run(pid, base + i * stride, stride, n - i, is_write,
-                        [&](Gva page) {
-                          if (is_write) proc.truth_record(page);
-                          sched.on_progress(pid);
-                          ctx.charge_ns(ctx.cost.workload_write_ns);
-                        });
-    if (i < n) {
-      // The next access needs the full pipeline (TLB miss, fault, or a
-      // dirty-flag transition); route it through access() like the
-      // per-access loop would, then resume the run.
-      (void)access(proc, base + i * stride, is_write);
-      ctx.charge_ns(ctx.cost.workload_write_ns);
-      ++i;
+    // One page segment from the TLB. Its hits, truth and clock are all up to
+    // date before the scheduler runs, as they were per access.
+    const Gva gva = base + i * stride;
+    const VirtualClock::PairRun run =
+        mmu.access_run(pid, gva, stride, n - i, is_write, work, sched.next_deadline());
+    if (run.done > 0) {
+      i += run.done;
+      if (is_write) proc.truth_record(page_floor(gva), run.done);
+      if (run.reached) {
+        sched.on_progress(pid);
+        ctx.charge_ns(ctx.cost.workload_write_ns);
+      }
+      continue;
     }
+    // The next access needs the full pipeline (TLB miss, fault, or a
+    // dirty-flag transition); route it through access() like the per-access
+    // loop would, then resume the run.
+    (void)access(proc, gva, is_write);
+    ctx.charge_ns(ctx.cost.workload_write_ns);
+    ++i;
   }
 }
 

@@ -139,10 +139,11 @@ class GuestKernel final : public sim::GuestIrqSink {
   Hpa access(Process& proc, Gva gva, bool is_write);
 
   /// Batched equivalent of n accesses at base, base+stride, ...: accesses a
-  /// cached translation can serve run through Mmu::access_run (same charges,
-  /// same truth/scheduler side effects per access); any access it cannot
-  /// serve falls back to the full access() pipeline, then the run resumes.
-  /// Virtual time is bit-identical to the per-access loop this replaces.
+  /// cached translation can serve run through Mmu::access_run one page
+  /// segment at a time (one truth record per segment, the scheduler called
+  /// only when its deadline is reached); any access it cannot serve falls
+  /// back to the full access() pipeline, then the run resumes. Virtual time,
+  /// counters and truth are bit-identical to the per-access loop.
   void touch_run(Process& proc, Gva base, u64 stride, u64 n, bool is_write);
 
   /// Per-process page table (kernel-owned, like mm_struct). O(1): reads the

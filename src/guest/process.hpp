@@ -98,7 +98,12 @@ class Process {
   }
   [[nodiscard]] u64 truth_seq() const noexcept { return truth_seq_; }
   void truth_reset() { truth_.clear(); }
-  void truth_record(Gva gva_page) { truth_.insert_or_assign(gva_page, ++truth_seq_); }
+  /// Record `n` consecutive writes to `gva_page`: the page keeps the last
+  /// one's sequence number, as n single records would leave it.
+  void truth_record(Gva gva_page, u64 n = 1) {
+    truth_seq_ += n;
+    truth_.insert_or_assign(gva_page, truth_seq_);
+  }
 
  private:
   friend class GuestKernel;

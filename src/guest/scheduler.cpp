@@ -59,8 +59,8 @@ void Scheduler::fire_quantum(u32 pid) {
 }
 
 void Scheduler::on_progress(u32 pid) {
-  if (in_service_) return;
   const VirtDuration now = ctx_.clock.now();
+  if (now < next_deadline()) return;
   if (periodic_ && now >= next_periodic_) {
     // Run a copy: the service is allowed to clear_periodic() from inside
     // itself (e.g. a collection cap), which destroys the stored callable.

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "base/types.hpp"
@@ -47,6 +48,15 @@ class Scheduler {
   /// Called from the memory-access path of the running process; fires
   /// quantum ticks and periodic service when their deadlines pass.
   void on_progress(u32 pid);
+
+  /// The earliest clock value at which on_progress() acts: the sooner of the
+  /// quantum and periodic deadlines, +inf while a service runs. Below it
+  /// on_progress() is a no-op, so batched access runs call it only once the
+  /// clock gets there.
+  [[nodiscard]] VirtDuration next_deadline() const noexcept {
+    if (in_service_) return VirtDuration{std::numeric_limits<double>::infinity()};
+    return periodic_ && next_periodic_ < next_quantum_ ? next_periodic_ : next_quantum_;
+  }
 
   /// Run `fn` as a different task: schedule the current process out (firing
   /// hooks, charging context switches), run, schedule it back in.

@@ -15,6 +15,8 @@
 // fault policy (demand paging, soft-dirty, userfaultfd) and retries.
 #pragma once
 
+#include <cassert>
+
 #include "base/types.hpp"
 #include "sim/ept.hpp"
 #include "sim/exec_context.hpp"
@@ -48,45 +50,40 @@ class Mmu {
   /// Perform one access at `gva` for guest process `pid` through `pt`.
   [[nodiscard]] Result access(u32 pid, GuestPageTable& pt, Gva gva, bool is_write);
 
-  /// Batched fast path: serve up to `n` stride-spaced accesses starting at
-  /// `gva` entirely from cached translations, without re-entering the full
-  /// per-access pipeline. For each access served, the *exact* per-access
-  /// sequence of the TLB-hit branch of access() runs — count(kTlbHit) then
-  /// charge_ns(tlb_hit_ns) — followed by `post(gva_page)`, where the caller
-  /// performs whatever it would have done after a kOk access (truth
-  /// recording, scheduler progress, the workload's own charge). Virtual
-  /// time is therefore bit-identical to the loop this replaces; only host
-  /// overhead (repeated hash probes and call layers) is removed.
+  /// Batched TLB-hit path: serve, as one segment, the stride-spaced
+  /// accesses at gva, gva+stride, ... (at most `n`) that fall on gva's 4 KiB
+  /// page, from its cached translation, and report how many were `done`.
+  /// Each access is the TLB-hit branch of access() followed by the caller's
+  /// own per-access charge `after`.
   ///
-  /// Stops at the first access a cached translation cannot serve (TLB miss,
-  /// or a write through a clean/RO entry — both need the full walk and its
-  /// fault/logging side effects) and returns the number of accesses
-  /// completed; the caller routes the next access through access() and may
-  /// then resume. `post` may mutate the TLB indirectly (a scheduler service
-  /// can flush or fill it); the memoised entry is revalidated through
-  /// Tlb::generation() whenever that happens.
-  template <typename PostFn>
-  [[nodiscard]] u64 access_run(u32 pid, Gva gva, u64 stride, u64 n, bool is_write,
-                               PostFn&& post) {
-    u64 done = 0;
-    Gva memo_page = ~u64{0};
-    const TlbEntry* te = nullptr;
-    u64 memo_gen = 0;
-    while (done < n) {
-      const Gva page = page_floor(gva + done * stride);
-      if (te == nullptr || page != memo_page || tlb_.generation() != memo_gen) {
-        te = tlb_.lookup(pid, page);
-        if (te == nullptr) break;
-        memo_page = page;
-        memo_gen = tlb_.generation();
-      }
-      if (is_write && !(te->writable && te->dirty)) break;
-      ctx_.count(Event::kTlbHit);
-      ctx_.charge_ns(ctx_.cost.tlb_hit_ns);
-      post(page);
-      ++done;
-    }
-    return done;
+  /// The segment is batched on the host: one TLB lookup and one kTlbHit
+  /// count of `done`. What stays per access is the order of the floating-
+  /// point additions: the clock and every open attribution bucket still see
+  /// +tlb_hit, +after, +tlb_hit, ... one addend at a time
+  /// (VirtualClock::advance_pairs), because double addition does not
+  /// reassociate and a summed `k * tlb_hit` would move every figure. A TLB
+  /// hit walks nothing and so logs nothing; the bookkeeping is all it does.
+  ///
+  /// The run stops right after the tlb_hit charge that brings the clock to
+  /// `deadline` (that access's `after` is not charged yet), so the caller
+  /// can record the segment, run its scheduler, charge `after` and call
+  /// again. The service may change the TLB; the next call looks the page up
+  /// afresh. A run serves nothing (done == 0) when the cached translation
+  /// cannot serve the first access: a TLB miss, or a write through a clean
+  /// or read-only entry. Both need access() and its fault/logging side
+  /// effects.
+  [[nodiscard]] VirtualClock::PairRun access_run(u32 pid, Gva gva, u64 stride, u64 n,
+                                                 bool is_write, VirtDuration after,
+                                                 VirtDuration deadline) {
+    assert(stride != 0);
+    const Gva page = page_floor(gva);
+    const TlbEntry* te = tlb_.lookup(pid, page);
+    if (te == nullptr || (is_write && !(te->writable && te->dirty))) return {};
+    const u64 on_page = 1 + (page + kPageSize - 1 - gva) / stride;
+    const VirtualClock::PairRun run = ctx_.clock.advance_pairs(
+        nsecs(ctx_.cost.tlb_hit_ns), after, n < on_page ? n : on_page, deadline);
+    ctx_.count(Event::kTlbHit, run.done);
+    return run;
   }
 
   [[nodiscard]] Ept& ept() noexcept { return ept_; }

@@ -72,10 +72,9 @@ class Tlb {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Bumped on every mutation (insert, eviction, invalidation, flush).
-  /// Batched access paths memoise a looked-up entry pointer across
-  /// consecutive same-page accesses and must drop the memo the moment the
-  /// TLB changes underneath them (a scheduler service may flush mid-run).
+  /// Bumped on every mutation (insert, eviction, invalidation, flush), so a
+  /// caller holding an entry pointer can tell whether it is still valid.
+  /// Part of the snapshot stream.
   [[nodiscard]] u64 generation() const noexcept { return generation_; }
 
   /// Read-only visit of every cached translation as

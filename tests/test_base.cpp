@@ -2,6 +2,7 @@
 // buffer, counters, cost model calibration, stats, table rendering.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "base/clock.hpp"
@@ -105,6 +106,55 @@ TEST(VirtualClock, ScopesAttributeToBucketsAndNest) {
   EXPECT_DOUBLE_EQ(outer.count(), 20.0);
   EXPECT_DOUBLE_EQ(inner.count(), 7.0);
   EXPECT_DOUBLE_EQ(c.now().count(), 120.0);
+}
+
+// advance_pairs must leave the clock and every open bucket exactly where the
+// advance() loop it replaces would, and stop on the same pair -- including
+// when a sum lands exactly on the deadline (dyadic costs make that exact).
+TEST(VirtualClock, AdvancePairsMatchesAdvanceLoop) {
+  struct Case {
+    VirtDuration first, second;
+    u64 n;
+    VirtDuration deadline;  ///< relative to the clock at the start of the run
+    u64 done;
+    bool reached;
+  };
+  const VirtDuration inf{std::numeric_limits<double>::infinity()};
+  const Case cases[] = {
+      {usecs(0.25), usecs(0.75), 10, usecs(2.25), 3, true},  // exactly on it
+      {usecs(0.25), usecs(0.75), 3, usecs(2.5), 3, false},
+      {nsecs(1.0), nsecs(100.0), 1000, usecs(37.3), 371, true},
+      {nsecs(1.0), nsecs(100.0), 1000, inf, 1000, false},
+      {nsecs(1.0), nsecs(100.0), 5, usecs(0), 1, true},
+  };
+  for (const Case& c : cases) {
+    VirtualClock batched, loop;
+    VirtDuration b_outer{0}, b_inner{0}, l_outer{0}, l_inner{0};
+    const VirtualClock::Scope bo(batched, b_outer), lo(loop, l_outer);
+    batched.advance(usecs(0.5));
+    loop.advance(usecs(0.5));
+    const VirtualClock::Scope bi(batched, b_inner), li(loop, l_inner);
+    const VirtDuration deadline = c.deadline + loop.now();
+
+    const VirtualClock::PairRun got = batched.advance_pairs(c.first, c.second, c.n, deadline);
+    VirtualClock::PairRun want;
+    while (want.done < c.n) {
+      loop.advance(c.first);
+      ++want.done;
+      if (loop.now() >= deadline) {
+        want.reached = true;
+        break;
+      }
+      loop.advance(c.second);
+    }
+    EXPECT_EQ(want.done, c.done);
+    EXPECT_EQ(want.reached, c.reached);
+    EXPECT_EQ(got.done, want.done);
+    EXPECT_EQ(got.reached, want.reached);
+    EXPECT_EQ(batched.now().count(), loop.now().count());
+    EXPECT_EQ(b_outer.count(), l_outer.count());
+    EXPECT_EQ(b_inner.count(), l_inner.count());
+  }
 }
 
 // ---- ring buffer ---------------------------------------------------------------

@@ -342,59 +342,121 @@ TEST(VirtualTimePinning, HotPathRefactorGoldens) {
 }
 
 // Batched touches are an *equivalence* claim, not just a speedup: with a
-// tracker armed, touch_range must produce the same clock, the same counter
-// fingerprint, the same tracker-observed dirty set and the same truth log as
-// the per-element loop it replaces — including across quantum boundaries,
-// where the scheduler services inside the run and may flush the TLB.
+// tracker armed, touch_range must produce the same clock, the same open
+// attribution bucket, the same counters, the same tracker-observed dirty set
+// and the same truth log (per-page last-write sequence and truth_seq()) as
+// the per-element loop it replaces. That holds across scheduler services that
+// fire mid-page and flush the TLB (each must fire at the same virtual time,
+// after the same number of writes), at a stride of 8 bytes (512 accesses per
+// page segment), and on a second vCPU with its own clock and scheduler.
 TEST(VirtualTimePinning, TouchRangeMatchesPerByteLoop) {
+  struct Case {
+    const char* name;
+    u64 stride;
+    u64 bytes;
+    unsigned vcpus;
+    VirtDuration period;  ///< periodic service cadence; 0 = none.
+  };
   struct Result {
     double clock_us = 0.0;
+    double bucket_us = 0.0;
     u64 fingerprint = 0;
+    EventCounters counters;
     std::vector<Gva> dirty;
-    u64 truth_pages = 0;
+    std::vector<std::pair<Gva, u64>> truth;  ///< (page, last-write sequence)
+    u64 truth_seq = 0;
+    std::vector<double> fire_us;  ///< clock at each service
+    std::vector<u64> fire_seq;    ///< truth_seq() at each service
   };
-  const auto scenario = [](bool batched) {
-    lib::TestBed bed;
+  // The write run starts 64 bytes into the VMA: unaligned base and a byte
+  // count that is no multiple of the stride, so the batch must charge per
+  // *element*, not per page.
+  constexpr u64 kOffset = 64;
+  const auto scenario = [](const Case& c, bool batched) {
+    lib::TestBedOptions o;
+    o.vcpus_per_vm = c.vcpus;
+    lib::TestBed bed(o);
     guest::GuestKernel& k = bed.kernel();
+    // Round-robin placement: with two vCPUs the second process runs on 1.
+    if (c.vcpus > 1) (void)k.create_process();
     guest::Process& proc = k.create_process();
+    EXPECT_EQ(proc.cpu(), c.vcpus - 1);
+    sim::ExecContext& ctx = k.ctx_of(proc);
+    guest::Scheduler& sched = k.scheduler_of(proc);
     const Gva base = proc.mmap(64 * kPageSize);
     auto tracker = lib::make_tracker(lib::Technique::kSpml, k, proc);
     tracker->init();
     tracker->begin_interval();
-    k.scheduler().enter_process(proc.pid());
-
-    // Sub-page stride, unaligned base, non-multiple byte count: the batch
-    // must charge per *element*, not per page.
-    const u64 stride = 192;
-    const u64 bytes = 48 * kPageSize + 777;
-    const u64 n = (bytes + stride - 1) / stride;
-    if (batched) {
-      proc.touch_range_write(base + 64, bytes, stride);
-      proc.touch_range_read(base, 16 * kPageSize);
-    } else {
-      for (u64 i = 0; i < n; ++i) proc.touch_write(base + 64 + i * stride);
-      for (u64 off = 0; off < 16 * kPageSize; off += kPageSize) {
-        proc.touch_read(base + off);
-      }
-    }
+    sched.enter_process(proc.pid());
 
     Result r;
+    if (c.period.count() > 0) {
+      sched.set_periodic(c.period, [&] {
+        r.fire_us.push_back(ctx.clock.now().count());
+        r.fire_seq.push_back(proc.truth_seq());
+        k.tlb_flush_pid(proc);
+      });
+    }
+    VirtDuration bucket{0};
+    {
+      const VirtualClock::Scope scope(ctx.clock, bucket);
+      if (batched) {
+        proc.touch_range_write(base + kOffset, c.bytes, c.stride);
+        proc.touch_range_read(base, 16 * kPageSize);
+      } else {
+        for (u64 off = 0; off < c.bytes; off += c.stride) proc.touch_write(base + kOffset + off);
+        for (u64 off = 0; off < 16 * kPageSize; off += kPageSize) proc.touch_read(base + off);
+      }
+    }
+    sched.clear_periodic();
+
     r.dirty = tracker->collect();
-    k.scheduler().exit_process(proc.pid());
+    sched.exit_process(proc.pid());
     tracker->shutdown();
-    r.clock_us = k.ctx().clock.now().count();
-    r.fingerprint = counter_fingerprint(k.ctx().counters);
-    r.truth_pages = proc.truth_dirty().size();
+    r.clock_us = ctx.clock.now().count();
+    r.bucket_us = bucket.count();
+    r.fingerprint = counter_fingerprint(ctx.counters);
+    r.counters = ctx.counters;
+    for (const auto& [page, seq] : proc.truth_dirty()) r.truth.emplace_back(page, seq);
+    std::sort(r.truth.begin(), r.truth.end());
+    r.truth_seq = proc.truth_seq();
     return r;
   };
 
-  const Result loop = scenario(/*batched=*/false);
-  const Result batch = scenario(/*batched=*/true);
-  EXPECT_EQ(batch.clock_us, loop.clock_us);
-  EXPECT_EQ(batch.fingerprint, loop.fingerprint);
-  EXPECT_EQ(batch.dirty, loop.dirty);
-  EXPECT_EQ(batch.truth_pages, loop.truth_pages);
-  EXPECT_GT(batch.truth_pages, 0u);
+  const Case cases[] = {
+      {"stride-192", 192, 48 * kPageSize + 777, 1, VirtDuration{0}},
+      {"periodic-flush", 192, 48 * kPageSize + 777, 1, usecs(1.7)},
+      {"stride-8", 8, 16 * kPageSize + 100, 1, usecs(9.1)},
+      {"vcpu-1", 192, 48 * kPageSize + 777, 2, usecs(1.7)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Result loop = scenario(c, /*batched=*/false);
+    const Result batch = scenario(c, /*batched=*/true);
+    EXPECT_EQ(batch.clock_us, loop.clock_us);
+    EXPECT_EQ(batch.bucket_us, loop.bucket_us);
+    EXPECT_EQ(batch.fingerprint, loop.fingerprint);
+    EXPECT_TRUE(batch.counters == loop.counters);
+    EXPECT_EQ(batch.dirty, loop.dirty);
+    EXPECT_EQ(batch.truth, loop.truth);
+    EXPECT_EQ(batch.truth_seq, loop.truth_seq);
+    EXPECT_EQ(batch.fire_us, loop.fire_us);
+    EXPECT_EQ(batch.fire_seq, loop.fire_seq);
+
+    const u64 n = (c.bytes + c.stride - 1) / c.stride;
+    EXPECT_EQ(loop.truth_seq, n);
+    EXPECT_GT(loop.bucket_us, 0.0);
+    EXPECT_FALSE(loop.dirty.empty());
+    if (c.period.count() == 0) continue;
+    // The service must have split at least one page segment: after `seq`
+    // writes, the next write falls on the same page as the last one.
+    const auto mid_page = [&](u64 seq) {
+      const auto page = [&](u64 i) { return page_floor(kOffset + i * c.stride); };
+      return seq > 0 && seq < n && page(seq - 1) == page(seq);
+    };
+    EXPECT_GE(loop.fire_seq.size(), 3u);
+    EXPECT_TRUE(std::any_of(loop.fire_seq.begin(), loop.fire_seq.end(), mid_page));
+  }
 }
 
 // ---- scheduler quantum-after-service fix ------------------------------------

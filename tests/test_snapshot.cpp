@@ -243,11 +243,15 @@ TEST(Snapshot, SnapshotSharingIsCopyOnWrite) {
   proc.write_u64(base, 0x2222);
   EXPECT_EQ(proc.read_u64(base), 0x2222u);
 
+  const u32 pid = proc.pid();
   bed.restore(snap);
   // Serialize before touching guest memory: a read charges virtual time and
   // fills the TLB, which would legitimately perturb the stream.
   EXPECT_TRUE(bed.state_bytes() == at_save);
-  EXPECT_EQ(proc.read_u64(base), 0x1111u) << "snapshot saw a post-capture write";
+  // restore() rebuilds the guest's processes; `proc` died with the old ones.
+  guest::Process* restored = bed.kernel().find(pid);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->read_u64(base), 0x1111u) << "snapshot saw a post-capture write";
 }
 
 }  // namespace

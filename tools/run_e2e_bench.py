@@ -2,8 +2,8 @@
 """End-to-end figure wall-clock harness (PR 9 epoch-parallel engine).
 
 gbench_sim_primitives times simulator primitives; this tool times what the
-user actually waits for: whole figure binaries (fig5, fig6, fig8, fig10 at
-their small/default configs) from exec to exit. It emits google-benchmark
+user actually waits for: whole figure binaries (fig4 through fig10 at their
+small/default configs) from exec to exit. It emits google-benchmark
 compatible JSON so tools/check_bench_regression.py can gate the numbers
 against a committed baseline exactly like the microbenches.
 
@@ -41,12 +41,16 @@ from pathlib import Path
 
 # (target, extra argv, fans cells across the epoch pool?). fig10 drives its
 # multi-VM fleet through the TestBed worker pool (pre-epoch machinery), so
-# it gets timed but not the serial-vs-parallel stdout compare; fig6 runs
-# its cells serially.
+# it gets timed but not the serial-vs-parallel stdout compare; fig4, fig6,
+# fig7 and fig9 run their cells serially. fig4, fig7 and fig9 drive their
+# workloads through touch_range, the batched access path.
 TARGETS: list[tuple[str, list[str], bool]] = [
+    ("fig4_micro_overhead", [], False),
     ("fig5_boehm_tracker", [], True),
     ("fig6_boehm_tracked", [], False),
+    ("fig7_criu_mw", [], False),
     ("fig8_criu_checkpoint", [], True),
+    ("fig9_criu_tracked", [], False),
     ("fig10_scalability_tracker", [], False),
 ]
 
