@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "boehm_common.hpp"
+#include "sim/epoch/epoch_pool.hpp"
 
 using namespace ooh;
 
@@ -17,7 +18,7 @@ int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv, /*default_scale=*/128);
   bench::print_header("Figure 10", "Per-VM Boehm GC time with 1..5 tenant VMs");
   const unsigned threads =
-      args.threads != 0 ? args.threads : std::max(2u, lib::TestBed::default_workers());
+      args.threads != 0 ? args.threads : std::max(2u, epoch::EpochPool::auto_workers());
   std::printf("tenant timelines on up to %u worker threads (--threads N to change)\n",
               threads);
 
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
               "concurrent drain keeps ring occupancy (and the harvest pause) low.\n"
               "Per-vCPU virtual time is bit-identical serial vs. concurrent; the\n"
               "wall-clock columns depend on host cores (%u here).\n",
-              lib::TestBed::default_workers());
+              epoch::EpochPool::auto_workers());
 
   // EPT granularity axis: the same 2-vCPU PML session with 4K leaves, 2M
   // PS-bit leaves kept during logging, and 2M leaves eagerly split at

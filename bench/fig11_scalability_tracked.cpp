@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "boehm_common.hpp"
+#include "sim/epoch/epoch_pool.hpp"
 
 using namespace ooh;
 
@@ -15,7 +16,7 @@ int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv, /*default_scale=*/128);
   bench::print_header("Figure 11", "Per-VM Tracked time with 1..5 tenant VMs");
   const unsigned threads =
-      args.threads != 0 ? args.threads : std::max(2u, lib::TestBed::default_workers());
+      args.threads != 0 ? args.threads : std::max(2u, epoch::EpochPool::auto_workers());
   std::printf("tenant timelines on up to %u worker threads (--threads N to change)\n",
               threads);
 
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
   std::printf("Shape check: per-vCPU Tracked virtual time is flat in the vCPU count —\n"
               "the concurrent drain stays off the guest's critical path. Wall-clock\n"
               "columns depend on host cores (%u here).\n",
-              lib::TestBed::default_workers());
+              epoch::EpochPool::auto_workers());
 
   // EPT granularity axis, Tracked side: what the guest pays for each
   // backing mode. Huge backing makes the prefault walks cheaper; eager

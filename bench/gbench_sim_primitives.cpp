@@ -23,14 +23,12 @@
 #endif
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "base/arena.hpp"
 #include "base/ring_buffer.hpp"
 #include "ooh/adaptive/adaptive_tracker.hpp"
 #include "guest/kernel.hpp"
-#include "ooh/epoch_run.hpp"
 #include "hypervisor/dirty_ring.hpp"
 #include "hypervisor/hypervisor.hpp"
 #include "sim/machine.hpp"
@@ -380,10 +378,8 @@ BENCHMARK(BM_RingBufferPushPop);
 // construction, process creation, mmap, prefault, tracker init) happens
 // before the `for (auto _ : state)` loop, so cpu_time measures only the
 // steady-state operation under test. Per-iteration re-preparation, where a
-// bench needs it, goes through PauseTiming/ResumeTiming or — cheaper, and
-// exact — a machine-snapshot warm start: save() once after setup, restore()
-// to rewind (see BM_SnapshotWarmStartRestore). Do not fold setup into the
-// timed loop; the committed baselines assume these semantics.
+// bench needs it, goes through PauseTiming/ResumeTiming. Do not fold setup
+// into the timed loop; the committed baselines assume these semantics.
 
 void BM_GuestProcessTouchWrite(benchmark::State& state) {
   lib::TestBed bed;
@@ -560,87 +556,7 @@ void BM_CheckpointDump256Pages(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointDump256Pages)->Unit(benchmark::kMicrosecond);
 
-// ---- snapshot / epoch primitives (PR 9) -------------------------------------
-
-/// A realistically-loaded bed at a quiescent point: tracked history, backed
-/// (data) frames, faulted translations. Shared setup for the snapshot
-/// benches.
-std::unique_ptr<lib::TestBed> loaded_bed() {
-  auto bed = std::make_unique<lib::TestBed>();
-  auto& k = bed->kernel();
-  auto& proc = k.create_process();
-  const u64 pages = 2048;
-  const Gva base = proc.mmap(pages * kPageSize, /*data_backed=*/true);
-  auto tracker = lib::make_tracker(lib::Technique::kEpml, k, proc);
-  lib::RunOptions ro;
-  ro.collect_period = msecs(1);
-  (void)lib::run_tracked(
-      k, proc,
-      [&](guest::Process& p) {
-        for (u64 i = 0; i < pages; ++i) p.write_u64(base + i * kPageSize, i);
-      },
-      tracker.get(), ro);
-  tracker->shutdown();
-  k.unload_ooh_module();  // snapshot quiescence
-  return bed;
-}
-
-void BM_SnapshotSave(benchmark::State& state) {
-  auto bed = loaded_bed();
-  std::size_t stream = 0, frames = 0;
-  for (auto _ : state) {
-    snapshot::MachineSnapshot snap = bed->save();
-    stream = snap.stream_bytes();
-    frames = snap.frame_count();
-    benchmark::DoNotOptimize(snap);
-  }
-  state.counters["stream_bytes"] = static_cast<double>(stream);
-  state.counters["frames_shared"] = static_cast<double>(frames);
-}
-BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMicrosecond);
-
-void BM_SnapshotRestore(benchmark::State& state) {
-  auto bed = loaded_bed();
-  const snapshot::MachineSnapshot snap = bed->save();
-  for (auto _ : state) {
-    bed->restore(snap);
-  }
-}
-BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMicrosecond);
-
-void BM_SnapshotWarmStartRestore(benchmark::State& state) {
-  // The warm-start pattern benches can use instead of per-iteration
-  // re-setup: dirty the machine, then rewind to the post-setup boundary.
-  // Timed section = one dirtying pass + one restore.
-  auto bed = loaded_bed();
-  const snapshot::MachineSnapshot boundary = bed->save();
-  u32 pid = 0;
-  bed->kernel().for_each_process(
-      [&](guest::Process& p, sim::GuestPageTable&) { pid = p.pid(); });
-  for (auto _ : state) {
-    // restore() rebuilds Process objects, so re-resolve the handle per
-    // rewind instead of holding a reference across iterations.
-    guest::Process* proc = bed->kernel().find(pid);
-    const Gva base = proc->vmas().front().start;
-    for (u64 i = 0; i < 256; ++i) proc->write_u64(base + i * kPageSize, i);
-    bed->restore(boundary);
-  }
-}
-BENCHMARK(BM_SnapshotWarmStartRestore)->Unit(benchmark::kMicrosecond);
-
-void BM_EpochMergeCounters(benchmark::State& state) {
-  // The per-epoch -> machine-wide counter fold of the epoch merge path.
-  std::vector<EventCounters> parts(16);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    parts[i].add(Event::kPageFaultSoftDirty, i + 1);
-    parts[i].add(Event::kPmlLogGpa, 3 * i);
-    parts[i].add(Event::kHypercall, 1);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lib::merge_counters(parts));
-  }
-}
-BENCHMARK(BM_EpochMergeCounters);
+// ---- arena -----------------------------------------------------------------
 
 void BM_ArenaAllocRadixNode(benchmark::State& state) {
   // Bump-allocation of interior-node-shaped objects (512 slots, the radix

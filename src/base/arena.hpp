@@ -5,7 +5,7 @@
 // (see sim/radix.hpp). That lifetime is exactly what a bump arena models:
 // nodes are created one after another, live until the whole table resets,
 // and die together. Routing node allocation through an arena buys three
-// things the snapshot/epoch machinery depends on:
+// things:
 //
 //   1. Zero steady-state allocation: once the working set's nodes exist,
 //      ensure() never touches the global allocator again, so benchmark
@@ -14,12 +14,13 @@
 //      is touched page-by-page at reservation time so first-populate cost
 //      is paid at a predictable point (arena growth), not scattered over
 //      the simulation as minor faults.
-//   3. Wholesale reset: RadixTable4::clear() (used by snapshot restore)
+//   3. Wholesale reset: RadixTable4::clear() (used when
+//      GuestPageTable::convert_to_segments() retires the radix backend)
 //      drops every node by rewinding the arena instead of walking the tree
 //      deleting unique_ptrs.
 //
 // Only trivially-destructible types may be created here — the arena never
-// runs destructors. Reset keeps the reserved blocks so a restore-into-place
+// runs destructors. Reset keeps the reserved blocks so a repopulated table
 // reuses warm memory; create<T>() value-initialises, so recycled bytes are
 // re-zeroed per node.
 #pragma once

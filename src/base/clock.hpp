@@ -14,10 +14,6 @@
 #include "base/types.hpp"
 #include "base/vtime.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh {
 
 class VirtualClock {
@@ -116,8 +112,6 @@ class VirtualClock {
   }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   VirtDuration now_{0};
   std::vector<VirtDuration*> open_buckets_;
 };

@@ -15,10 +15,6 @@
 
 #include "base/types.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh {
 
 class RingBuffer {
@@ -72,8 +68,6 @@ class RingBuffer {
   void reset_dropped() noexcept { dropped_ = 0; }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   std::vector<u64> buf_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -37,9 +37,6 @@
 namespace ooh::hv {
 class Hypervisor;
 }
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
 
 namespace ooh::guest {
 
@@ -185,7 +182,6 @@ class GuestKernel final : public sim::GuestIrqSink {
  private:
   friend class ProcFs;
   friend class Uffd;
-  friend struct ooh::snapshot::Access;
 
   void handle_not_present(Process& proc, Gva gva, bool is_write);
   void handle_not_writable(Process& proc, Gva gva);

@@ -17,9 +17,6 @@
 namespace ooh::sim {
 class GuestPageTable;
 }
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
 
 namespace ooh::guest {
 
@@ -107,7 +104,6 @@ class Process {
 
  private:
   friend class GuestKernel;
-  friend struct ooh::snapshot::Access;
 
   GuestKernel& kernel_;
   u32 pid_;

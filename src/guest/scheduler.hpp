@@ -17,10 +17,6 @@
 #include "base/vtime.hpp"
 #include "sim/exec_context.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::guest {
 
 class SchedHook {
@@ -82,8 +78,6 @@ class Scheduler {
   void exit_process(u32 pid);
 
  private:
-  friend struct ooh::snapshot::Access;
-
   void switch_out(u32 pid);
   void switch_in(u32 pid);
   void rearm_deadlines();

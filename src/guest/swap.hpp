@@ -15,10 +15,6 @@
 #include "base/vtime.hpp"
 #include "guest/process.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::guest {
 
 class GuestKernel;
@@ -46,8 +42,6 @@ class SwapDaemon {
   bool swap_in_if_needed(Process& proc, Gva gva_page);
 
  private:
-  friend struct ooh::snapshot::Access;
-
   struct Slot {
     std::vector<u8> content;  ///< empty for metadata-only pages.
     bool was_soft_dirty = false;

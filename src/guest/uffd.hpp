@@ -13,10 +13,6 @@
 #include "guest/process.hpp"
 #include "sim/page_track.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::guest {
 
 class GuestKernel;
@@ -60,8 +56,6 @@ class Uffd final : public sim::PageTrackNotifier {
   bool on_track(sim::TrackLayer layer, const sim::TrackEvent& ev) override;
 
  private:
-  friend struct ooh::snapshot::Access;
-
   struct Registration {
     Handler on_wp;
     Handler on_missing;

@@ -46,10 +46,6 @@
 #include "base/sync.hpp"
 #include "base/types.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::hv {
 
 class DirtyRing {
@@ -168,8 +164,6 @@ class DirtyRing {
   }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   std::size_t capacity_;
   std::size_t mask_;
   std::vector<u64> slots_;

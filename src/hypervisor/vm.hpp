@@ -23,10 +23,6 @@
 #include "sim/spp.hpp"
 #include "sim/vcpu.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::hv {
 
 class Vm;
@@ -195,8 +191,6 @@ class Vm {
   }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   struct CpuState {
     explicit CpuState(std::size_t spml_ring_entries) : spml_ring(spml_ring_entries) {}
     std::unique_ptr<sim::Vcpu> vcpu;

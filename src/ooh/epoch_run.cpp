@@ -1,8 +1,6 @@
 #include "ooh/epoch_run.hpp"
 
 #include <cstdlib>
-#include <stdexcept>
-#include <string>
 
 namespace ooh::lib {
 
@@ -11,54 +9,6 @@ unsigned epoch_threads_from_env() noexcept {
   if (env == nullptr || *env == '\0') return 0;
   const long v = std::strtol(env, nullptr, 10);
   return v > 0 ? static_cast<unsigned>(v) : 0;
-}
-
-EpochChain record_epochs(TestBed& bed, std::size_t epochs, const EpochBody& body) {
-  EpochChain chain;
-  chain.boundaries.reserve(epochs + 1);
-  chain.boundaries.push_back(bed.save());
-  for (std::size_t e = 0; e < epochs; ++e) {
-    body(bed, e);
-    chain.boundaries.push_back(bed.save());
-  }
-  return chain;
-}
-
-std::vector<std::vector<u8>> replay_epochs(
-    const std::function<std::unique_ptr<TestBed>()>& make_bed,
-    const EpochChain& chain, const EpochBody& body, ReplayOptions opt) {
-  const std::size_t n = chain.epochs();
-  epoch::Options pool;
-  pool.threads = opt.threads;
-  pool.stagger_seed = opt.stagger_seed;
-  auto exits = epoch::EpochPool::map<std::vector<u8>>(
-      n,
-      [&](std::size_t e) {
-        // A private bed per epoch: restore is in-place, so concurrent
-        // epochs must not share one machine.
-        std::unique_ptr<TestBed> bed = make_bed();
-        bed->restore(chain.boundaries[e]);
-        body(*bed, e);
-        return bed->save().bytes;
-      },
-      pool);
-  if (opt.verify_seams) {
-    for (std::size_t e = 0; e < n; ++e) {
-      if (exits[e] != chain.boundaries[e + 1].bytes) {
-        throw std::runtime_error(
-            "epoch replay: epoch " + std::to_string(e) +
-            "'s exit state diverges from the recorded boundary " +
-            std::to_string(e + 1) + " (EPOCH-1 seam mismatch)");
-      }
-    }
-  }
-  return exits;
-}
-
-EventCounters merge_counters(const std::vector<EventCounters>& parts) {
-  EventCounters total;
-  for (const EventCounters& p : parts) total.merge(p);
-  return total;
 }
 
 }  // namespace ooh::lib

@@ -1,30 +1,15 @@
 // Epoch-parallel execution at the experiment layer.
 //
-// Two shapes of parallelism, both with bit-identical virtual-time outputs:
-//
-//   * run_cells(): a figure's independent cells (app x technique grid, each
-//     cell building its own TestBed) fan out across the epoch worker pool.
-//     Results land in submission-order slots, so row order — and every byte
-//     of figure output — is identical to the serial loop (EPOCH-1). This is
-//     where the order-of-magnitude figure wall-clock comes from.
-//
-//   * record_epochs() / replay_epochs(): one bed's run split into chained
-//     epochs at quiescent points. Recording runs the epochs serially once,
-//     capturing a CoW machine snapshot at every boundary (milliseconds per
-//     capture; sim/snapshot). Replay then simulates any or all epochs
-//     *independently* — each on a private bed restored to its entry
-//     boundary — across the pool. Because a restored bed is byte-identical
-//     to the recorded machine, each replayed epoch's exit state must equal
-//     the next recorded boundary; replay verifies exactly that, making the
-//     merged timeline provably equal to the serial one rather than
-//     hopefully so.
+// run_cells(): a figure's independent cells (app x technique grid, each cell
+// building its own TestBed) fan out across the epoch worker pool. Results
+// land in submission-order slots, so row order — and every byte of figure
+// output — is identical to the serial loop (EPOCH-1). This is where the
+// order-of-magnitude figure wall-clock comes from.
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "ooh/testbed.hpp"
 #include "sim/epoch/epoch_pool.hpp"
 
 namespace ooh::lib {
@@ -45,54 +30,5 @@ template <typename T, typename Fn>
   opt.threads = threads != 0 ? threads : epoch_threads_from_env();
   return epoch::EpochPool::map<T>(n, std::forward<Fn>(fn), opt);
 }
-
-/// One epoch of a chained run: advance `bed` from its current (entry)
-/// boundary to the exit boundary. Must leave the bed quiescent (the
-/// snapshot contract, sim/snapshot/machine_image.hpp).
-using EpochBody = std::function<void(TestBed& bed, std::size_t epoch)>;
-
-/// A recorded chain over `epochs` epochs: boundaries[i] is the machine
-/// state entering epoch i; boundaries[epochs] is the final exit state.
-struct EpochChain {
-  std::vector<snapshot::MachineSnapshot> boundaries;
-
-  [[nodiscard]] std::size_t epochs() const noexcept {
-    return boundaries.empty() ? 0 : boundaries.size() - 1;
-  }
-};
-
-/// Serial recording pass: run body(bed, 0..epochs-1), snapshotting the bed
-/// before the first epoch and after every epoch. Captures are CoW — the
-/// pass costs one serial simulation plus O(backed frames) pointer copies
-/// per boundary.
-[[nodiscard]] EpochChain record_epochs(TestBed& bed, std::size_t epochs,
-                                       const EpochBody& body);
-
-struct ReplayOptions {
-  /// Epoch worker threads; 0 auto-sizes, 1 replays serially.
-  unsigned threads = 0;
-  /// Determinism-test knob: seeded stagger shuffling real-time completion
-  /// order (epoch::Options::stagger_seed).
-  u64 stagger_seed = 0;
-  /// Byte-compare every replayed epoch's exit state against the next
-  /// recorded boundary; a mismatch throws std::runtime_error naming the
-  /// seam. This is the EPOCH-1 merge proof — leave it on outside benches.
-  bool verify_seams = true;
-};
-
-/// Replay the chain's epochs independently across the pool. Each epoch gets
-/// a fresh bed from `make_bed` (which must rebuild the recording bed's
-/// TestBedOptions), restored to its entry boundary. Returns each epoch's
-/// exit state stream in submission order — byte-equal to the recorded
-/// boundaries when the bodies are deterministic, which verify_seams checks.
-[[nodiscard]] std::vector<std::vector<u8>> replay_epochs(
-    const std::function<std::unique_ptr<TestBed>()>& make_bed,
-    const EpochChain& chain, const EpochBody& body, ReplayOptions opt = {});
-
-/// Deterministic submission-order merge of per-epoch event-counter deltas
-/// into one machine-wide total. Addition is commutative, so this exists
-/// less for ordering than for the name: merged figures must come from this
-/// (auditable) fold, not ad-hoc summation at call sites.
-[[nodiscard]] EventCounters merge_counters(const std::vector<EventCounters>& parts);
 
 }  // namespace ooh::lib

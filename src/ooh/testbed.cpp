@@ -1,10 +1,6 @@
 #include "ooh/testbed.hpp"
 
-#include <algorithm>
-#include <exception>
-#include <thread>
-
-#include "base/sync.hpp"
+#include "sim/epoch/epoch_pool.hpp"
 
 namespace ooh::lib {
 
@@ -61,65 +57,15 @@ void TestBed::audit() {
   if (check::kCoherenceAuditsEnabled) checker_->audit_all();
 }
 
-snapshot::MachineSnapshot TestBed::save() {
-  std::vector<guest::GuestKernel*> kernels;
-  kernels.reserve(kernels_.size());
-  for (const auto& k : kernels_) kernels.push_back(k.get());
-  return snapshot::save_machine(*machine_, *hypervisor_, kernels);
-}
-
-void TestBed::restore(const snapshot::MachineSnapshot& snap) {
-  std::vector<guest::GuestKernel*> kernels;
-  kernels.reserve(kernels_.size());
-  for (const auto& k : kernels_) kernels.push_back(k.get());
-  snapshot::restore_machine(snap, *machine_, *hypervisor_, kernels);
-  // The restore rewound every vCPU's virtual clock; without this reset the
-  // next CLK-1 audit would flag the rewind as a monotonicity bug.
-  checker_->reset_clock_history();
-}
-
-unsigned TestBed::default_workers() noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw != 0 ? hw : 2;
-}
-
 void TestBed::run_tenants(const std::function<void(unsigned)>& body, unsigned threads) {
-  const unsigned n = tenant_count();
-  if (threads == 0) threads = default_workers();
-  const unsigned workers = std::min(threads, n);
-  if (workers <= 1) {
-    for (unsigned i = 0; i < n; ++i) body(i);
-    audit();
-    return;
-  }
-
-  // Worker pool: each worker claims whole VM indices off a shared cursor,
-  // so one timeline runs start-to-finish on a single thread. Tenants share
-  // no mutable state except the machine's sharded frame allocator, which
-  // is why this needs no further synchronisation.
-  // relaxed-ok below: the cursor only partitions indices; each tenant's
-  // state is touched by exactly one worker, and join() publishes it.
-  sync::Atomic<unsigned> cursor{0};
-  sync::Mutex err_mu;
-  std::exception_ptr first_error;
-  const auto worker = [&] {
-    for (;;) {
-      // relaxed-ok: the cursor only partitions indices between workers.
-      const unsigned i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        body(i);
-      } catch (...) {
-        sync::SpinGuard lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-  for (std::thread& th : pool) th.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // Each worker claims whole VM indices, so one timeline runs start-to-finish
+  // on a single thread. Tenants share no mutable state except the machine's
+  // sharded frame allocator, which is why this needs no further
+  // synchronisation.
+  epoch::Options opt;
+  opt.threads = threads;
+  epoch::EpochPool::run_indexed(
+      tenant_count(), [&](std::size_t i) { body(static_cast<unsigned>(i)); }, opt);
   // Global passes (frame-ownership exclusivity) walk every VM's EPT, so
   // they only run once the workers have joined.
   audit();

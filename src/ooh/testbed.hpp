@@ -4,8 +4,8 @@
 //
 // Tenant timelines are independent by construction (per-vCPU ExecContext,
 // no shared mutable state except the thread-safe frame allocator), so
-// run_tenants() can execute them on a worker pool of real threads and still
-// produce bit-identical per-VM virtual-time results to a serial run.
+// run_tenants() can execute them on the epoch worker pool and still produce
+// bit-identical per-VM virtual-time results to a serial run.
 #pragma once
 
 #include <functional>
@@ -19,7 +19,6 @@
 #include "sim/fault/fault_plan.hpp"
 #include "sim/fault/injector.hpp"
 #include "sim/machine.hpp"
-#include "sim/snapshot/machine_image.hpp"
 
 namespace ooh::lib {
 
@@ -70,16 +69,14 @@ class TestBed {
   /// Execute `body(i)` once for every tenant VM.
   ///
   /// `threads <= 1`: plain serial loop on the calling thread.
-  /// `threads  > 1`: worker-pool mode — up to that many host threads, each
-  /// claiming whole tenant timelines (one VM runs on exactly one thread;
-  /// VMs are never split across threads). `threads == 0` auto-sizes to the
-  /// hardware concurrency. The first exception a timeline throws is
-  /// rethrown on the caller after all workers join.
+  /// `threads  > 1`: on the epoch worker pool — up to that many host
+  /// threads, each claiming whole tenant timelines (one VM runs on exactly
+  /// one thread; VMs are never split across threads). `threads == 0`
+  /// auto-sizes (epoch::EpochPool::auto_workers()). If timelines throw, the
+  /// lowest-index tenant's exception is rethrown on the caller after all
+  /// workers join, whatever the thread count.
   void run_tenants(const std::function<void(unsigned vm_index)>& body,
                    unsigned threads = 1);
-
-  /// The worker count run_tenants() would use for `threads == 0`.
-  [[nodiscard]] static unsigned default_workers() noexcept;
 
   /// The machine-state coherence oracle, wired over every tenant. In audit
   /// builds (check::kCoherenceAuditsEnabled) it also runs automatically at
@@ -90,26 +87,6 @@ class TestBed {
   /// frame-ownership pass. No-op unless this is an audit build — callable
   /// unconditionally from figure drivers without perturbing Release runs.
   void audit();
-
-  // ---- snapshot / restore ---------------------------------------------------
-
-  /// Capture the bed's full machine state at a quiescent point (between
-  /// workload runs / collection intervals). Frame contents are shared
-  /// copy-on-write with the live machine — a GiB-footprint bed snapshots in
-  /// milliseconds. Throws std::logic_error if any session is mid-flight
-  /// (see sim/snapshot/machine_image.hpp for the quiescence contract).
-  [[nodiscard]] snapshot::MachineSnapshot save();
-
-  /// Rewind this bed onto `snap`, which must have been captured from a bed
-  /// built with the same TestBedOptions (same VM/vCPU/ring shapes — a
-  /// structural mismatch throws std::runtime_error). Restoring legitimately
-  /// rewinds virtual clocks, so the checker's CLK-1 history is reset.
-  void restore(const snapshot::MachineSnapshot& snap);
-
-  /// Canonical state stream of the bed right now — save() minus keeping the
-  /// frames. Two beds in the same state produce identical bytes; the
-  /// round-trip and epoch-determinism tests compare exactly this.
-  [[nodiscard]] std::vector<u8> state_bytes() { return save().bytes; }
 
   /// Tenant i / vCPU `cpu`'s fault injector, or nullptr when the bed runs
   /// fault-free (TestBedOptions::fault_plan empty). Injectors are laid out

@@ -670,11 +670,6 @@ void CoherenceChecker::audit_clock(hv::Vm& vm) {
   }
 }
 
-void CoherenceChecker::reset_clock_history() {
-  sync::SpinGuard lock(clock_mu_);
-  clock_snapshots_.clear();
-}
-
 // ---- FRAME-* ----------------------------------------------------------------
 
 void CoherenceChecker::audit_frames() {
@@ -728,19 +723,16 @@ void CoherenceChecker::audit_frames() {
         std::to_string(used) + " frames allocated" + direction);
   }
   // FRAME-4: materialised contents are accounted for. Every backed frame is
-  // either claimed by an owner above, or CoW-shared with a captured machine
-  // snapshot (shared-read-only: the live machine may drop or replace it but
-  // never writes through it — frame_data() clones first). Contents backed by
-  // neither are orphaned bytes nothing can legitimately reach: a stale write
-  // path or a restore that installed frames the stream never claimed.
-  for (const auto& [fn, shared] : machine_.pmem.backed_frame_table()) {
-    if (owner.contains(fn) || shared) continue;
+  // claimed by an owner above; contents nothing claims are orphaned bytes
+  // nothing can legitimately reach (a stale write path, or a free that kept
+  // the frame's backing).
+  for (const u64 fn : machine_.pmem.backed_frame_table()) {
+    if (owner.contains(fn)) continue;
     throw InvariantViolation(
         "FRAME-4", Layer::kFrameAllocator, 0, kNoAddr, kNoAddr,
         "backed frame " + hex(fn << kPageShift) +
-            " owned by an EPT mapping or PML buffer, or CoW-shared "
-            "(read-only) with a snapshot",
-        "contents materialised but unclaimed and unshared");
+            " owned by an EPT mapping or PML buffer",
+        "contents materialised but unclaimed");
   }
 }
 

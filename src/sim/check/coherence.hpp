@@ -111,12 +111,6 @@ class CoherenceChecker {
   /// audit_vm for every VM, then audit_machine. Single-threaded use only.
   void audit_all();
 
-  /// Forget the last-seen per-vCPU virtual times. Restoring a machine
-  /// snapshot legitimately rewinds virtual clocks; without this reset the
-  /// CLK-1 monotonicity audit would flag the rewind as a bug. Callers:
-  /// TestBed::restore only.
-  void reset_clock_history();
-
   /// Total audit passes run (self-test instrumentation).
   [[nodiscard]] u64 audits_run() const noexcept {
     // relaxed-ok: self-test statistics counter; no state is published

@@ -1036,23 +1036,17 @@ void scenario_mid_drain_teardown(ScenarioRun& run) {
              "RING-1: teardown lost an entry between stop and free");
 }
 
-/// The epoch worker pool's cross-thread surface under a concurrent snapshot
-/// capture: two workers partition epochs through the production
-/// epoch::claim_next cursor and write each epoch's (privately owned) frame,
-/// while a snapshotter thread CoW-captures the shared PhysicalMemory the
-/// moment epoch 0 announces completion. Checked in every interleaving:
-/// the cursor hands each epoch to exactly one worker (EPOCH-1), the capture
-/// sees epoch 0's completed write (the shard mutex + release flag
-/// happens-before chain), and a post-capture write clones rather than
-/// mutates the captured image (SNAP-1's CoW immutability).
-void scenario_snapshot_during_epochs(ScenarioRun& run) {
+/// The epoch worker pool's cross-thread surface: two workers partition
+/// epochs through the production epoch::claim_next cursor and write each
+/// epoch's (privately owned) frame of the shared PhysicalMemory. Checked in
+/// every interleaving: the cursor hands each epoch to exactly one worker
+/// (EPOCH-1).
+void scenario_epoch_claim(ScenarioRun& run) {
   constexpr std::size_t kEpochs = 3;
   struct Shared {
     sim::PhysicalMemory pmem{64 * kPageSize};
     sync::Atomic<u64> cursor{0};
     std::array<sync::Atomic<u64>, kEpochs> claims{};
-    sync::Atomic<bool> epoch0_done{false};
-    std::vector<sim::PhysicalMemory::FrameImage> image;
   };
   auto sh = std::make_shared<Shared>();
   const auto worker = [sh] {
@@ -1063,36 +1057,14 @@ void scenario_snapshot_during_epochs(ScenarioRun& run) {
       sh->pmem.frame_data(i * kPageSize)[0] = static_cast<u8>(0xE0 + i);
       // relaxed-ok: claim multiplicity counter, read only after join.
       sh->claims[i].fetch_add(1, std::memory_order_relaxed);
-      if (i == 0) sh->epoch0_done.store(true, std::memory_order_release);
     }
   };
-  run.threads({
-      worker,
-      worker,
-      [sh] {  // snapshotter: capture mid-execution, after epoch 0 lands
-        await([&] { return sh->epoch0_done.load(std::memory_order_acquire); });
-        sh->image = sh->pmem.capture_frames();
-      },
-  });
+  run.threads({worker, worker});
   for (std::size_t i = 0; i < kEpochs; ++i) {
     // relaxed-ok: post-join read; the pool join is the publication edge.
     run.expect(sh->claims[i].load(std::memory_order_relaxed) == 1, "SCHED-LOST",
                "EPOCH-1: claim cursor handed an epoch to != 1 worker");
   }
-  const auto image_frame0 = [&]() -> const u8* {
-    for (const auto& [fn, frame] : sh->image) {
-      if (fn == 0) return frame->data();
-    }
-    return nullptr;
-  };
-  const u8* f0 = image_frame0();
-  run.expect(f0 != nullptr && f0[0] == 0xE0, "SCHED-LOST",
-             "SNAP-1: capture after epoch 0 completed missed its write");
-  // Writes after the capture must clone the frame, never mutate the image.
-  sh->pmem.frame_data(0)[0] = 0x5A;
-  f0 = image_frame0();
-  run.expect(f0 != nullptr && f0[0] == 0xE0, "SCHED-LOST",
-             "SNAP-1: post-capture write mutated the captured image");
 }
 
 std::vector<NamedScenario> make_builtin_scenarios() {
@@ -1137,8 +1109,7 @@ std::vector<NamedScenario> make_builtin_scenarios() {
     o.preemption_bound = 2;
     o.random_runs = 80;
     o.max_interleavings = 8000;
-    out.push_back(
-        {"snapshot_during_epochs", scenario_snapshot_during_epochs, o});
+    out.push_back({"epoch_claim", scenario_epoch_claim, o});
   }
   return out;
 }

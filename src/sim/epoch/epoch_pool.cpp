@@ -20,12 +20,13 @@ u64 stagger_for(u64 seed, std::size_t index) {
 
 }  // namespace
 
+unsigned EpochPool::auto_workers() noexcept {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw != 0 ? hw : 2;
+}
+
 unsigned EpochPool::workers_for(std::size_t n, Options opt) {
-  unsigned t = opt.threads;
-  if (t == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    t = hw != 0 ? hw : 2;
-  }
+  const unsigned t = opt.threads != 0 ? opt.threads : auto_workers();
   return static_cast<unsigned>(std::min<std::size_t>(t, n));
 }
 
@@ -34,8 +35,8 @@ void EpochPool::run_indexed(std::size_t n, const std::function<void(std::size_t)
   if (n == 0) return;
   const unsigned workers = workers_for(n, opt);
   if (workers <= 1) {
-    // Serial inline path: no threads, no atomics touched — byte-identical
-    // to the pre-epoch loop, and the default for N=1.
+    // Serial inline path: no threads, no atomics touched, and the default
+    // for N=1.
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }

@@ -6,14 +6,16 @@
 // completion order, worker count, and OS scheduling cannot leak into it
 // (invariant EPOCH-1, pinned by the serial-vs-2/4/8-thread tests).
 //
+// It is the simulator's one worker pool: figure cell fan-out (run_cells)
+// and tenant fleets (TestBed::run_tenants) both run on it.
+//
 // threads <= 1 (or a single epoch) short-circuits to a plain serial loop on
-// the calling thread: the N=1 path spawns nothing and is byte-identical to
-// the pre-epoch code.
+// the calling thread: the N=1 path spawns nothing and touches no atomics.
 //
 // The cross-thread state (claim cursor, error slot) lives behind the
 // sync.hpp seam so instrumented builds let the SchedExplorer drive the
-// claim protocol through every interleaving (scenario
-// "snapshot_during_epochs" in sched_explorer.cpp).
+// claim protocol through every interleaving (scenario "epoch_claim" in
+// sched_explorer.cpp).
 #pragma once
 
 #include <cstddef>
@@ -39,8 +41,8 @@ namespace ooh::epoch {
 /// Pool options (namespace scope so default arguments may instantiate it
 /// inside EpochPool's own definition).
 struct Options {
-  /// Worker count; 0 picks hardware_concurrency (capped by epoch count),
-  /// 1 forces the serial inline path.
+  /// Worker count; 0 picks auto_workers() (capped by epoch count), 1 forces
+  /// the serial inline path.
   unsigned threads = 0;
   /// When nonzero, each worker spins a seeded, index-dependent number of
   /// yields before running an epoch — a determinism *test* knob that
@@ -71,6 +73,10 @@ class EpochPool {
 
   /// Effective worker count for `n` epochs under `opt`.
   [[nodiscard]] static unsigned workers_for(std::size_t n, Options opt);
+
+  /// The auto-size rule behind `threads == 0`: the hardware concurrency,
+  /// or 2 when the platform cannot report it.
+  [[nodiscard]] static unsigned auto_workers() noexcept;
 };
 
 }  // namespace ooh::epoch

@@ -22,10 +22,6 @@
 #include "base/types.hpp"
 #include "sim/radix.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::sim {
 
 struct EptEntry {
@@ -173,8 +169,6 @@ class Ept {
   void debug_skew_walk_cache() noexcept { table_.debug_skew_walk_cache(); }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   [[nodiscard]] EptEntry* find_leaf_locked(Gpa gpa) noexcept {
     const Gpa page = page_floor(gpa);
     if (!table_.has_huge()) return table_.find(page);

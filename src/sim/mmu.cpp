@@ -113,7 +113,9 @@ Mmu::Result Mmu::access(u32 pid, GuestPageTable& pt, Gva gva, bool is_write) {
   const Gva fill_base = gran_floor(gva_page, fill_gran);
   TlbEntry te;
   te.gran = fill_gran;
-  te.gpa_page = pte->gpa_page + (fill_base - gran_floor(gva_page, glu.gran));
+  // From the walked per-page GPA, not the leaf's: a segment's shared Pte
+  // names the run's base, whatever page inside the run was accessed.
+  te.gpa_page = glu.gpa_page - (gva_page - fill_base);
   te.hpa_page =
       epte->hpa_page + gran_offset(gran_floor(glu.gpa_page, fill_gran), elu.gran);
   // SPP pages never cache write permission: every store must re-consult the

@@ -16,10 +16,6 @@
 #include "sim/radix.hpp"
 #include "sim/segment_table.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::sim {
 
 enum class TranslationBackend : u8 { kRadix, kSegment };
@@ -162,8 +158,6 @@ class GuestPageTable {
   void debug_skew_walk_cache() noexcept { table_.debug_skew_walk_cache(); }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   RadixTable4<Pte> table_;
   std::unique_ptr<SegmentTable> segs_;
   TranslationBackend backend_ = TranslationBackend::kRadix;

@@ -40,10 +40,6 @@
 
 #include "base/types.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::sim {
 
 class Vcpu;
@@ -147,8 +143,6 @@ class WriteTrackRegistry {
   }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   struct Registration {
     PageTrackNotifier* notifier = nullptr;
     bool enabled = true;

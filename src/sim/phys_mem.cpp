@@ -21,9 +21,8 @@ Hpa PhysicalMemory::alloc_frame() {
   // Recycled frames first. The starting shard rotates so concurrent
   // allocators do not all contend on shard 0; which shard a frame comes
   // from only changes HPA values, never any virtual-time result. The rotor
-  // is per-machine (and snapshotted) so a restored machine replays the same
-  // HPA sequence as the recorded one — epoch seam verification byte-
-  // compares serialized EPTs, which contain HPAs.
+  // is per-machine so HPAs stay deterministic per machine when parallel
+  // cells run several machines at once.
   // relaxed-ok: the rotor only spreads contention; any stale value is a
   // valid starting shard and the shard mutex orders the actual state.
   const std::size_t home = alloc_rotor_.fetch_add(1, std::memory_order_relaxed);
@@ -101,58 +100,15 @@ u8* PhysicalMemory::frame_data(Hpa frame) {
   Shard& s = shard_of(fn);
   sync::SpinGuard lock(s.mu);
   auto& slot = s.data[fn];
-  if (!slot) {
-    slot = std::make_shared<Frame>();
-    slot->fill(0);
-  } else if (slot.use_count() > 1) {
-    // Copy-on-write break: a snapshot still references these contents, and
-    // the caller is about to mutate them. Clone so the captured image stays
-    // frozen; the snapshot's reference keeps the original alive.
-    slot = std::make_shared<Frame>(*slot);
-  }
+  if (!slot) slot = std::make_unique<Frame>();  // value-initialised: zeroed
   return slot->data();
 }
 
-std::vector<PhysicalMemory::FrameImage> PhysicalMemory::capture_frames() const {
-  std::vector<FrameImage> out;
-  out.reserve(backed_frames());
+std::vector<u64> PhysicalMemory::backed_frame_table() const {
+  std::vector<u64> out;
   for (const Shard& s : shards_) {
     sync::SpinGuard lock(s.mu);
-    for (const auto& [fn, frame] : s.data) out.emplace_back(fn, frame);
-  }
-  // Frame numbers are unique across shards; sorting makes the capture order
-  // (and everything serialized from it) deterministic.
-  std::sort(out.begin(), out.end(),
-            [](const FrameImage& a, const FrameImage& b) { return a.first < b.first; });
-  return out;
-}
-
-bool PhysicalMemory::frame_shared(Hpa frame) const {
-  const u64 fn = page_index(frame);
-  const Shard& s = shard_of(fn);
-  sync::SpinGuard lock(s.mu);
-  const auto it = s.data.find(fn);
-  return it != s.data.end() && it->second.use_count() > 1;
-}
-
-u64 PhysicalMemory::shared_frames() const {
-  u64 total = 0;
-  for (const Shard& s : shards_) {
-    sync::SpinGuard lock(s.mu);
-    for (const auto& [fn, frame] : s.data) {
-      if (frame.use_count() > 1) ++total;
-    }
-  }
-  return total;
-}
-
-std::vector<std::pair<u64, bool>> PhysicalMemory::backed_frame_table() const {
-  std::vector<std::pair<u64, bool>> out;
-  for (const Shard& s : shards_) {
-    sync::SpinGuard lock(s.mu);
-    for (const auto& [fn, frame] : s.data) {
-      out.emplace_back(fn, frame.use_count() > 1);
-    }
+    for (const auto& [fn, frame] : s.data) out.push_back(fn);
   }
   std::sort(out.begin(), out.end());
   return out;

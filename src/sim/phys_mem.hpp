@@ -11,37 +11,21 @@
 // and the bump pointer is a lock-free CAS. Frame *contents* need no lock
 // beyond the map shard — no two VMs ever share a frame, so cross-thread
 // access to the same frame's bytes does not happen by construction.
-//
-// Snapshots share frame contents copy-on-write: capture_frames() hands out
-// shared_ptr references to the live frames (O(backed frames) pointer
-// copies, no byte copies — a 1 GiB-footprint snapshot is milliseconds), and
-// the mutable frame_data() path clones a frame the moment it is written
-// while a snapshot still references it. A captured frame is therefore
-// *shared-read-only*: the live machine may drop or replace it, but never
-// write through it — which is also the state the FRAME ownership audit had
-// to learn about (docs/invariants.md, FRAME-4).
 #pragma once
 
 #include <array>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "base/sync.hpp"
 #include "base/types.hpp"
-
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
 
 namespace ooh::sim {
 
 class PhysicalMemory {
  public:
   using Frame = std::array<u8, kPageSize>;
-  /// One captured frame: number plus a CoW reference to its contents.
-  using FrameImage = std::pair<u64, std::shared_ptr<const Frame>>;
 
   explicit PhysicalMemory(u64 bytes);
 
@@ -69,49 +53,28 @@ class PhysicalMemory {
   }
   [[nodiscard]] u64 backed_frames() const;
 
-  /// Mutable view of a frame's 4KiB contents, materialising them on demand.
-  /// The pointer stays valid until the frame is freed, restored over, or —
-  /// when the frame is CoW-shared with a snapshot — written again after a
-  /// further capture (the write clones the frame). Callers must not cache
-  /// the pointer across snapshot operations.
+  /// Mutable view of a frame's 4KiB contents, materialising them (zeroed)
+  /// on demand. The pointer stays valid until the frame is freed.
   [[nodiscard]] u8* frame_data(Hpa frame);
   /// Read-only view; nullptr when the frame was never written (all-zero).
-  /// Never breaks CoW sharing.
   [[nodiscard]] const u8* frame_data_if_present(Hpa frame) const;
 
   // Word accessors used by the PML circuit to write log entries into RAM.
   [[nodiscard]] u64 read_u64(Hpa addr) const;
   void write_u64(Hpa addr, u64 value);
 
-  // ---- snapshot support (CoW frame sharing) ---------------------------------
-
-  /// Capture every backed frame as a CoW reference, sorted by frame number
-  /// (deterministic). No contents are copied; subsequent writes through
-  /// frame_data() clone first (the captured images never change).
-  [[nodiscard]] std::vector<FrameImage> capture_frames() const;
-
-  /// True while the frame's contents are CoW-shared with at least one
-  /// captured snapshot — the shared-read-only state the FRAME-4 audit
-  /// distinguishes from exclusively-owned backing.
-  [[nodiscard]] bool frame_shared(Hpa frame) const;
-
-  /// Backed frames currently CoW-shared with a snapshot.
-  [[nodiscard]] u64 shared_frames() const;
-
-  /// Quiescent-point listing of every backed frame as (frame number,
-  /// CoW-shared) pairs, sorted by frame number. The FRAME-4 ownership audit
-  /// walks this to reconcile materialised contents against claims.
-  [[nodiscard]] std::vector<std::pair<u64, bool>> backed_frame_table() const;
+  /// Quiescent-point listing of every backed frame number, sorted. The
+  /// FRAME-4 ownership audit walks this to reconcile materialised contents
+  /// against claims.
+  [[nodiscard]] std::vector<u64> backed_frame_table() const;
 
  private:
-  friend struct ooh::snapshot::Access;
-
   static constexpr std::size_t kShards = 16;
 
   struct Shard {
     mutable sync::Mutex mu;
     std::vector<u64> free_list;                             // recycled frame numbers
-    std::unordered_map<u64, std::shared_ptr<Frame>> data;   // keyed by frame number
+    std::unordered_map<u64, std::unique_ptr<Frame>> data;   // keyed by frame number
   };
 
   [[nodiscard]] Shard& shard_of(u64 frame_number) const noexcept {
@@ -121,8 +84,10 @@ class PhysicalMemory {
   u64 total_frames_;
   sync::Atomic<u64> used_frames_{0};
   sync::Atomic<u64> next_frame_{0};  // bump pointer, in frame numbers
-  // Free-list search start rotor (contention spreading). Snapshotted so a
-  // restored machine replays the recorded HPA allocation sequence.
+  // Free-list search start rotor (contention spreading). Per-machine, not
+  // global, so each machine's HPA sequence depends only on its own
+  // allocations — deterministic even while parallel cells build machines
+  // side by side.
   sync::Atomic<u64> alloc_rotor_{0};
   mutable std::array<Shard, kShards> shards_;
 };

@@ -99,8 +99,9 @@ class RadixTable4 {
   }
 
   /// Drop every node and rewind the arena (blocks are kept warm for
-  /// reuse). The snapshot-restore path rebuilds tables through this instead
-  /// of destroying and reconstructing the owning object graph.
+  /// reuse), instead of destroying and reconstructing the owning object
+  /// graph. GuestPageTable::convert_to_segments() empties the radix
+  /// backend through this.
   void clear() noexcept {
     root_ = L3{};
     leaf_count_ = 0;

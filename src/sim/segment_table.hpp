@@ -18,10 +18,6 @@
 #include "base/types.hpp"
 #include "sim/page_table_entry.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::sim {
 
 struct Segment {
@@ -151,8 +147,6 @@ class SegmentTable {
   }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   std::vector<Segment> segs_;  // sorted by gva_base, non-overlapping
   u64 present_pages_ = 0;
   mutable std::size_t mru_ = 0;

@@ -14,10 +14,6 @@
 
 #include "base/types.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::sim {
 
 inline constexpr u64 kSubPageShift = 7;
@@ -52,8 +48,6 @@ class SppTable {
   [[nodiscard]] std::size_t configured_pages() const noexcept { return masks_.size(); }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   std::unordered_map<Gpa, u32> masks_;
 };
 

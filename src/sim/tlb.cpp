@@ -124,7 +124,6 @@ void Tlb::insert(u32 pid, Gva gva_page, const TlbEntry& entry) {
   index_insert(pid, gva_page, pos);
   if (entry.gran != PageGran::k4K) ++huge_entries_;
   ++size_;
-  ++generation_;
 }
 
 void Tlb::evict_at(std::size_t pos) noexcept {
@@ -140,7 +139,6 @@ void Tlb::evict_at(std::size_t pos) noexcept {
     index_[slots_[pos].bucket] = static_cast<u32>(pos) + 1;
   }
   size_ = last;
-  ++generation_;
 }
 
 void Tlb::invalidate_page(u32 pid, Gva gva_page) noexcept {
@@ -191,7 +189,6 @@ void Tlb::flush_all() noexcept {
   for (std::size_t i = 0; i < size_; ++i) index_[slots_[i].bucket] = kEmptyBucket;
   size_ = 0;
   huge_entries_ = 0;
-  ++generation_;
 }
 
 }  // namespace ooh::sim

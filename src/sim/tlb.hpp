@@ -28,10 +28,6 @@
 
 #include "base/types.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::sim {
 
 struct TlbEntry {
@@ -72,11 +68,6 @@ class Tlb {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Bumped on every mutation (insert, eviction, invalidation, flush), so a
-  /// caller holding an entry pointer can tell whether it is still valid.
-  /// Part of the snapshot stream.
-  [[nodiscard]] u64 generation() const noexcept { return generation_; }
-
   /// Read-only visit of every cached translation as
   /// fn(pid, gva_page, const TlbEntry&); used by the coherence oracle to
   /// re-derive each entry from the authoritative tables.
@@ -88,8 +79,6 @@ class Tlb {
   }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   struct Slot {
     u32 pid = 0;
     u32 bucket = 0;  ///< this slot's position in index_, kept in lockstep so
@@ -115,7 +104,6 @@ class Tlb {
   std::vector<Slot> slots_;      ///< dense live entries, [0, size_).
   std::vector<u32> index_;       ///< open-addressed (pid, gva) -> pos + 1.
   std::size_t huge_entries_ = 0;
-  u64 generation_ = 0;
   u64 rand_state_ = 0x853c49e6748fea9bULL;  // deterministic victim choice
 };
 

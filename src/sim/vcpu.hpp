@@ -16,10 +16,6 @@
 #include "sim/tlb.hpp"
 #include "sim/vmcs.hpp"
 
-namespace ooh::snapshot {
-struct Access;
-}  // namespace ooh::snapshot
-
 namespace ooh::sim {
 
 class Machine;
@@ -116,8 +112,6 @@ class Vcpu {
   }
 
  private:
-  friend struct ooh::snapshot::Access;
-
   void begin_exit(Event reason);
 
   ExecContext& ctx_;

@@ -156,7 +156,9 @@ struct AdaptiveRunResult {
   u64 switches = 0;
   std::vector<Technique> history;
   EventCounters events;
-  std::vector<u8> state;
+  std::vector<std::vector<Gva>> captured;  ///< every interval's sorted page set
+  u64 used_frames = 0;
+  u64 truth_seq = 0;
 };
 
 // Drive a phase-changing workload through explicit tracker intervals:
@@ -182,6 +184,7 @@ AdaptiveRunResult run_phase_changing(unsigned cold_intervals,
   tracker.init();
   tracker.begin_interval();
 
+  AdaptiveRunResult r;
   const auto interval = [&](const std::function<void()>& body) {
     k.scheduler().enter_process(proc.pid());
     body();
@@ -189,6 +192,7 @@ AdaptiveRunResult run_phase_changing(unsigned cold_intervals,
     std::vector<Gva> got = tracker.collect();
     tracker.begin_interval();
     std::sort(got.begin(), got.end());
+    r.captured.push_back(got);
     return got;
   };
   const auto write_range = [&](u64 from, u64 n) {
@@ -244,17 +248,14 @@ AdaptiveRunResult run_phase_changing(unsigned cold_intervals,
   EXPECT_EQ(bed.ctx().counters.get(Event::kPolicySwitch), tracker.switches());
   EXPECT_EQ(tracker.dropped(), 0u);
 
-  AdaptiveRunResult r;
   r.switches = tracker.switches();
   r.history = tracker.switch_history();
   tracker.shutdown();
   bed.audit();  // includes the POL-1 orphaned-protection pass
   r.final_us = bed.ctx().clock.now().count();
   r.events = bed.ctx().counters;
-  // The snapshot quiescence contract wants the OoH module unloaded (the
-  // EPML backend leaves it resident, one module per guest).
-  k.unload_ooh_module();
-  r.state = bed.state_bytes();
+  r.used_frames = bed.machine().pmem.used_frames();
+  r.truth_seq = proc.truth_seq();
   return r;
 }
 
@@ -271,7 +272,9 @@ TEST(AdaptiveTracker, SameSeedSwitchingRunsReplayBitIdentically) {
   EXPECT_EQ(a.history, b.history);
   EXPECT_EQ(a.final_us, b.final_us) << "virtual clocks diverged";
   EXPECT_TRUE(a.events == b.events) << "event streams diverged";
-  EXPECT_EQ(a.state, b.state) << "machine state diverged";
+  EXPECT_EQ(a.captured, b.captured) << "captured page sets diverged";
+  EXPECT_EQ(a.used_frames, b.used_frames) << "frame allocation diverged";
+  EXPECT_EQ(a.truth_seq, b.truth_seq) << "ground-truth write streams diverged";
 }
 
 TEST(AdaptiveTracker, AggregatesPhasesAndReportsAdaptiveTechnique) {

@@ -2,10 +2,10 @@
 // seed deliberate corruptions across every layer the checker audits — stale
 // TLB entries, out-of-range PML indices, misaligned or duplicated log
 // entries, unaccounted EPT flags, double-mapped guest frames, unregistered
-// hardware circuits, backwards clocks, leaked and double-owned host frames
-// — and assert the oracle flags each one with the right invariant ID. The
-// clean-machine tests pin the zero-false-positive and zero-virtual-time
-// guarantees the figure pipelines rely on.
+// hardware circuits, backwards clocks, leaked, double-owned and orphaned-
+// backing host frames — and assert the oracle flags each one with the right
+// invariant ID. The clean-machine tests pin the zero-false-positive and
+// zero-virtual-time guarantees the figure pipelines rely on.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -402,6 +402,15 @@ TEST_F(CoherenceMutationTest, DetectsLeakedFrame) {
 TEST_F(CoherenceMutationTest, DetectsEptEntryNamingBogusFrame) {
   vm_.ept().map(0x8000, machine_.pmem.total_frames() * kPageSize + kPageSize);
   expect_violation([&] { checker_.audit_frames(); }, "FRAME-3");
+}
+
+TEST_F(CoherenceMutationTest, DetectsOrphanedBackedFrame) {
+  dirty_pages(2);
+  EXPECT_NO_THROW(checker_.audit_frames());
+  // Materialise contents for a frame no EPT mapping or PML buffer owns.
+  const Hpa orphan = (machine_.pmem.total_frames() - 1) * kPageSize;
+  (void)machine_.pmem.frame_data(orphan);
+  expect_violation([&] { checker_.audit_frames(); }, "FRAME-4");
 }
 
 // ---- auto-wiring ------------------------------------------------------------

@@ -1,12 +1,9 @@
 // Epoch-parallel engine determinism pins (invariant EPOCH-1): virtual-time
 // outputs are a pure function of the epoch bodies — worker count, real-time
 // completion order (shuffled via the seeded stagger knob) and OS scheduling
-// cannot leak one bit into them. Plus the record/replay seam proof: every
-// epoch replayed independently from its boundary snapshot reproduces the
-// recorded serial timeline byte-for-byte.
+// cannot leak one bit into them.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -107,67 +104,6 @@ TEST(EpochPool, WorkerCountCapsAtEpochCount) {
   EXPECT_EQ(epoch::EpochPool::workers_for(0, opt), 0u);
   opt.threads = 1;
   EXPECT_EQ(epoch::EpochPool::workers_for(8, opt), 1u);
-}
-
-/// Advance a bed by one epoch of tracked work and leave it quiescent.
-void epoch_body(TestBed& bed, std::size_t e) {
-  guest::GuestKernel& k = bed.kernel();
-  guest::Process& proc = k.create_process();
-  const u64 pages = 40;
-  const Gva base = proc.mmap(pages * kPageSize);
-  auto tracker = make_tracker(e % 2 == 0 ? Technique::kSpml : Technique::kProc,
-                              k, proc);
-  const RunResult r = run_tracked(
-      k, proc,
-      [=](guest::Process& p) {
-        Rng rng(77 + e);
-        for (u64 n = 0; n < pages * 2; ++n) {
-          p.touch_write(base + rng.below(pages) * kPageSize);
-        }
-      },
-      tracker.get());
-  tracker->shutdown();
-  // Epoch boundaries require full quiescence: the resident OoH module (left
-  // loaded by design after shutdown) must be unloaded before save().
-  k.unload_ooh_module();
-  ASSERT_GT(r.truth_pages, 0u);
-}
-
-TEST(EpochRun, ReplayedEpochsReproduceRecordedSeamsAcrossThreadCounts) {
-  constexpr std::size_t kEpochs = 4;
-  TestBed recorder(small_bed());
-  const EpochChain chain = record_epochs(recorder, kEpochs, epoch_body);
-  ASSERT_EQ(chain.epochs(), kEpochs);
-  ASSERT_EQ(chain.boundaries.size(), kEpochs + 1);
-  // The recording's final state is the bed's current state.
-  EXPECT_TRUE(chain.boundaries.back().bytes == recorder.state_bytes());
-
-  const auto make_bed = [] { return std::make_unique<TestBed>(small_bed()); };
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    ReplayOptions opt;
-    opt.threads = threads;
-    opt.stagger_seed = threads;  // shuffle completion order too
-    // verify_seams (on by default) byte-compares every replayed epoch's
-    // exit against the recorded chain and throws on any divergence.
-    const auto exits = replay_epochs(make_bed, chain, epoch_body, opt);
-    ASSERT_EQ(exits.size(), kEpochs);
-    for (std::size_t e = 0; e < kEpochs; ++e) {
-      EXPECT_TRUE(exits[e] == chain.boundaries[e + 1].bytes);
-    }
-  }
-}
-
-TEST(EpochRun, MergedCountersEqualSerialTotals) {
-  EventCounters a;
-  a.add(Event::kPageFaultSoftDirty, 3);
-  a.add(Event::kHypercall, 1);
-  EventCounters b;
-  b.add(Event::kPageFaultSoftDirty, 4);
-  b.add(Event::kPmlLogGpa, 9);
-  const EventCounters merged = merge_counters({a, b});
-  EXPECT_EQ(merged.get(Event::kPageFaultSoftDirty), 7u);
-  EXPECT_EQ(merged.get(Event::kHypercall), 1u);
-  EXPECT_EQ(merged.get(Event::kPmlLogGpa), 9u);
 }
 
 TEST(EpochRun, EnvThreadKnobParses) {

@@ -1,12 +1,15 @@
 // Execution-context tests: per-vCPU counters merge into machine-wide
 // totals, the sharded frame allocator is safe under concurrent tenants,
 // serial and parallel TestBed runs produce bit-identical per-VM virtual
-// timelines (the refactor's core invariant), and the scheduler delivers a
+// timelines (the refactor's core invariant), a failing fleet rethrows the
+// lowest-index tenant's error, and the scheduler delivers a
 // quantum tick whose deadline expired inside a periodic service window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -200,6 +203,35 @@ TEST(ParallelTenants, PerVmTimelineIndependentOfFleetSize) {
   EXPECT_EQ(alone[0].clock_us, crowd[0].clock_us);
   EXPECT_TRUE(alone[0].counters == crowd[0].counters);
   EXPECT_EQ(alone[0].dirty, crowd[0].dirty);
+}
+
+TEST(ParallelTenants, FailingFleetRethrowsLowestIndexTenantError) {
+  // Tenants 1 and 3 both fail. Tenant 1 fails late, so on a pool tenant 3's
+  // exception is raised first in real time; the rethrown one must still be
+  // tenant 1's — the one the serial loop hits first — at any thread count.
+  lib::TestBedOptions opts;
+  opts.tenant_vms = 4;
+  opts.vm_mem_bytes = 16 * kMiB;
+  opts.host_mem_bytes = 256 * kMiB;
+  lib::TestBed bed(opts);
+  for (const unsigned threads : {1u, 4u}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      try {
+        bed.run_tenants(
+            [](unsigned i) {
+              if (i == 1) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                throw std::runtime_error("tenant 1 failed");
+              }
+              if (i == 3) throw std::runtime_error("tenant 3 failed");
+            },
+            threads);
+        ADD_FAILURE() << "no exception surfaced at " << threads << " threads";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "tenant 1 failed") << threads << " threads";
+      }
+    }
+  }
 }
 
 // ---- virtual-time golden pinning (hot-path refactor) ------------------------

@@ -225,6 +225,27 @@ TEST(MultiGranTlb, FillGranIsTheMinimumOfGuestAndEptLeaves) {
   EXPECT_EQ(f.vm.vcpu().tlb().huge_entries(), 0u);
 }
 
+TEST(MultiGranTlb, SegmentFillCachesTheAccessedPagesOwnGpa) {
+  HugeMmuFixture f;
+  const Gva gva = 64 * kMiB;
+  const Gpa gpa = 128 * kMiB;
+  // One segment of four pages shares a single Pte whose gpa_page is the
+  // run's base; a fill for a page inside the run must cache that page's
+  // GPA, not the run's base (TLB-1).
+  for (u64 i = 0; i < 4; ++i) {
+    f.pt.map(gva + i * kPageSize, gpa + i * kPageSize, true);
+    f.vm.ept().map(gpa + i * kPageSize, f.machine.pmem.alloc_frame(), true);
+  }
+  f.pt.convert_to_segments();
+  ASSERT_EQ(f.pt.segment_table()->segment_count(), 1u);
+  const sim::Mmu::Result r = f.mmu.access(1, f.pt, gva + 2 * kPageSize, true);
+  ASSERT_EQ(r.status, sim::Mmu::Status::kOk);
+  sim::TlbEntry* te = f.vm.vcpu().tlb().lookup(1, gva + 2 * kPageSize);
+  ASSERT_NE(te, nullptr);
+  EXPECT_EQ(te->gran, PageGran::k4K);
+  EXPECT_EQ(te->gpa_page, gpa + 2 * kPageSize);
+}
+
 // ---- eager splitting: end-to-end dirty precision ---------------------------
 
 // Harvested hypervisor-PML dirty sets for one deterministic workload under a

@@ -34,7 +34,7 @@ TEST(SchedExplorer, BuiltinScenariosExistAndRunBuiltinRejectsUnknownNames) {
   const auto& scenarios = sched::builtin_scenarios();
   ASSERT_EQ(scenarios.size(), 6u);
   EXPECT_EQ(scenarios[0].name, "ring_push_pop");
-  EXPECT_EQ(scenarios[5].name, "snapshot_during_epochs");
+  EXPECT_EQ(scenarios[5].name, "epoch_claim");
   EXPECT_THROW((void)sched::run_builtin("no_such_scenario"),
                std::invalid_argument);
 }

@@ -39,34 +39,17 @@ TEST(Tlb, MissThenHitRoundTrip) {
   EXPECT_EQ(tlb.lookup(2, 0x1000), nullptr);
 }
 
-TEST(Tlb, InPlaceRefreshKeepsSizeAndGeneration) {
+TEST(Tlb, InPlaceRefreshKeepsSize) {
   Tlb tlb;
   tlb.insert(3, 0x2000, entry_for(1));
-  const u64 gen = tlb.generation();
 
   // Re-inserting an existing (pid, page) refreshes the payload in place:
-  // no structural change, so memoised entry pointers stay valid and the
-  // generation must not move.
+  // no structural change, so the entry count must not move.
   tlb.insert(3, 0x2000, entry_for(9));
   EXPECT_EQ(tlb.size(), 1u);
-  EXPECT_EQ(tlb.generation(), gen);
   TlbEntry* e = tlb.lookup(3, 0x2000);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->gpa_page, u64{9} << kPageShift);
-}
-
-TEST(Tlb, StructuralMutationsBumpGeneration) {
-  Tlb tlb;
-  const u64 g0 = tlb.generation();
-  tlb.insert(1, 0x1000, entry_for(1));
-  const u64 g1 = tlb.generation();
-  EXPECT_GT(g1, g0);
-  tlb.invalidate_page(1, 0x1000);
-  const u64 g2 = tlb.generation();
-  EXPECT_GT(g2, g1);
-  tlb.insert(1, 0x1000, entry_for(1));
-  tlb.flush_all();
-  EXPECT_GT(tlb.generation(), g2);
 }
 
 TEST(Tlb, InvalidatePageRemovesOnlyThatEntry) {

@@ -85,12 +85,7 @@ RULES: list[Rule] = [
     rule(
         "direct-counter-bump",
         r"\bcounters\.add\s*\(",
-        [
-            "src/sim/exec_context.hpp",
-            # Restore rebuilds counters verbatim from the snapshot stream;
-            # no event is being *charged*, so attribution is moot.
-            "src/sim/snapshot/machine_image.cpp",
-        ],
+        ["src/sim/exec_context.hpp"],
         "Event accounting must go through ExecContext::count() so counters "
         "stay attributable to the owning vCPU timeline.",
     ),
@@ -159,7 +154,6 @@ RULES: list[Rule] = [
             "src/base/sync.hpp",
             "src/sim/check/sched_explorer.hpp",
             "src/sim/check/sched_explorer.cpp",
-            "src/ooh/testbed.cpp",
             "src/hypervisor/migration.cpp",
             "src/sim/epoch/epoch_pool.cpp",
         ],

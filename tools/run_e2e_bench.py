@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""End-to-end figure wall-clock harness (PR 9 epoch-parallel engine).
+"""End-to-end figure wall-clock harness.
 
 gbench_sim_primitives times simulator primitives; this tool times what the
-user actually waits for: whole figure binaries (fig4 through fig10 at their
+user actually waits for: whole figure binaries (fig4 through fig11 at their
 small/default configs) from exec to exit. It emits google-benchmark
 compatible JSON so tools/check_bench_regression.py can gate the numbers
 against a committed baseline exactly like the microbenches.
@@ -39,11 +39,13 @@ import sys
 import time
 from pathlib import Path
 
-# (target, extra argv, fans cells across the epoch pool?). fig10 drives its
-# multi-VM fleet through the TestBed worker pool (pre-epoch machinery), so
-# it gets timed but not the serial-vs-parallel stdout compare; fig4, fig6,
-# fig7 and fig9 run their cells serially. fig4, fig7 and fig9 drive their
-# workloads through touch_range, the batched access path.
+# (target, extra argv, fans cells across the epoch pool?). fig10 and fig11
+# run their multi-VM fleets through TestBed::run_tenants on the epoch pool,
+# but take the worker count from --threads (default auto) rather than
+# OOH_EPOCH_THREADS and print host wall-clock into stdout, so they get timed
+# but not the serial-vs-parallel stdout compare; fig4, fig6, fig7 and fig9
+# run their cells serially. fig4, fig7 and fig9 drive their workloads
+# through touch_range, the batched access path.
 TARGETS: list[tuple[str, list[str], bool]] = [
     ("fig4_micro_overhead", [], False),
     ("fig5_boehm_tracker", [], True),
@@ -52,6 +54,7 @@ TARGETS: list[tuple[str, list[str], bool]] = [
     ("fig8_criu_checkpoint", [], True),
     ("fig9_criu_tracked", [], False),
     ("fig10_scalability_tracker", [], False),
+    ("fig11_scalability_tracked", [], False),
 ]
 
 
