@@ -1,7 +1,7 @@
 #include "ooh/trackers.hpp"
 
+#include <algorithm>
 #include <new>
-#include <unordered_map>
 
 #include "base/clock.hpp"
 #include "guest/ooh_module.hpp"
@@ -104,23 +104,21 @@ std::vector<Gva> SpmlTracker::do_collect() {
   // term (Fig. 3). Resolved addresses are cached and reused by later
   // intervals, as the paper's Boehm integration does (§VI-E footnote 2), so
   // only GPAs never seen before pay the cost.
-  const bool any_miss =
-      std::any_of(gpas.begin(), gpas.end(),
-                  [&](Gpa g) { return !rmap_cache_.contains(g); });
-  if (any_miss) {
+  std::vector<Gpa> misses;  // sorted: a subsequence of gpas
+  for (const Gpa gpa : gpas) {
+    if (!rmap_cache_.contains(gpa)) misses.push_back(gpa);
+  }
+  if (!misses.empty()) {
     m.count(Event::kPagemapScan);
     m.charge_us(m.cost.pagemap_scan_us(proc_.mapped_bytes()));
     const double per_page = m.cost.reverse_map_per_page_us(proc_.mapped_bytes());
-    std::unordered_map<Gpa, Gva> current;
+    m.count(Event::kReverseMapLookup, misses.size());
+    for (std::size_t i = 0; i < misses.size(); ++i) m.charge_us(per_page);
+    // One pagemap walk resolves every miss; the first GVA in walk order
+    // mapping a GPA wins.
     for (const auto& [gva, gpa] : kernel_.procfs().pagemap_entries(proc_)) {
-      current.emplace(gpa, gva);
-    }
-    for (const Gpa gpa : gpas) {
-      if (rmap_cache_.contains(gpa)) continue;
-      m.count(Event::kReverseMapLookup);
-      m.charge_us(per_page);
-      if (const auto it = current.find(gpa); it != current.end()) {
-        rmap_cache_.emplace(gpa, it->second);
+      if (std::binary_search(misses.begin(), misses.end(), gpa)) {
+        rmap_cache_.emplace(gpa, gva);
       }
     }
   }

@@ -1067,6 +1067,26 @@ void scenario_epoch_claim(ScenarioRun& run) {
   }
 }
 
+/// Two logical threads materialise two frames of one empty frame-table
+/// chunk: both race to install the chunk by CAS. Checked in every
+/// interleaving: both contents survive and exactly one chunk is installed.
+void scenario_frame_first_touch(ScenarioRun& run) {
+  // Frames 1 and 2: both in chunk 0 (frame 0 is the reserved one).
+  const auto frame = [](std::size_t i) { return (i + 1) * kPageSize; };
+  auto pmem = std::make_shared<sim::PhysicalMemory>(64 * kPageSize);
+  const auto toucher = [pmem, frame](std::size_t i) {
+    return [pmem, frame, i] { pmem->frame_data(frame(i))[0] = static_cast<u8>(0xF0 + i); };
+  };
+  run.threads({toucher(0), toucher(1)});
+  for (std::size_t i = 0; i < 2; ++i) {
+    const u8* data = pmem->frame_data_if_present(frame(i));
+    run.expect(data != nullptr && data[0] == 0xF0 + i, "SCHED-LOST",
+               "FRAME-TABLE: a racing first touch lost its frame contents");
+  }
+  run.expect(pmem->installed_chunks() == 1, "SCHED-LOST",
+             "FRAME-TABLE: racing first touches installed != 1 chunk");
+}
+
 std::vector<NamedScenario> make_builtin_scenarios() {
   std::vector<NamedScenario> out;
   {
@@ -1110,6 +1130,12 @@ std::vector<NamedScenario> make_builtin_scenarios() {
     o.random_runs = 80;
     o.max_interleavings = 8000;
     out.push_back({"epoch_claim", scenario_epoch_claim, o});
+  }
+  {
+    Options o;
+    o.preemption_bound = 2;
+    o.random_runs = 50;
+    out.push_back({"frame_first_touch", scenario_frame_first_touch, o});
   }
   return out;
 }

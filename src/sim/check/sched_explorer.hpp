@@ -160,7 +160,8 @@ struct NamedScenario {
 
 /// The built-in concurrency scenarios over the real SMP dirty-ring paths:
 /// ring_push_pop, storm_4x4, drain_during_shootdown,
-/// eager_split_under_drain, mid_drain_teardown.
+/// eager_split_under_drain, mid_drain_teardown, epoch_claim, plus the frame
+/// table's first-touch race, frame_first_touch.
 [[nodiscard]] const std::vector<NamedScenario>& builtin_scenarios();
 
 /// Run one built-in scenario by name; throws std::invalid_argument on an

@@ -3,9 +3,9 @@
 //
 // After the execution-context split, the Machine carries only read-only or
 // thread-safe members: the cost model (immutable after construction) and
-// host RAM (internally sharded frame allocator). Everything a single vCPU
-// timeline mutates — virtual clock, event counters, TLB — lives in the
-// per-vCPU ExecContext the Machine creates and owns. Machine-wide views
+// host RAM (sharded frame allocator, lock-free frame table). Everything a
+// single vCPU timeline mutates — virtual clock, event counters, TLB — lives
+// in the per-vCPU ExecContext the Machine creates and owns. Machine-wide views
 // (total event counts, latest virtual time) are aggregations over contexts.
 #pragma once
 

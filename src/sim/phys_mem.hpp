@@ -6,16 +6,23 @@
 // without allocating backing bytes, which keeps GB-scale sweeps cheap.
 //
 // This is the one mutable structure shared between concurrently running
-// per-vCPU timelines, so it is thread-safe: the free list and the backing-
-// page map are sharded by frame number, each shard behind its own mutex,
-// and the bump pointer is a lock-free CAS. Frame *contents* need no lock
-// beyond the map shard — no two VMs ever share a frame, so cross-thread
-// access to the same frame's bytes does not happen by construction.
+// per-vCPU timelines, so it is thread-safe:
+//   * Contents live in a dense two-level frame table indexed by frame
+//     number: a directory of chunk pointers, each chunk an array of
+//     kChunkFrames frame-pointer slots. Chunks and frames are allocated on
+//     first touch and published by CAS (acq_rel); readers take acquire
+//     loads. Content accessors take no lock and do no hashing. For the
+//     default 64 GiB host the directory is 32 KiB, plus 32 KiB of slots per
+//     touched 16 MiB of frames.
+//   * The recycled-frame free lists are sharded by frame number, each shard
+//     behind its own mutex; the bump pointer is a lock-free CAS.
+// Frame *contents* need no lock — no two VMs ever share a frame, so
+// cross-thread access to the same frame's bytes does not happen by
+// construction (a frame changes hands only through the free lists).
 #pragma once
 
 #include <array>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/sync.hpp"
@@ -26,8 +33,11 @@ namespace ooh::sim {
 class PhysicalMemory {
  public:
   using Frame = std::array<u8, kPageSize>;
+  /// Frame-table slots per lazily allocated chunk: 16 MiB of host memory.
+  static constexpr u64 kChunkFrames = 16 * kMiB / kPageSize;
 
   explicit PhysicalMemory(u64 bytes);
+  ~PhysicalMemory();
 
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
@@ -51,35 +61,45 @@ class PhysicalMemory {
     // snapshot and no other state is published through it.
     return used_frames_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] u64 backed_frames() const;
+  [[nodiscard]] u64 backed_frames() const { return backed_frame_table().size(); }
+  /// Frame-table chunks installed so far (never shrinks).
+  [[nodiscard]] u64 installed_chunks() const;
 
   /// Mutable view of a frame's 4KiB contents, materialising them (zeroed)
-  /// on demand. The pointer stays valid until the frame is freed.
+  /// on demand. The pointer stays valid until the frame is freed. Throws
+  /// std::out_of_range for a frame at or past total_frames().
   [[nodiscard]] u8* frame_data(Hpa frame);
-  /// Read-only view; nullptr when the frame was never written (all-zero).
+  /// Read-only view; nullptr when the frame was never written (all-zero)
+  /// or lies past total_frames().
   [[nodiscard]] const u8* frame_data_if_present(Hpa frame) const;
 
   // Word accessors used by the PML circuit to write log entries into RAM.
+  // Out-of-range addresses read as zero and throw on write, as above.
   [[nodiscard]] u64 read_u64(Hpa addr) const;
   void write_u64(Hpa addr, u64 value);
 
-  /// Quiescent-point listing of every backed frame number, sorted. The
-  /// FRAME-4 ownership audit walks this to reconcile materialised contents
-  /// against claims.
+  /// Quiescent-point listing of every backed frame number, in frame order.
+  /// The FRAME-4 ownership audit walks this to reconcile materialised
+  /// contents against claims.
   [[nodiscard]] std::vector<u64> backed_frame_table() const;
 
  private:
   static constexpr std::size_t kShards = 16;
 
-  struct Shard {
-    mutable sync::Mutex mu;
-    std::vector<u64> free_list;                             // recycled frame numbers
-    std::unordered_map<u64, std::unique_ptr<Frame>> data;   // keyed by frame number
+  using Slot = sync::Atomic<Frame*>;
+  struct Chunk {
+    std::array<Slot, kChunkFrames> slots;  // value-initialised: all null
   };
 
-  [[nodiscard]] Shard& shard_of(u64 frame_number) const noexcept {
-    return shards_[frame_number % kShards];
-  }
+  struct Shard {
+    sync::Mutex mu;
+    std::vector<u64> free_list;  // recycled frame numbers
+  };
+
+  /// Slot of frame `fn`, installing its chunk on first touch.
+  [[nodiscard]] Slot& slot(u64 fn);
+  /// Slot of frame `fn`; nullptr when out of range or its chunk is absent.
+  [[nodiscard]] Slot* slot_if_present(u64 fn) const;
 
   u64 total_frames_;
   sync::Atomic<u64> used_frames_{0};
@@ -89,7 +109,9 @@ class PhysicalMemory {
   // allocations — deterministic even while parallel cells build machines
   // side by side.
   sync::Atomic<u64> alloc_rotor_{0};
-  mutable std::array<Shard, kShards> shards_;
+  std::array<Shard, kShards> shards_;
+  u64 chunk_count_;
+  std::unique_ptr<sync::Atomic<Chunk*>[]> chunks_;  // the frame-table directory
 };
 
 }  // namespace ooh::sim

@@ -13,17 +13,21 @@ void Checkpointer::dump_pages(guest::Process& proc, const std::vector<Gva>& page
   for (const Gva gva : pages) {
     const sim::Pte* pte = pt.pte(gva);
     if (pte == nullptr || !pte->present) continue;  // unmapped since logging
-    std::vector<u8> content;
+    const u8* data = nullptr;
     const guest::Vma* vma = proc.vma_of(gva);
     if (vma != nullptr && vma->data_backed) {
       Hpa hpa = 0;
       if (kernel_.vm().ept().translate(pte->gpa_page, hpa)) {
-        if (const u8* data = m.pmem.frame_data_if_present(hpa); data != nullptr) {
-          content.assign(data, data + kPageSize);
-        }
+        data = m.pmem.frame_data_if_present(hpa);
       }
     }
-    image.pages[page_floor(gva)] = std::move(content);  // empty = all-zero page
+    // Overwrite the slot in place: a re-dumped page reuses its buffer.
+    std::vector<u8>& content = image.pages[page_floor(gva)];
+    if (data != nullptr) {
+      content.assign(data, data + kPageSize);
+    } else {
+      content.clear();  // empty = all-zero page
+    }
     ++image.dump_ops;
     m.count(Event::kDiskPageWrite);
     m.charge_us(m.cost.disk_write_page_us);

@@ -225,5 +225,44 @@ TEST(Criu, MetadataOnlyVmasDumpEmptyPages) {
   EXPECT_EQ(k.page_table(restored).present_pages(), 4u);
 }
 
+TEST(Criu, RedumpOverwritesImagePagesInPlace) {
+  lib::TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  const u64 data_pages = 8;
+  const u64 meta_pages = 4;
+  const Gva data = proc.mmap(data_pages * kPageSize, /*data_backed=*/true);
+  const Gva meta = proc.mmap(meta_pages * kPageSize, /*data_backed=*/false);
+  for (u64 i = 0; i < data_pages; ++i) proc.write_u64(data + i * kPageSize + 8 * i, i + 1);
+  for (u64 i = 0; i < meta_pages; ++i) proc.touch_write(meta + i * kPageSize);
+
+  Checkpointer cp(k, Technique::kOracle);
+  CheckpointImage image = cp.full_checkpoint(proc);
+  ASSERT_EQ(image.pages.size(), data_pages + meta_pages);
+  EXPECT_EQ(image.dump_ops, data_pages + meta_pages);
+  const u8* buffer = image.pages.at(data).data();
+
+  // Rewrite two data pages, then re-dump them with a metadata-only page.
+  proc.write_u64(data, 0xABCD);
+  proc.write_u64(data + 3 * kPageSize + 64, 0x1234);
+  cp.dump_pages(proc, {data, data + 3 * kPageSize, meta}, image);
+  EXPECT_EQ(image.dump_ops, data_pages + meta_pages + 3) << "every write counts";
+  EXPECT_EQ(image.pages.size(), data_pages + meta_pages);
+  EXPECT_EQ(image.pages.at(data), read_page(proc, data));
+  EXPECT_EQ(image.pages.at(data).data(), buffer) << "re-dump reuses the slot's buffer";
+  EXPECT_EQ(image.pages.at(data + 3 * kPageSize), read_page(proc, data + 3 * kPageSize));
+  for (u64 i = 0; i < meta_pages; ++i) {
+    EXPECT_TRUE(image.pages.at(meta + i * kPageSize).empty());
+  }
+
+  guest::Process& restored = k.create_process();
+  restore(restored, image);
+  for (u64 i = 0; i < data_pages; ++i) {
+    const Gva page = data + i * kPageSize;
+    EXPECT_EQ(read_page(proc, page), read_page(restored, page)) << "page " << i;
+  }
+  EXPECT_EQ(k.page_table(restored).present_pages(), data_pages + meta_pages);
+}
+
 }  // namespace
 }  // namespace ooh::criu

@@ -65,14 +65,22 @@ TEST(ExecContext, ClocksAreIndependentPerContext) {
 }
 
 TEST(PhysicalMemoryParallel, ConcurrentAllocFreeStaysConsistent) {
-  sim::PhysicalMemory pmem(64 * kMiB);  // 16k frames
+  sim::PhysicalMemory pmem(64 * kMiB);  // 16k frames, four table chunks
   constexpr unsigned kThreads = 8;
   constexpr unsigned kPerThread = 512;
+  constexpr u64 kChunk = sim::PhysicalMemory::kChunkFrames;
+  // Reserve frames 1 .. 2*kChunk-1 untouched, so every thread's first touch
+  // below lands in the same, still-uninstalled chunk 1: the chunk CAS race.
+  const Hpa reserved = pmem.alloc_frames_contiguous(2 * kChunk - 1);
+  ASSERT_EQ(page_index(reserved), 1u);
+  ASSERT_EQ(pmem.installed_chunks(), 0u);
+  const auto race_frame = [&](unsigned t) { return (kChunk + 1 + 3 * t) << kPageShift; };
   std::vector<std::vector<Hpa>> got(kThreads);
   {
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < kThreads; ++t) {
       pool.emplace_back([&, t] {
+        pmem.frame_data(race_frame(t))[8] = static_cast<u8>(0xA0 + t);
         for (unsigned i = 0; i < kPerThread; ++i) {
           const Hpa f = pmem.alloc_frame();
           pmem.write_u64(f, t * 1000003ull + i);
@@ -86,7 +94,15 @@ TEST(PhysicalMemoryParallel, ConcurrentAllocFreeStaysConsistent) {
     }
     for (std::thread& th : pool) th.join();
   }
-  EXPECT_EQ(pmem.used_frames(), u64{kThreads} * (kPerThread / 2));
+  EXPECT_EQ(pmem.used_frames(), u64{kThreads} * (kPerThread / 2) + 2 * kChunk - 1);
+  // Every racing first touch survived in the one chunk that won the CAS.
+  for (unsigned t = 0; t < kThreads; ++t) {
+    const u8* data = pmem.frame_data_if_present(race_frame(t));
+    ASSERT_NE(data, nullptr) << "thread " << t << "'s first touch was lost";
+    EXPECT_EQ(data[8], 0xA0 + t);
+  }
+  // Only chunk 1 (the race) and chunk 2 (the bump-allocated frames).
+  EXPECT_EQ(pmem.installed_chunks(), 2u);
   // Every surviving frame still holds the value its owner wrote.
   std::set<Hpa> live;
   for (unsigned t = 0; t < kThreads; ++t) {

@@ -384,6 +384,55 @@ TEST(SpmlRmapCache, MunmapDropsStaleReverseMappings) {
   tracker->shutdown();
 }
 
+// Interval 1 writes pages A; interval 2 writes A and B. Only B's GPAs miss
+// the reverse-map cache, so interval 2 pays one pagemap scan (none when B is
+// empty) and exactly |B| per-GPA lookups, and each collect equals the truth
+// set.
+void expect_rmap_charges_only_misses(u64 b_pages) {
+  lib::TestBed bed;
+  auto& k = bed.kernel();
+  auto& proc = k.create_process();
+  const u64 a_pages = 16;
+  const Gva base = proc.mmap((a_pages + b_pages) * kPageSize);
+  const EventCounters& ev = k.ctx().counters;
+
+  auto tracker = lib::make_tracker(lib::Technique::kSpml, k, proc);
+  tracker->init();
+  const auto interval = [&](u64 pages) {
+    proc.truth_reset();
+    tracker->begin_interval();
+    k.scheduler().enter_process(proc.pid());
+    for (u64 i = 0; i < pages; ++i) proc.touch_write(base + i * kPageSize);
+    k.scheduler().exit_process(proc.pid());
+    std::vector<Gva> dirty = tracker->collect();
+    std::sort(dirty.begin(), dirty.end());
+    std::vector<Gva> truth;
+    for (const auto& item : proc.truth_dirty()) truth.push_back(item.first);
+    std::sort(truth.begin(), truth.end());
+    EXPECT_EQ(dirty, truth) << "collect differs from the truth set";
+  };
+
+  u64 lookups = ev.get(Event::kReverseMapLookup);
+  u64 scans = ev.get(Event::kPagemapScan);
+  interval(a_pages);
+  EXPECT_EQ(ev.get(Event::kReverseMapLookup) - lookups, a_pages);
+  EXPECT_EQ(ev.get(Event::kPagemapScan) - scans, 1u);
+
+  lookups = ev.get(Event::kReverseMapLookup);
+  scans = ev.get(Event::kPagemapScan);
+
+  interval(a_pages + b_pages);
+  EXPECT_EQ(ev.get(Event::kReverseMapLookup) - lookups, b_pages)
+      << "only uncached GPAs may pay a reverse-map lookup";
+  EXPECT_EQ(ev.get(Event::kPagemapScan) - scans, b_pages == 0 ? 0u : 1u);
+  tracker->shutdown();
+}
+
+TEST(SpmlRmapCache, ResolvesOnlyUncachedGpas) {
+  expect_rmap_charges_only_misses(/*b_pages=*/5);
+  expect_rmap_charges_only_misses(/*b_pages=*/0);
+}
+
 // ---- migration + guest EPML coexistence -------------------------------------
 
 struct CoexistOutcome {

@@ -32,9 +32,10 @@ namespace sched = check::sched;
 
 TEST(SchedExplorer, BuiltinScenariosExistAndRunBuiltinRejectsUnknownNames) {
   const auto& scenarios = sched::builtin_scenarios();
-  ASSERT_EQ(scenarios.size(), 6u);
+  ASSERT_EQ(scenarios.size(), 7u);
   EXPECT_EQ(scenarios[0].name, "ring_push_pop");
   EXPECT_EQ(scenarios[5].name, "epoch_claim");
+  EXPECT_EQ(scenarios[6].name, "frame_first_touch");
   EXPECT_THROW((void)sched::run_builtin("no_such_scenario"),
                std::invalid_argument);
 }

@@ -2,6 +2,11 @@
 // page table, EPT, TLB.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <stdexcept>
+#include <vector>
+
 #include "sim/ept.hpp"
 #include "sim/page_table.hpp"
 #include "sim/phys_mem.hpp"
@@ -38,7 +43,7 @@ TEST(PhysicalMemory, ExhaustionThrowsAndFreeRecycles) {
 }
 
 TEST(PhysicalMemory, LazyBackingAndWordAccess) {
-  PhysicalMemory pm(1 * kMiB);
+  PhysicalMemory pm(64 * kMiB);  // four frame-table chunks
   const Hpa f = pm.alloc_frame();
   EXPECT_EQ(pm.backed_frames(), 0u);
   EXPECT_EQ(pm.frame_data_if_present(f), nullptr);
@@ -48,6 +53,44 @@ TEST(PhysicalMemory, LazyBackingAndWordAccess) {
   EXPECT_EQ(pm.read_u64(f + 64), 0xDEADBEEFu);
   pm.free_frame(f);
   EXPECT_EQ(pm.backed_frames(), 0u);  // backing released with the frame
+
+  // The recycled frame comes back unbacked: its next owner reads zeroes.
+  const Hpa again = pm.alloc_frame();
+  ASSERT_EQ(again, f);
+  EXPECT_EQ(pm.frame_data_if_present(again), nullptr);
+  EXPECT_EQ(pm.read_u64(again + 64), 0u);
+  pm.frame_data(again)[0] = 1;
+  EXPECT_EQ(pm.read_u64(again + 64), 0u) << "materialised contents start zeroed";
+
+  // Touch frames across several table chunks in descending order: the
+  // listing comes back in frame order all the same.
+  const u64 chunk = PhysicalMemory::kChunkFrames;
+  const Hpa run = pm.alloc_frames_contiguous(3 * chunk);
+  const u64 first = page_index(run);
+  const std::vector<u64> touched = {first + 2 * chunk + 5, first + chunk + 1, first + 7};
+  for (const u64 fn : touched) pm.write_u64(fn << kPageShift, fn);
+  std::vector<u64> want = touched;
+  want.push_back(page_index(again));
+  std::sort(want.begin(), want.end());
+  const std::vector<u64> table = pm.backed_frame_table();
+  EXPECT_EQ(table, want);
+  EXPECT_EQ(pm.backed_frames(), want.size());
+  for (const u64 fn : touched) EXPECT_EQ(pm.read_u64(fn << kPageShift), fn);
+}
+
+TEST(PhysicalMemory, OutOfRangeFrameFailsLoudly) {
+  PhysicalMemory pm(4 * kPageSize);  // frames 0..3
+  const Hpa past = pm.total_frames() << kPageShift;
+  EXPECT_THROW((void)pm.frame_data(past), std::out_of_range);
+  EXPECT_THROW(pm.write_u64(past + 8, 1), std::out_of_range);
+  EXPECT_THROW((void)pm.frame_data(u64{1} << 50), std::out_of_range);
+  EXPECT_EQ(pm.frame_data_if_present(past), nullptr);
+  EXPECT_EQ(pm.read_u64(past + 8), 0u);
+  EXPECT_EQ(pm.backed_frames(), 0u) << "a rejected access materialises nothing";
+  // The last in-range frame still works.
+  const Hpa last = (pm.total_frames() - 1) << kPageShift;
+  pm.write_u64(last, 42);
+  EXPECT_EQ(pm.read_u64(last), 42u);
 }
 
 // ---- radix ---------------------------------------------------------------------

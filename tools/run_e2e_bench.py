@@ -2,10 +2,11 @@
 """End-to-end figure wall-clock harness.
 
 gbench_sim_primitives times simulator primitives; this tool times what the
-user actually waits for: whole figure binaries (fig4 through fig11 at their
-small/default configs) from exec to exit. It emits google-benchmark
-compatible JSON so tools/check_bench_regression.py can gate the numbers
-against a committed baseline exactly like the microbenches.
+user actually waits for: whole figure and table binaries (fig3 through
+fig11 and the five tables, at their small/default configs) from exec to
+exit. It emits google-benchmark compatible JSON so
+tools/check_bench_regression.py can gate the numbers against a committed
+baseline exactly like the microbenches.
 
 Two things are measured per target:
   * E2E_<target>/serial    — wall-clock with OOH_EPOCH_THREADS=1 (the old
@@ -43,10 +44,16 @@ from pathlib import Path
 # run their multi-VM fleets through TestBed::run_tenants on the epoch pool,
 # but take the worker count from --threads (default auto) rather than
 # OOH_EPOCH_THREADS and print host wall-clock into stdout, so they get timed
-# but not the serial-vs-parallel stdout compare; fig4, fig6, fig7 and fig9
-# run their cells serially. fig4, fig7 and fig9 drive their workloads
-# through touch_range, the batched access path.
+# but not the serial-vs-parallel stdout compare; fig3, fig4, fig6, fig7,
+# fig9 and the tables run their cells serially. fig4, fig7 and fig9 drive
+# their workloads through touch_range, the batched access path.
 TARGETS: list[tuple[str, list[str], bool]] = [
+    ("table1_ufd_proc_overhead", [], False),
+    ("table3_workload_footprints", [], False),
+    ("table4_formula_validation", [], False),
+    ("table5_basic_costs", [], False),
+    ("table6_metric_influence", [], False),
+    ("fig3_spml_breakdown", [], False),
     ("fig4_micro_overhead", [], False),
     ("fig5_boehm_tracker", [], True),
     ("fig6_boehm_tracked", [], False),
