@@ -8,7 +8,7 @@
 // last erase) addressed by a power-of-two linear-probe index, so the
 // steady-state re-dirty path is one hash and one probe with no allocation.
 // Fully deterministic: no randomized hashing, growth points depend only on
-// the insertion sequence.
+// the insertion sequence. The SPML tracker's GPA -> GVA cache uses it too.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +38,13 @@ class FlatPageMap {
     return !index_.empty() && index_[locate(page)] != kEmpty;
   }
 
+  /// The item keyed `page`, or end() when absent.
+  [[nodiscard]] const_iterator find(Gva page) const noexcept {
+    if (index_.empty()) return end();
+    const u32 slot = index_[locate(page)];
+    return slot == kEmpty ? end() : items_.data() + (slot - 1);
+  }
+
   void insert_or_assign(Gva page, u64 value) {
     if (index_.empty() || (items_.size() + 1) * 4 > index_.size() * 3) grow();
     const std::size_t b = locate(page);
@@ -61,6 +68,18 @@ class FlatPageMap {
       index_[locate(items_[pos].first)] = static_cast<u32>(pos) + 1;
     }
     items_.pop_back();
+  }
+
+  /// Erase every item for which `pred(item)` holds.
+  template <class Pred>
+  void erase_if(Pred pred) {
+    for (std::size_t i = 0; i < items_.size();) {
+      if (pred(items_[i])) {
+        erase(items_[i].first);  // swaps the last item into slot i
+      } else {
+        ++i;
+      }
+    }
   }
 
   void clear() noexcept {

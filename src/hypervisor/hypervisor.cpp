@@ -3,7 +3,6 @@
 #include <cassert>
 #include <new>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "base/sync.hpp"
 
@@ -336,26 +335,27 @@ void Hypervisor::disable_pml_for_hyp(Vm& vm) {
 }
 
 std::vector<Gpa> Hypervisor::take_ring_contents(Vm& vm) {
-  // Insertion-ordered dedup: ring entries keep event order (per vCPU), and
-  // with one vCPU this reproduces byte-for-byte the insertion sequence the
-  // old per-VM unordered_set log saw, so the output vector is bit-identical.
-  // Spill entries (ring-full or injected kDirtyRingFull) fold in after.
-  std::unordered_set<Gpa> dedup;
+  // First-seen-order dedup through the VM's page bitmap: ring 0's entries
+  // in event order, then ring 1's, ..., then every vCPU's spill log
+  // (ring-full or injected kDirtyRingFull) and concurrently drained log.
+  // The order is deterministic, and no virtual-time charge depends on it.
+  std::vector<Gpa> out;
+  PageBitmap::Unique unique(vm.harvest_bits(), out);
   for (unsigned cpu = 0; cpu < vm.vcpu_count(); ++cpu) {
     DirtyRing& ring = vm.dirty_ring(cpu);
     u64 gpa = 0;
-    while (ring.try_pop(gpa)) dedup.insert(gpa);
+    while (ring.try_pop(gpa)) unique.add(gpa);
   }
   for (unsigned cpu = 0; cpu < vm.vcpu_count(); ++cpu) {
-    for (const u64 gpa : vm.dirty_ring(cpu).take_spill()) dedup.insert(gpa);
+    for (const u64 gpa : vm.dirty_ring(cpu).take_spill()) unique.add(gpa);
     // Entries a concurrent drain already handed to userspace: fold them in
     // so the harvest stays the authoritative union and their dirty flags
     // get reset with everything else.
     OOH_SYNC_PLAIN_WRITE(&vm.drained_log(cpu));
-    for (const Gpa gpa : vm.drained_log(cpu)) dedup.insert(gpa);
+    for (const Gpa gpa : vm.drained_log(cpu)) unique.add(gpa);
     vm.drained_log(cpu).clear();
   }
-  return {dedup.begin(), dedup.end()};
+  return out;
 }
 
 std::size_t Hypervisor::drain_dirty_ring(Vm& vm, unsigned cpu,
@@ -451,14 +451,17 @@ std::vector<Gpa> Hypervisor::harvest_wss(Vm& vm) {
   // 2 MiB leaf is one hardware flag word, so it must be visited, cleared
   // and charged once — not once per constituent 4 KiB page.
   u64 cleared = 0;
-  std::unordered_set<Gpa> visited;  // leaf bases, gran-aligned
-  for (const Gpa gpa : out) {
-    const sim::Ept::Lookup leaf = vm.ept().lookup(gpa);
-    if (leaf.entry == nullptr) continue;
-    if (!visited.insert(gran_floor(gpa, leaf.gran)).second) continue;
-    if (leaf.entry->accessed || leaf.entry->dirty) ++cleared;
-    leaf.entry->accessed = false;
-    leaf.entry->dirty = false;
+  std::vector<Gpa> visited;  // leaf bases, gran-aligned
+  {
+    PageBitmap::Unique leaves(vm.harvest_bits(), visited);
+    for (const Gpa gpa : out) {
+      const sim::Ept::Lookup leaf = vm.ept().lookup(gpa);
+      if (leaf.entry == nullptr) continue;
+      if (!leaves.add(gran_floor(gpa, leaf.gran))) continue;
+      if (leaf.entry->accessed || leaf.entry->dirty) ++cleared;
+      leaf.entry->accessed = false;
+      leaf.entry->dirty = false;
+    }
   }
   ctx.charge_ns(ctx.cost.dbit_clear_ns * static_cast<double>(cleared));
   flush_all_tlbs(vm, ctx);

@@ -108,8 +108,10 @@ class Hypervisor final : public sim::VmExitHandler {
   /// INVEPT-style whole-VM invalidation: flush each vCPU's TLB, counting and
   /// charging one kTlbFlush per vCPU on the acting context.
   void flush_all_tlbs(Vm& vm, sim::ExecContext& ctx);
-  /// Quiescent ring harvest into an insertion-ordered dedup set; ring
-  /// contents first (event order), spill logs after.
+  /// Quiescent ring harvest, deduplicated through Vm::harvest_bits() in
+  /// first-seen order: each vCPU's ring in turn (event order), then each
+  /// vCPU's spill log and drained log. Throws std::out_of_range for an
+  /// entry at or beyond the VM's memory size.
   [[nodiscard]] std::vector<Gpa> take_ring_contents(Vm& vm);
 
   sim::Machine& machine_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <new>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "base/sync.hpp"
@@ -12,13 +11,12 @@
 namespace ooh::hv {
 namespace {
 
-/// Append the elements of `more` that `base` does not already contain.
-void merge_unique(std::vector<Gpa>& base, const std::vector<Gpa>& more) {
+/// Append the elements of `more` that `base` does not already contain,
+/// deduplicating through the VM's harvest bitmap.
+void merge_unique(Vm& vm, std::vector<Gpa>& base, const std::vector<Gpa>& more) {
   if (more.empty()) return;
-  std::unordered_set<Gpa> seen(base.begin(), base.end());
-  for (const Gpa g : more) {
-    if (seen.insert(g).second) base.push_back(g);
-  }
+  PageBitmap::Unique unique(vm.harvest_bits(), base);
+  for (const Gpa g : more) unique.add(g);
 }
 
 /// One host drainer thread per vCPU ring, running while the guest quantum
@@ -147,7 +145,7 @@ MigrationReport MigrationEngine::migrate(Vm& vm,
     const VirtDuration round_start = m.clock.now();
     run_overlapped(run_guest_quantum);
     std::vector<Gpa> pending = hv_.harvest_hyp_dirty(vm);
-    merge_unique(pending, carry);
+    merge_unique(vm, pending, carry);
     // Pre-copy round boundary: let an installed coherence hook audit this
     // VM (no-op outside audit builds; see Hypervisor::set_audit_hook).
     hv_.audit_now(vm.id());
@@ -160,7 +158,7 @@ MigrationReport MigrationEngine::migrate(Vm& vm,
       // stop-and-copy set — dropping them would corrupt the destination.
       run_overlapped(opts.drain_window_body);
       const VirtDuration pause_start = m.clock.now();
-      merge_unique(pending, hv_.collect_dirty_paused(vm));
+      merge_unique(vm, pending, hv_.collect_dirty_paused(vm));
       rep.stop_copy_pages = pending.size();
       if (send_pages(m, pending.size(), opts, rep)) {
         rep.converged = true;
@@ -213,14 +211,14 @@ MigrationReport MigrationEngine::migrate(Vm& vm,
     // quanta the guest ran during pre-copy.
     run_overlapped(run_guest_quantum);
     std::vector<Gpa> pending = hv_.harvest_hyp_dirty(vm);
-    merge_unique(pending, carry);
+    merge_unique(vm, pending, carry);
     carry.clear();
     hv_.audit_now(vm.id());
     m.count(Event::kMigrationRound);
     ++rep.rounds;
     run_overlapped(opts.drain_window_body);
     const VirtDuration pause_start = m.clock.now();
-    merge_unique(pending, hv_.collect_dirty_paused(vm));
+    merge_unique(vm, pending, hv_.collect_dirty_paused(vm));
     rep.stop_copy_pages = pending.size();
     if (!send_pages(m, pending.size(), opts, rep)) {
       rep.aborted = true;

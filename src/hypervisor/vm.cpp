@@ -7,7 +7,7 @@ namespace ooh::hv {
 
 Vm::Vm(sim::Machine& machine, u32 id, u64 mem_bytes, std::size_t spml_ring_entries,
        unsigned vcpus)
-    : id_(id), mem_bytes_(mem_bytes) {
+    : id_(id), mem_bytes_(mem_bytes), harvest_bits_(mem_bytes) {
   cpus_.reserve(vcpus == 0 ? 1 : vcpus);
   for (unsigned cpu = 0; cpu < (vcpus == 0 ? 1 : vcpus); ++cpu) {
     cpus_.push_back(std::make_unique<CpuState>(spml_ring_entries));

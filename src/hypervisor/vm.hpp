@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "base/page_bitmap.hpp"
 #include "base/ring_buffer.hpp"
 #include "base/types.hpp"
 #include "hypervisor/dirty_ring.hpp"
@@ -157,6 +158,12 @@ class Vm {
     return cpus_[cpu]->drained_log;
   }
 
+  /// Dedup bitmap of the quiescent harvests (ring harvest, migration's
+  /// carry merge, the WSS leaf walk): one bit per guest page, covering
+  /// mem_bytes() and empty between uses. A harvested GPA at or beyond
+  /// mem_bytes() throws std::out_of_range.
+  [[nodiscard]] PageBitmap& harvest_bits() noexcept { return harvest_bits_; }
+
   // -- translation granularity policy -----------------------------------------
   /// When set, EPT violations back-fill 2 MiB PS-bit leaves where the
   /// region allows it (host THP-style). Off by default: the all-4 KiB
@@ -206,6 +213,7 @@ class Vm {
   u32 id_;
   u64 mem_bytes_;
   sim::Ept ept_;
+  PageBitmap harvest_bits_;
   bool ept_huge_ = false;
   bool eager_split_ = true;
   bool eager_split_active_ = false;

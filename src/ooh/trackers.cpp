@@ -77,7 +77,7 @@ void SpmlTracker::on_track_flush(u32 pid, Gva start, Gva end) {
   // The unmapped range's translations are dead; its guest frames can be
   // recycled into other VMAs, where a cached entry would reverse-map the
   // new GPA hit to the old address (mirrors KVM's track_flush_slot).
-  std::erase_if(rmap_cache_, [start, end](const auto& kv) {
+  rmap_cache_.erase_if([start, end](const FlatPageMap::Item& kv) {
     return kv.second >= start && kv.second < end;
   });
 }
@@ -85,6 +85,7 @@ void SpmlTracker::on_track_flush(u32 pid, Gva start, Gva end) {
 void SpmlTracker::do_init() {
   module_ = &ensure_module(kernel_, guest::OohMode::kSpml);
   module_->track(proc_);
+  seen_ = PageBitmap(kernel_.vm().mem_bytes());
   if (!flush_registered_) {
     kernel_.vm().track().register_flush(this);
     flush_registered_ = true;
@@ -93,20 +94,31 @@ void SpmlTracker::do_init() {
 
 std::vector<Gva> SpmlTracker::do_collect() {
   sim::ExecContext& m = kernel_.ctx_of(proc_);
-  std::vector<u64> gpas = module_->fetch(proc_);  // GPAs; charges the RB copy
+  const std::vector<u64> fetched = module_->fetch(proc_);  // charges the RB copy
 
-  // Deduplicate: a page drained more than once re-logs within the interval.
-  std::sort(gpas.begin(), gpas.end());
-  gpas.erase(std::unique(gpas.begin(), gpas.end()), gpas.end());
+  // Deduplicate in first-seen order: a page drained more than once re-logs
+  // within the interval. DirtyTracker::collect sorts the GVAs afterwards.
+  std::vector<Gpa> gpas;
+  gpas.reserve(fetched.size());
+  {
+    PageBitmap::Unique unique(seen_, gpas);
+    for (const Gpa gpa : fetched) unique.add(gpa);
+  }
 
   // Reverse mapping GPA -> GVA (§IV-C item 2): a userspace page-table scan
   // through /proc (M16) plus a per-GPA lookup (M17) -- the dominant SPML
   // term (Fig. 3). Resolved addresses are cached and reused by later
   // intervals, as the paper's Boehm integration does (§VI-E footnote 2), so
   // only GPAs never seen before pay the cost.
-  std::vector<Gpa> misses;  // sorted: a subsequence of gpas
+  std::vector<Gva> out;
+  out.reserve(gpas.size());
+  std::vector<Gpa> misses;
   for (const Gpa gpa : gpas) {
-    if (!rmap_cache_.contains(gpa)) misses.push_back(gpa);
+    if (const auto it = rmap_cache_.find(gpa); it != rmap_cache_.end()) {
+      out.push_back(it->second);
+    } else {
+      misses.push_back(gpa);
+    }
   }
   if (!misses.empty()) {
     m.count(Event::kPagemapScan);
@@ -116,17 +128,17 @@ std::vector<Gva> SpmlTracker::do_collect() {
     for (std::size_t i = 0; i < misses.size(); ++i) m.charge_us(per_page);
     // One pagemap walk resolves every miss; the first GVA in walk order
     // mapping a GPA wins.
+    std::sort(misses.begin(), misses.end());
     for (const auto& [gva, gpa] : kernel_.procfs().pagemap_entries(proc_)) {
-      if (std::binary_search(misses.begin(), misses.end(), gpa)) {
-        rmap_cache_.emplace(gpa, gva);
+      if (std::binary_search(misses.begin(), misses.end(), gpa) &&
+          !rmap_cache_.contains(gpa)) {
+        rmap_cache_.insert_or_assign(gpa, gva);
       }
     }
-  }
-  std::vector<Gva> out;
-  out.reserve(gpas.size());
-  for (const Gpa gpa : gpas) {
-    if (const auto it = rmap_cache_.find(gpa); it != rmap_cache_.end()) {
-      out.push_back(it->second);
+    for (const Gpa gpa : misses) {
+      if (const auto it = rmap_cache_.find(gpa); it != rmap_cache_.end()) {
+        out.push_back(it->second);
+      }
     }
   }
   return out;

@@ -3,9 +3,10 @@
 // notifier chain).
 #pragma once
 
-#include <unordered_map>
 #include <unordered_set>
 
+#include "base/flat_page_map.hpp"
+#include "base/page_bitmap.hpp"
 #include "ooh/tracker.hpp"
 #include "sim/page_track.hpp"
 
@@ -78,7 +79,10 @@ class SpmlTracker final : public DirtyTracker, public sim::PageTrackNotifier {
   /// GPA -> GVA index built by reverse mapping. The paper's Boehm
   /// integration reuses first-cycle addresses (§VI-E footnote), so lookups
   /// only pay M16/M17 for GPAs not yet in the cache.
-  std::unordered_map<Gpa, Gva> rmap_cache_;
+  FlatPageMap rmap_cache_;
+  /// Dedup bitmap over the guest-physical space for the fetched GPAs; the
+  /// tracker's own, so userspace never touches hypervisor state.
+  PageBitmap seen_;
   bool flush_registered_ = false;
 };
 

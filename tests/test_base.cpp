@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "base/clock.hpp"
 #include "base/cost_model.hpp"
 #include "base/counters.hpp"
 #include "base/interp.hpp"
+#include "base/page_bitmap.hpp"
 #include "base/ring_buffer.hpp"
 #include "base/rng.hpp"
 #include "base/stats.hpp"
@@ -193,6 +197,67 @@ TEST(RingBuffer, WrapsAroundManyTimes) {
     u64 out = 0;
     EXPECT_TRUE(rb.pop(out));
     EXPECT_EQ(out, expected++);
+  }
+}
+
+// ---- page bitmap ---------------------------------------------------------------
+
+TEST(PageBitmap, TestAndSetWithinRangeThrowsBeyond) {
+  PageBitmap bits(8 * kPageSize + 100);  // a partial last page
+  EXPECT_TRUE(bits.none());
+  EXPECT_TRUE(bits.test_and_set(kPageSize));
+  EXPECT_FALSE(bits.test_and_set(kPageSize + 8)) << "same page";
+  EXPECT_TRUE(bits.test_and_set(8 * kPageSize + 99));
+  EXPECT_THROW(bits.test_and_set(8 * kPageSize + 100), std::out_of_range);
+  EXPECT_FALSE(bits.none());
+  const std::vector<u64> set = {kPageSize, 8 * kPageSize};
+  bits.reset(set);
+  EXPECT_TRUE(bits.none());
+  EXPECT_TRUE(bits.test_and_set(0)) << "page 0 was never set";
+}
+
+// Differential check of PageBitmap::Unique against a std::set reference over
+// seeded random rounds on ONE reused bitmap: a clear that misses a bit shows
+// up as a page dropped from a later round. Some rounds start from a non-empty
+// output (the migration carry-merge shape) and some meet an out-of-range
+// address, whose cleanup must leave the bitmap empty too.
+TEST(PageBitmap, UniqueMatchesSetReferenceAcrossReusedRounds) {
+  const u64 pages = 3000;  // 47 words, the last one partial
+  PageBitmap bits(pages * kPageSize);
+  Rng rng(0xb17);
+  for (int round = 0; round < 300; ++round) {
+    std::set<u64> ref;
+    std::vector<u64> expected;
+    const auto pick = [&] {
+      // Half the picks land in a 64-page hot range, forcing duplicates.
+      const u64 page = rng.below(2) == 0 ? rng.below(64) : rng.below(pages);
+      return page * kPageSize + rng.below(kPageSize);
+    };
+    std::vector<u64> out;
+    for (u64 i = rng.below(3) == 0 ? rng.below(40) : 0; i > 0; --i) {
+      const u64 addr = pick();
+      if (ref.insert(page_index(addr)).second) out.push_back(addr);
+    }
+    // A base entry beyond the range makes the constructor throw after
+    // marking the entries before it.
+    const bool bad_base = !out.empty() && rng.below(4) == 0;
+    if (bad_base) out.push_back(pages * kPageSize);
+    expected = out;
+    const bool overflow = !bad_base && rng.below(8) == 0;
+    try {
+      PageBitmap::Unique unique(bits, out);
+      for (u64 i = rng.below(500); i > 0; --i) {
+        const u64 addr = pick();
+        const bool fresh = ref.insert(page_index(addr)).second;
+        if (fresh) expected.push_back(addr);
+        EXPECT_EQ(unique.add(addr), fresh);
+      }
+      if (overflow) unique.add(pages * kPageSize + rng.below(kPageSize));
+    } catch (const std::out_of_range&) {
+      EXPECT_TRUE(overflow || bad_base);
+    }
+    ASSERT_EQ(out, expected) << "round " << round;
+    ASSERT_TRUE(bits.none()) << "round " << round << " left bits behind";
   }
 }
 

@@ -3,6 +3,9 @@
 // pre-copy live migration.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "hypervisor/hypervisor.hpp"
 #include "hypervisor/migration.hpp"
 #include "sim/machine.hpp"
@@ -208,6 +211,43 @@ TEST_F(HypervisorTest, MigrationForcedStopCopyOnHotGuest) {
   // full harvest/drain/send round of its own and is counted as one.
   EXPECT_EQ(rep.rounds, 4u);
   EXPECT_EQ(rep.stop_copy_pages, static_cast<u64>(pages));
+}
+
+// ---- quiescent ring harvest -------------------------------------------------
+
+TEST(Hypervisor, HarvestIsDeduplicatedInFirstSeenOrder) {
+  sim::Machine machine(256 * kMiB, CostModel::unit());
+  Hypervisor hv(machine);
+  Vm& vm = hv.create_vm(64 * kMiB, 1u << 10, /*vcpus=*/2);
+  const auto page = [](u64 n) { return n * kPageSize; };
+  for (const u64 n : {9, 3, 9, 7}) ASSERT_TRUE(vm.dirty_ring(0).try_push(page(n)));
+  for (const u64 n : {5, 3, 1, 5}) ASSERT_TRUE(vm.dirty_ring(1).try_push(page(n)));
+  vm.dirty_ring(0).spill(page(4));
+  vm.drained_log(1).push_back(page(2));
+
+  // Ring 0 in event order, then ring 1, then the spills, then the drained
+  // logs; each page once, where it was first seen.
+  EXPECT_EQ(hv.harvest_hyp_dirty(vm),
+            (std::vector<Gpa>{page(9), page(3), page(7), page(5), page(1), page(4),
+                              page(2)}));
+
+  // The dedup state does not leak into the next harvest.
+  for (const u64 n : {3, 9}) ASSERT_TRUE(vm.dirty_ring(1).try_push(page(n)));
+  EXPECT_EQ(hv.harvest_hyp_dirty(vm), (std::vector<Gpa>{page(3), page(9)}));
+  EXPECT_TRUE(vm.harvest_bits().none());
+}
+
+TEST(Hypervisor, HarvestRejectsGpaBeyondVmMemory) {
+  sim::Machine machine(256 * kMiB, CostModel::unit());
+  Hypervisor hv(machine);
+  Vm& vm = hv.create_vm(64 * kMiB, 1u << 10, /*vcpus=*/2);
+  ASSERT_TRUE(vm.dirty_ring(0).try_push(kPageSize));
+  ASSERT_TRUE(vm.dirty_ring(1).try_push(vm.mem_bytes()));
+  EXPECT_THROW((void)hv.harvest_hyp_dirty(vm), std::out_of_range);
+  EXPECT_TRUE(vm.harvest_bits().none()) << "a failed harvest left bits behind";
+
+  ASSERT_TRUE(vm.dirty_ring(0).try_push(kPageSize));
+  EXPECT_EQ(hv.harvest_hyp_dirty(vm), (std::vector<Gpa>{kPageSize}));
 }
 
 }  // namespace

@@ -433,6 +433,38 @@ TEST(SpmlRmapCache, ResolvesOnlyUncachedGpas) {
   expect_rmap_charges_only_misses(/*b_pages=*/0);
 }
 
+// A hypervisor harvest mid-interval re-arms the dirty flags of the pages it
+// took, so the next write to a page logs it a second time and the SPML ring
+// carries it twice. The collect must return it once.
+TEST(SpmlRmapCache, PageDrainedTwiceInOneIntervalIsReturnedOnce) {
+  lib::TestBed bed;
+  auto& k = bed.kernel();
+  auto& proc = k.create_process();
+  const Gva base = proc.mmap(2 * kPageSize);
+  k.scheduler().enter_process(proc.pid());
+  for (u64 i = 0; i < 2; ++i) proc.touch_write(base + i * kPageSize);
+  k.scheduler().exit_process(proc.pid());
+  const EventCounters& ev = k.ctx().counters;
+
+  auto tracker = lib::make_tracker(lib::Technique::kSpml, k, proc);
+  tracker->init();
+  bed.hypervisor().enable_pml_for_hyp(bed.vm());
+  tracker->begin_interval();
+  const u64 fetched = ev.get(Event::kRingBufFetchEntry);
+  k.scheduler().enter_process(proc.pid());
+  proc.touch_write(base);
+  proc.touch_write(base + kPageSize);
+  (void)bed.hypervisor().harvest_hyp_dirty(bed.vm());
+  proc.touch_write(base);
+  k.scheduler().exit_process(proc.pid());
+  const std::vector<Gva> dirty = tracker->collect();
+  EXPECT_EQ(ev.get(Event::kRingBufFetchEntry) - fetched, 3u)
+      << "the first page must reach the SPML ring twice";
+  EXPECT_EQ(dirty, (std::vector<Gva>{base, base + kPageSize}));
+  bed.hypervisor().disable_pml_for_hyp(bed.vm());
+  tracker->shutdown();
+}
+
 // ---- migration + guest EPML coexistence -------------------------------------
 
 struct CoexistOutcome {
