@@ -566,6 +566,44 @@ void BM_GcAllocCollectCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_GcAllocCollectCycle)->Unit(benchmark::kMicrosecond);
 
+/// Complete binary tree of GCBench nodes (two refs, 16 payload bytes) of
+/// `depth` levels below its root; returns the root.
+Gva build_gc_tree(gc::GcHeap& heap, int depth) {
+  std::vector<Gva> nodes((std::size_t{2} << depth) - 1);
+  for (Gva& n : nodes) n = heap.alloc(2, 16);
+  for (std::size_t i = 0; 2 * i + 2 < nodes.size(); ++i) {
+    heap.write_ref(nodes[i], 0, nodes[2 * i + 1]);
+    heap.write_ref(nodes[i], 1, nodes[2 * i + 2]);
+  }
+  return nodes.front();
+}
+
+void BM_GcMarkLiveForest(benchmark::State& state) {
+  // A rooted forest of 64 depth-8 trees (32,704 nodes): every collection
+  // marks the whole live set, which BM_GcAllocCollectCycle's one-object
+  // live set cannot show. Each iteration swaps one subtree for a fresh one,
+  // so the sweep frees 511 nodes and the free lists recycle them.
+  constexpr unsigned kTrees = 64;
+  constexpr int kDepth = 8;
+  lib::TestBed bed;
+  auto& k = bed.kernel();
+  auto& proc = k.create_process();
+  gc::GcHeap heap(k, proc, 64 * kMiB, /*threshold=*/u64{64} * kGiB);
+  k.scheduler().enter_process(proc.pid());
+  const Gva root = heap.alloc(kTrees, 0);
+  heap.add_root(root);
+  for (unsigned t = 0; t < kTrees; ++t) heap.write_ref(root, t, build_gc_tree(heap, kDepth));
+  (void)heap.collect();
+  unsigned next = 0;
+  for (auto _ : state) {
+    heap.write_ref(root, next, build_gc_tree(heap, kDepth));
+    next = (next + 1) % kTrees;
+    benchmark::DoNotOptimize(heap.collect());
+  }
+  k.scheduler().exit_process(proc.pid());
+}
+BENCHMARK(BM_GcMarkLiveForest)->Unit(benchmark::kMicrosecond);
+
 void BM_CheckpointDump256Pages(benchmark::State& state) {
   lib::TestBed bed;
   auto& k = bed.kernel();

@@ -19,6 +19,9 @@ constexpr u64 kAlign = 16;
 GcHeap::GcHeap(guest::GuestKernel& kernel, guest::Process& proc, u64 heap_bytes,
                u64 gc_threshold_bytes)
     : kernel_(kernel), proc_(proc), gc_threshold_(gc_threshold_bytes) {
+  // Granule indices and ref-pool offsets are u32: the pool holds at most
+  // two ranges per block address, i.e. one word per 4 heap bytes.
+  if (heap_bytes > 16 * kGiB) throw std::invalid_argument("GC heap larger than 16 GiB");
   heap_base_ = proc_.mmap(heap_bytes);
   heap_end_ = heap_base_ + page_ceil(heap_bytes);
   bump_ = heap_base_;
@@ -41,10 +44,17 @@ u32 GcHeap::find(Gva addr) const noexcept {
   return granule_slot_[(addr - heap_base_) / kAlign] - 1;  // 0 (none) wraps to kNoSlot
 }
 
-GcHeap::Object& GcHeap::obj(Gva addr) {
+u32 GcHeap::live_slot(Gva addr) const {
   const u32 slot = find(addr);
   if (slot == kNoSlot) throw std::invalid_argument("not a live GC object");
-  return slots_[slot];
+  return slot;
+}
+
+std::vector<GcHeap::FreeBlock>& GcHeap::free_list(u64 size) {
+  auto it = std::lower_bound(free_lists_.begin(), free_lists_.end(), size,
+                             [](const FreeList& l, u64 s) { return l.size < s; });
+  if (it == free_lists_.end() || it->size != size) it = free_lists_.insert(it, FreeList{size, {}});
+  return it->blocks;
 }
 
 Gva GcHeap::alloc(unsigned ref_slots, u64 data_bytes) {
@@ -56,44 +66,51 @@ Gva GcHeap::alloc(unsigned ref_slots, u64 data_bytes) {
   const u64 size = align_up(fixed + data_bytes);
   maybe_collect();
 
-  Gva addr = 0;
-  if (auto it = free_lists_.find(size); it != free_lists_.end() && !it->second.empty()) {
-    addr = it->second.back();
-    it->second.pop_back();
-  } else {
-    if (size > heap_end_ - bump_) {
-      collect();  // emergency full attempt before giving up
-      if (auto it2 = free_lists_.find(size);
-          it2 != free_lists_.end() && !it2->second.empty()) {
-        addr = it2->second.back();
-        it2->second.pop_back();
-      } else {
-        throw std::bad_alloc{};
-      }
-    } else {
-      addr = bump_;
-      bump_ += size;
-      granule_slot_.resize((bump_ - heap_base_) / kAlign);
-      page_objects_.resize((page_ceil(bump_) - heap_base_) / kPageSize);
-    }
+  std::vector<FreeBlock>* list = &free_list(size);
+  if (list->empty() && size > heap_end_ - bump_) {
+    collect();  // emergency full attempt before giving up
+    list = &free_list(size);
+    if (list->empty()) throw std::bad_alloc{};
   }
+  FreeBlock block;
+  if (!list->empty()) {
+    block = list->back();
+    list->pop_back();
+  } else {
+    block = {bump_, static_cast<u32>(ref_pool_.size()), ref_slots};
+    bump_ += size;
+    granule_slot_.resize((bump_ - heap_base_) / kAlign);
+    page_objects_.resize((page_ceil(bump_) - heap_base_) / kPageSize);
+    ref_pool_.resize(ref_pool_.size() + ref_slots);
+  }
+  if (ref_slots > block.ref_cap) {
+    // The block outgrew its range: give it the most fields its size can
+    // hold, so each address is re-ranged at most once.
+    block.ref_begin = static_cast<u32>(ref_pool_.size());
+    block.ref_cap = static_cast<u32>((size - kHeaderBytes) / 8);
+    ref_pool_.resize(ref_pool_.size() + block.ref_cap);
+  }
+  const Gva addr = block.addr;
 
   // Header store: makes allocation itself dirty the page, which is how new
   // objects become visible to the incremental marker.
   proc_.write_u64(addr, size);
 
-  u32 slot = static_cast<u32>(slots_.size());
+  u32 slot = static_cast<u32>(stamp_.size());
   if (free_slots_.empty()) {
-    slots_.emplace_back();
+    stamp_.push_back(kUnmarked);
+    addr_.push_back(addr);
+    size_.push_back(size);
+    refs_.push_back({block.ref_begin, ref_slots, block.ref_cap});
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
+    stamp_[slot] = kUnmarked;
+    addr_[slot] = addr;
+    size_[slot] = size;
+    refs_[slot] = {block.ref_begin, ref_slots, block.ref_cap};
   }
-  Object& o = slots_[slot];
-  o.addr = addr;
-  o.size = size;
-  o.refs.assign(ref_slots, 0);
-  o.mark = 0;
+  std::fill_n(ref_pool_.begin() + block.ref_begin, ref_slots, kNoSlot);
   granule_slot_[(addr - heap_base_) / kAlign] = slot + 1;
   for (u64 page = page_floor(addr); page < addr + size; page += kPageSize) {
     ++page_objects_[(page - heap_base_) / kPageSize];
@@ -105,34 +122,38 @@ Gva GcHeap::alloc(unsigned ref_slots, u64 data_bytes) {
 }
 
 void GcHeap::add_root(Gva o) {
-  (void)obj(o);
-  roots_.insert(o);
+  const u32 slot = live_slot(o);
+  const auto it = std::lower_bound(roots_.begin(), roots_.end(), slot);
+  if (it == roots_.end() || *it != slot) roots_.insert(it, slot);
 }
 
 void GcHeap::remove_root(Gva o) {
-  roots_.erase(o);
+  // A rooted object is live, so a root always maps back to its own slot.
+  const u32 slot = find(o);
+  const auto it = std::lower_bound(roots_.begin(), roots_.end(), slot);
+  if (it != roots_.end() && *it == slot) roots_.erase(it);
 }
 
 void GcHeap::write_ref(Gva o, unsigned slot, Gva target) {
-  Object& object = obj(o);
-  if (slot >= object.refs.size()) throw std::out_of_range("ref slot");
-  if (target != 0) (void)obj(target);
-  object.refs[slot] = target;
+  const RefRange refs = refs_[live_slot(o)];
+  if (slot >= refs.count) throw std::out_of_range("ref slot");
+  ref_pool_[refs.begin + slot] = target == 0 ? kNoSlot : live_slot(target);
   // The pointer store is what the dirty-page techniques must observe.
   proc_.write_u64(o + kHeaderBytes + 8 * u64{slot}, target);
 }
 
 Gva GcHeap::read_ref(Gva o, unsigned slot) {
-  Object& object = obj(o);
-  if (slot >= object.refs.size()) throw std::out_of_range("ref slot");
+  const RefRange refs = refs_[live_slot(o)];
+  if (slot >= refs.count) throw std::out_of_range("ref slot");
   proc_.touch_read(o + kHeaderBytes + 8 * u64{slot});
-  return object.refs[slot];
+  const u32 target = ref_pool_[refs.begin + slot];
+  return target == kNoSlot ? 0 : addr_[target];
 }
 
 void GcHeap::write_data(Gva o, u64 offset, u64 value) {
-  Object& object = obj(o);
-  const u64 base = kHeaderBytes + 8 * object.refs.size();
-  const u64 payload = object.size - base;
+  const u32 slot = live_slot(o);
+  const u64 base = kHeaderBytes + 8 * u64{refs_[slot].count};
+  const u64 payload = size_[slot] - base;
   if (payload < 8 || offset > payload - 8) throw std::out_of_range("data offset");
   proc_.write_u64(o + base + offset, value);
 }
@@ -147,14 +168,6 @@ std::vector<Gva> GcHeap::acquire_dirty_pages(GcCycleStats& st) {
   std::vector<Gva> dirty = tracker_->collect();
   tracker_->begin_interval();
   return dirty;
-}
-
-void GcHeap::mark(Gva addr) {
-  const u32 slot = find(addr);
-  if (slot == kNoSlot) throw std::out_of_range("dangling reference to a freed object");
-  if (slots_[slot].mark == epoch_) return;
-  slots_[slot].mark = epoch_;
-  frontier_.push_back(slot);
 }
 
 GcCycleStats GcHeap::collect() {
@@ -188,48 +201,81 @@ GcCycleStats GcHeap::collect() {
     objects_scanned += roots_.size();
   }
 
-  if (++epoch_ == 0) {  // stamp wrap: clear every stale mark once
-    for (Object& o : slots_) o.mark = 0;
-    epoch_ = 1;
+  if (++epoch_ == 0) {  // stamp wrap: reset every live stamp once
+    for (u32& stamp : stamp_) {
+      if (stamp != kFreed) stamp = kUnmarked;
+    }
+    epoch_ = kUnmarked + 1;
   }
-  frontier_.clear();
-  for (const Gva root : roots_) mark(root);
+  // Breadth-first over raw views of the table; the frontier is sized once
+  // to hold every object, so the loop neither reallocates nor reloads.
+  if (frontier_.size() < stamp_.size()) frontier_.resize(stamp_.size());
+  u32* const stamps = stamp_.data();
+  u32* const frontier = frontier_.data();
+  const RefRange* const ranges = refs_.data();
+  const u32* const pool = ref_pool_.data();
+  const u32 epoch = epoch_;
+  u32 reached = 0;
+  // write_ref admits only live targets, so a reachable object never names a
+  // freed one; the freed-stamp test keeps that invariant checked for free.
+  const auto mark = [&](u32 slot) {
+    const u32 stamp = stamps[slot];
+    if (stamp == epoch) return;
+    if (stamp == kFreed) throw std::out_of_range("dangling reference to a freed object");
+    stamps[slot] = epoch;
+    frontier[reached++] = slot;
+  };
+  for (const u32 root : roots_) mark(root);
   for (const Gva local : locals_) {
-    if (local != 0) mark(local);
+    if (local == 0) continue;
+    const u32 slot = find(local);
+    if (slot == kNoSlot) throw std::out_of_range("dangling reference to a freed object");
+    mark(slot);
   }
-  for (std::size_t head = 0; head < frontier_.size(); ++head) {
-    for (const Gva ref : slots_[frontier_[head]].refs) {
-      if (ref != 0) mark(ref);
+  for (u32 head = 0; head < reached; ++head) {
+    const RefRange refs = ranges[frontier[head]];
+    for (u32 i = refs.begin; i < refs.begin + refs.count; ++i) {
+      if (pool[i] != kNoSlot) mark(pool[i]);
     }
   }
-  if (st.full) objects_scanned = frontier_.size();
+  if (st.full) objects_scanned = reached;
   st.objects_marked = objects_scanned;
   m.charge_ns(scan_ns_per_object_ * static_cast<double>(objects_scanned));
 
   // ---- sweep -----------------------------------------------------------------
-  // Garbage goes onto the free lists in ascending address order, so reuse
-  // order depends on the heap's history alone, never on host containers.
-  to_free_.clear();
-  for (const Object& o : slots_) {
-    if (o.size != 0 && o.mark != epoch_) to_free_.push_back(o.addr);
+  // Every live object the mark did not reach is garbage, its stamp older
+  // than this epoch, so the scan reads only stamps and stops at the last
+  // one. Garbage goes onto the free lists in ascending address order, so
+  // reuse order depends on the heap's history alone, never on host
+  // containers.
+  to_free_.resize(live_objects() - reached);
+  const u32 oldest_mark = epoch - kUnmarked;
+  for (u32 slot = 0, found = 0; found < to_free_.size(); ++slot) {
+    if (stamps[slot] - kUnmarked < oldest_mark) {
+      to_free_[found++] = (addr_[slot] - heap_base_) / kAlign << 32 | slot;
+    }
   }
   m.charge_ns(10.0 * static_cast<double>(live_objects()));  // block sweep
   std::sort(to_free_.begin(), to_free_.end());
-  for (const Gva addr : to_free_) {
-    const u32 slot = find(addr);
-    Object& o = slots_[slot];
-    const u64 size = o.size;
+  std::vector<FreeBlock>* list = nullptr;
+  u64 list_size = 0;
+  for (const u64 key : to_free_) {
+    const u32 slot = static_cast<u32>(key);
+    const Gva addr = heap_base_ + (key >> 32) * kAlign;
+    const u64 size = size_[slot];
     for (u64 page = page_floor(addr); page < addr + size; page += kPageSize) {
       --page_objects_[(page - heap_base_) / kPageSize];
     }
-    free_lists_[size].push_back(addr);
+    if (list == nullptr || list_size != size) {
+      list = &free_list(size);
+      list_size = size;
+    }
+    list->push_back({addr, refs_[slot].begin, refs_[slot].cap});
     live_bytes_ -= size;
     ++st.objects_freed;
     st.bytes_freed += size;
-    granule_slot_[(addr - heap_base_) / kAlign] = 0;
-    o.addr = 0;
-    o.size = 0;
-    o.refs.clear();
+    granule_slot_[key >> 32] = 0;
+    stamp_[slot] = kFreed;
     free_slots_.push_back(slot);
   }
 

@@ -11,8 +11,6 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/types.hpp"
@@ -92,7 +90,7 @@ class GcHeap {
 
   [[nodiscard]] const GcStats& stats() const noexcept { return stats_; }
   [[nodiscard]] u64 live_objects() const noexcept {
-    return slots_.size() - free_slots_.size();
+    return stamp_.size() - free_slots_.size();
   }
   [[nodiscard]] u64 live_bytes() const noexcept { return live_bytes_; }
   [[nodiscard]] u64 heap_used_bytes() const noexcept { return bump_ - heap_base_; }
@@ -100,19 +98,37 @@ class GcHeap {
   [[nodiscard]] guest::Process& process() noexcept { return proc_; }
 
  private:
-  struct Object {
+  /// A block's range in the ref pool. It belongs to the block's address and
+  /// travels with it through the free lists (see FreeList).
+  struct RefRange {
+    u32 begin = 0;
+    u32 count = 0;  ///< pointer fields of the object now in the block.
+    u32 cap = 0;    ///< pool words reserved for the block.
+  };
+  struct FreeBlock {
     Gva addr = 0;
-    u64 size = 0;  ///< header + slots + payload, in bytes; 0 = free slot.
-    std::vector<Gva> refs;
-    u32 mark = 0;  ///< reachable in the current cycle iff == epoch_.
+    u32 ref_begin = 0;
+    u32 ref_cap = 0;
+  };
+  /// Free blocks of one exact size: LIFO over the sweep's ascending-address
+  /// refills. A block address is therefore only ever reused for one size.
+  struct FreeList {
+    u64 size = 0;
+    std::vector<FreeBlock> blocks;
   };
   static constexpr u32 kNoSlot = ~u32{0};
+  /// Mark stamps: a free slot holds kFreed; a live object holds kUnmarked
+  /// or the epoch of the last cycle that reached it (epochs start above
+  /// kUnmarked), so stamp - kUnmarked < epoch_ - kUnmarked means garbage.
+  static constexpr u32 kFreed = 0;
+  static constexpr u32 kUnmarked = 1;
 
   /// Slot of the live object at `addr`, or kNoSlot.
   [[nodiscard]] u32 find(Gva addr) const noexcept;
-  [[nodiscard]] Object& obj(Gva addr);
-  /// Mark the object at `addr` reachable; queue it for scanning if new.
-  void mark(Gva addr);
+  /// Slot of the live object at `addr`; throws std::invalid_argument.
+  [[nodiscard]] u32 live_slot(Gva addr) const;
+  /// Free list for `size`, created empty on first use.
+  [[nodiscard]] std::vector<FreeBlock>& free_list(u64 size);
   void maybe_collect();
   [[nodiscard]] std::vector<Gva> acquire_dirty_pages(GcCycleStats& st);
 
@@ -128,25 +144,32 @@ class GcHeap {
   u64 allocated_since_gc_ = 0;
   u64 live_bytes_ = 0;
 
-  // Object slab: dense slots recycled through a free-slot stack, found by
-  // address through a table with one entry per 16-byte heap granule
-  // (slot + 1, 0 = no object starts there), grown with bump_. Slot order is
-  // never observable: the sweep sorts its garbage by address, so free-list
-  // order -- and through it every later allocation address -- is defined.
-  std::vector<Object> slots_;
+  // Object table, one entry per slot in each array; slots are recycled
+  // through a free-slot stack. An address finds its slot through a table
+  // with one entry per 16-byte heap granule (slot + 1, 0 = no object starts
+  // there), grown with bump_. Pointer fields hold target slots in one
+  // pooled store, so marking never maps an address back to a slot. Slot
+  // order is never observable: the sweep sorts its garbage by address, so
+  // free-list order -- and through it every later allocation address -- is
+  // defined.
+  std::vector<u32> stamp_;
+  std::vector<Gva> addr_;
+  std::vector<u64> size_;  ///< header + slots + payload, in bytes.
+  std::vector<RefRange> refs_;
+  std::vector<u32> ref_pool_;  ///< target slot per pointer field, kNoSlot = null.
   std::vector<u32> free_slots_;
   std::vector<u32> granule_slot_;
   std::vector<u32> page_objects_;  ///< heap page -> objects overlapping it.
-  u32 epoch_ = 0;                  ///< current mark stamp.
+  u32 epoch_ = kUnmarked;          ///< current mark stamp.
 
-  std::unordered_set<Gva> roots_;
+  std::vector<u32> roots_;   ///< slots of rooted objects, ascending.
   std::vector<Gva> locals_;  ///< stack-scan stand-in (see Local).
-  std::unordered_map<u64, std::vector<Gva>> free_lists_;  ///< size -> free blocks.
+  std::vector<FreeList> free_lists_;  ///< ascending size.
 
   // Per-cycle mark/sweep scratch, reused so steady-state cycles allocate
   // nothing.
   std::vector<u32> frontier_;  ///< slots to scan; FIFO via a head cursor.
-  std::vector<Gva> to_free_;
+  std::vector<u64> to_free_;   ///< garbage as granule << 32 | slot.
 
   GcStats stats_;
   bool first_cycle_done_ = false;

@@ -137,6 +137,46 @@ TEST(GcHeap, WriteRefReadRefRoundTrip) {
   EXPECT_FALSE(h.is_object(b)) << "cleared ref makes b garbage";
 }
 
+TEST(GcHeap, DanglingLocalRootThrows) {
+  GcFixture f;
+  GcHeap& h = f.heap;
+  const Gva o = h.alloc(1, 0);
+  (void)h.collect();
+  ASSERT_FALSE(h.is_object(o));
+  const GcHeap::Local keep(h, o);
+  EXPECT_THROW((void)h.collect(), std::out_of_range)
+      << "a local root naming a freed object is a dangling reference";
+}
+
+TEST(GcHeap, WriteRefToFreedTargetThrows) {
+  GcFixture f;
+  GcHeap& h = f.heap;
+  const Gva root = h.alloc(1, 0);
+  h.add_root(root);
+  const Gva target = h.alloc(0, 8);
+  (void)h.collect();
+  ASSERT_FALSE(h.is_object(target));
+  EXPECT_THROW(h.write_ref(root, 0, target), std::invalid_argument);
+  EXPECT_EQ(h.read_ref(root, 0), 0u) << "the rejected store left the field null";
+}
+
+TEST(GcHeap, RootSetIsIdempotent) {
+  GcFixture f;
+  GcHeap& h = f.heap;
+  const Gva a = h.alloc(0, 8);
+  const Gva b = h.alloc(0, 8);
+  h.add_root(a);
+  h.add_root(a);
+  h.remove_root(b);  // not a root: no-op
+  h.remove_root(0);  // not an object: no-op
+  (void)h.collect();
+  EXPECT_TRUE(h.is_object(a));
+  EXPECT_FALSE(h.is_object(b));
+  h.remove_root(a);  // one removal undoes any number of adds
+  (void)h.collect();
+  EXPECT_FALSE(h.is_object(a));
+}
+
 class GcIncremental : public ::testing::TestWithParam<Technique> {};
 
 TEST_P(GcIncremental, LaterCyclesRescanOnlyDirtyPages) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -23,6 +24,7 @@ struct Shadow {
   std::unordered_map<Gva, Node> nodes;
   std::unordered_map<Gva, std::vector<Gva>> refs;
   std::unordered_set<Gva> roots;
+  std::vector<Gva> locals;  ///< objects held by live GcHeap::Local guards.
 
   void on_alloc(Gva o, unsigned slots) {
     nodes[o] = {slots};
@@ -32,7 +34,8 @@ struct Shadow {
 
   [[nodiscard]] std::unordered_set<Gva> reachable() const {
     std::unordered_set<Gva> seen(roots.begin(), roots.end());
-    std::deque<Gva> frontier(roots.begin(), roots.end());
+    seen.insert(locals.begin(), locals.end());
+    std::deque<Gva> frontier(seen.begin(), seen.end());
     while (!frontier.empty()) {
       const Gva cur = frontier.front();
       frontier.pop_front();
@@ -63,12 +66,15 @@ TEST_P(GcStress, RandomMutationsNeverFreeLiveOrLeakDead) {
 
   Shadow shadow;
   std::vector<Gva> handles;  // objects the mutator still remembers
+  std::vector<std::unique_ptr<GcHeap::Local>> locals;  // innermost last
   Rng rng(20240705);
 
   for (int round = 0; round < 8; ++round) {
     for (int op = 0; op < 600; ++op) {
       const u64 dice = rng.below(100);
       if (dice < 45 || handles.empty()) {
+        // Ref counts 0-3 with varied payloads, so equal-size blocks are
+        // reused by objects with different numbers of pointer fields.
         const unsigned slots = static_cast<unsigned>(rng.below(4));
         const Gva o = heap.alloc(slots, 8 * rng.below(16));
         shadow.on_alloc(o, slots);
@@ -83,16 +89,25 @@ TEST_P(GcStress, RandomMutationsNeverFreeLiveOrLeakDead) {
           heap.write_ref(from, slot, to);
           shadow.on_write(from, slot, to);
         }
-      } else if (dice < 80) {
+      } else if (dice < 78) {
         const Gva o = handles[rng.below(handles.size())];
         if (!shadow.roots.contains(o)) {
           heap.add_root(o);
           shadow.roots.insert(o);
         }
-      } else if (dice < 88 && !shadow.roots.empty()) {
+      } else if (dice < 84 && !shadow.roots.empty()) {
         const Gva o = *shadow.roots.begin();
         heap.remove_root(o);
         shadow.roots.erase(o);
+      } else if (dice < 88) {
+        // Guard a remembered object with a local root, as a mutator does
+        // across allocations that may collect.
+        const Gva o = handles[rng.below(handles.size())];
+        locals.push_back(std::make_unique<GcHeap::Local>(heap, o));
+        shadow.locals.push_back(o);
+      } else if (dice < 92 && !locals.empty()) {
+        locals.pop_back();
+        shadow.locals.pop_back();
       } else {
         // Forget some handles: they become collectable unless reachable.
         for (int drop = 0; drop < 5 && !handles.empty(); ++drop) {
@@ -112,9 +127,18 @@ TEST_P(GcStress, RandomMutationsNeverFreeLiveOrLeakDead) {
     EXPECT_EQ(heap.live_objects(), expect_live.size())
         << "GC retained unreachable objects";
     shadow.prune(expect_live);
+    // Every surviving pointer field reads back what the shadow log stored.
+    for (const auto& [o, fields] : shadow.refs) {
+      for (unsigned slot = 0; slot < fields.size(); ++slot) {
+        ASSERT_EQ(heap.read_ref(o, slot), fields[slot]) << "field " << slot << " of " << o;
+      }
+      EXPECT_THROW((void)heap.read_ref(o, static_cast<unsigned>(fields.size())),
+                   std::out_of_range);
+    }
     // Drop handles to freed objects so later ops stay valid.
     std::erase_if(handles, [&](Gva o) { return !expect_live.contains(o); });
   }
+  while (!locals.empty()) locals.pop_back();
   k.scheduler().exit_process(proc.pid());
 }
 

@@ -23,7 +23,11 @@ bug and fails the run regardless of speed.
 
 Wall-clock is the min over --repetitions runs: min is the right estimator
 for "how fast can this machine execute this code" because every source of
-interference only adds time.
+interference only adds time. Each row also carries the target's user and
+system CPU time (`user_ms`/`sys_ms`, medians over the same runs, from
+getrusage(RUSAGE_CHILDREN) deltas), so a change that trades user time for
+kernel time (page faults, mmap churn) shows up even when wall-clock does
+not move. The regression gate reads only real_time.
 
 Usage:
   run_e2e_bench.py --build-dir build-perf --out e2e_current.json
@@ -35,10 +39,13 @@ import argparse
 import datetime
 import json
 import os
+import resource
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 # (target, extra argv, fans cells across the epoch pool?). fig10 and fig11
 # run their multi-VM fleets through TestBed::run_tenants on the epoch pool,
@@ -65,21 +72,33 @@ TARGETS: list[tuple[str, list[str], bool]] = [
 ]
 
 
-def run_once(exe: Path, argv: list[str], threads: int) -> tuple[float, bytes]:
-    """Run the binary once; return (wall seconds, stdout bytes)."""
+class Run(NamedTuple):
+    """One timed run: wall and child CPU seconds, and the stdout bytes."""
+
+    wall: float
+    user: float
+    sys: float
+    out: bytes
+
+
+def run_once(exe: Path, argv: list[str], threads: int) -> Run:
+    """Run the binary once, timing wall-clock and its CPU time."""
     env = dict(os.environ, OOH_EPOCH_THREADS=str(threads))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.monotonic()
     proc = subprocess.run([str(exe), *argv], env=env, capture_output=True)
     elapsed = time.monotonic() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr.decode(errors="replace"))
         raise SystemExit(f"run_e2e_bench: {exe.name} exited "
                          f"{proc.returncode} (threads={threads})")
-    return elapsed, proc.stdout
+    return Run(elapsed, after.ru_utime - before.ru_utime,
+               after.ru_stime - before.ru_stime, proc.stdout)
 
 
-def bench_entry(name: str, wall_s: float) -> dict:
-    ms = wall_s * 1e3
+def bench_entry(name: str, runs: list[Run]) -> dict:
+    ms = min(r.wall for r in runs) * 1e3
     return {
         "name": name,
         "run_type": "iteration",
@@ -90,7 +109,15 @@ def bench_entry(name: str, wall_s: float) -> dict:
         "real_time": ms,
         "cpu_time": ms,
         "time_unit": "ms",
+        "user_ms": statistics.median(r.user for r in runs) * 1e3,
+        "sys_ms": statistics.median(r.sys for r in runs) * 1e3,
     }
+
+
+def report(entry: dict, runs: list[Run]) -> None:
+    print(f"  {entry['name']}: {entry['real_time']:.0f} ms "
+          f"(min of {len(runs)}; user {entry['user_ms']:.0f} ms, "
+          f"sys {entry['sys_ms']:.0f} ms)")
 
 
 def main(argv: list[str]) -> int:
@@ -115,14 +142,11 @@ def main(argv: list[str]) -> int:
             raise SystemExit(f"run_e2e_bench: {exe} not built "
                              f"(cmake --build {args.build_dir} --target {target})")
 
-        serial_walls: list[float] = []
-        serial_out = b""
-        for _ in range(max(1, args.repetitions)):
-            wall, serial_out = run_once(exe, extra, threads=1)
-            serial_walls.append(wall)
-        benchmarks.append(bench_entry(f"E2E_{target}/serial", min(serial_walls)))
-        print(f"  E2E_{target}/serial: {min(serial_walls) * 1e3:.0f} ms "
-              f"(min of {len(serial_walls)})")
+        serial = [run_once(exe, extra, threads=1)
+                  for _ in range(max(1, args.repetitions))]
+        entry = bench_entry(f"E2E_{target}/serial", serial)
+        benchmarks.append(entry)
+        report(entry, serial)
 
         if not fans_out:
             continue
@@ -131,12 +155,8 @@ def main(argv: list[str]) -> int:
         # bytes of the serial run. One verification run even when the
         # parallel timing column is skipped.
         reps = 1 if args.skip_parallel else max(1, args.repetitions)
-        par_walls: list[float] = []
-        par_out = b""
-        for _ in range(reps):
-            wall, par_out = run_once(exe, extra, threads=args.threads)
-            par_walls.append(wall)
-        if par_out != serial_out:
+        par = [run_once(exe, extra, threads=args.threads) for _ in range(reps)]
+        if par[-1].out != serial[-1].out:
             raise SystemExit(
                 f"run_e2e_bench: {target} stdout differs between "
                 f"OOH_EPOCH_THREADS=1 and ={args.threads} — EPOCH-1 "
@@ -144,10 +164,9 @@ def main(argv: list[str]) -> int:
         print(f"  E2E_{target}: serial vs threads={args.threads} "
               "stdout byte-identical")
         if not args.skip_parallel:
-            benchmarks.append(bench_entry(
-                f"E2E_{target}/threads:{args.threads}", min(par_walls)))
-            print(f"  E2E_{target}/threads:{args.threads}: "
-                  f"{min(par_walls) * 1e3:.0f} ms (min of {len(par_walls)})")
+            entry = bench_entry(f"E2E_{target}/threads:{args.threads}", par)
+            benchmarks.append(entry)
+            report(entry, par)
 
     doc = {
         "context": {
