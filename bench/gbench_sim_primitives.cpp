@@ -23,9 +23,12 @@
 #endif
 
 #include <array>
+#include <limits>
 #include <vector>
 
 #include "base/arena.hpp"
+#include "base/clock.hpp"
+#include "base/cost_model.hpp"
 #include "base/ring_buffer.hpp"
 #include "ooh/adaptive/adaptive_tracker.hpp"
 #include "guest/kernel.hpp"
@@ -636,6 +639,46 @@ void BM_ArenaAllocRadixNode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_ArenaAllocRadixNode);
+
+// ---- ulp-grid clock runs ------------------------------------------------------
+
+void BM_ClockAdvancePairs(benchmark::State& state) {
+  // The clock work of one TLB-hit segment of n accesses: n pairs of
+  // (+tlb_hit, +workload_write) at the default costs, on a clock at 1 s with
+  // one open bucket, no deadline in reach. n = 1 is a per-page run, 8 a
+  // stride-512 run, 64 a stride-64 run (migrate_scan's reader), 4096 a long
+  // run; they pick VirtualClock's short-run cutoff.
+  const u64 n = static_cast<u64>(state.range(0));
+  VirtDuration hit = nsecs(CostModel{}.tlb_hit_ns);
+  VirtDuration work = nsecs(CostModel{}.workload_write_ns);
+  benchmark::DoNotOptimize(hit);
+  benchmark::DoNotOptimize(work);
+  const VirtDuration never{std::numeric_limits<double>::infinity()};
+  VirtualClock clock;
+  clock.advance(secs(1.0));
+  VirtDuration bucket{0};
+  const VirtualClock::Scope scope(clock, bucket);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(clock.advance_pairs(hit, work, n, never));
+  }
+  benchmark::DoNotOptimize(clock.now());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ClockAdvancePairs)->Arg(1)->Arg(8)->Arg(64)->Arg(4096);
+
+void BM_TouchRangeReadStride64(benchmark::State& state) {
+  // migrate_scan's reader: a warmed 4 MiB region read at stride 64, 64
+  // accesses per page segment.
+  lib::TestBed bed;
+  auto& proc = bed.kernel().create_process();
+  const Gva base = proc.mmap(1024 * kPageSize);
+  proc.touch_range_write(base, 1024 * kPageSize);  // prefault
+  for (auto _ : state) {
+    proc.touch_range_read(base, 1024 * kPageSize, /*stride=*/64);
+  }
+  state.SetItemsProcessed(state.iterations() * 1024 * 64);
+}
+BENCHMARK(BM_TouchRangeReadStride64)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ooh

@@ -8,13 +8,23 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cfloat>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "base/types.hpp"
 #include "base/vtime.hpp"
 
 namespace ooh {
+
+// VirtualClock::advance_pairs() replaces runs of floating-point additions
+// with integer steps on the ulp grid, which is exact only for IEEE 754
+// binary64 evaluated at its own precision. Precondition (not checkable at
+// compile time): the rounding mode is round-to-nearest-even, the default;
+// nothing in this program changes it.
+static_assert(std::numeric_limits<double>::is_iec559, "VirtualClock needs IEEE 754 doubles");
+static_assert(FLT_EVAL_METHOD == 0, "VirtualClock needs double arithmetic at double precision");
 
 class VirtualClock {
  public:
@@ -40,38 +50,36 @@ class VirtualClock {
 
   /// Apply up to `n` repetitions of advance(first); advance(second), stopping
   /// right after the advance(first) that brings now() to or past `deadline`.
-  /// Every clock and bucket sees exactly the additions, in exactly the order,
-  /// of the advance() loop; only the host work differs. advance() keeps now_
-  /// in memory and walks open_buckets_ (which the compiler must assume may
-  /// alias now_) on every call, so a run of n pairs costs two dependent
-  /// store-load-add chains per pair. Here now_ is summed in a register, then
-  /// the same sequence is replayed onto each bucket on its own. Buckets are
-  /// distinct (Scope asserts it), so each sum is independent of the others
-  /// and bit-identical to the interleaved loop.
+  /// The clock and every open bucket end bit-identical to that advance()
+  /// loop; only the host work differs.
+  ///
+  /// A run of kClosedFormMinPairs pairs or more is not added pair by pair.
+  /// Inside one binade every double is a multiple of the binade's ulp u, so
+  /// under round-to-nearest-even `x + a` is `x + round(a/u) * u` for every x
+  /// there, unless a/u is an exact tie. Held as its bit pattern (an integer
+  /// count of ulps), a value moves by k * (Ra + Rb) over k pairs, and the
+  /// deadline stop is one division away. A pair that could leave the binade,
+  /// a tie, or an addend with no fixed step is added for real, and the run
+  /// continues on the next grid (add_pairs_on_grid in clock.cpp). Shorter
+  /// runs, such as per-page (n = 1) and stride-512 (n = 8) runs, keep the
+  /// plain loop, which is faster there.
+  ///
+  /// The clock is run first (it alone decides where the run stops), then the
+  /// same count of pairs is replayed onto each open bucket from its own
+  /// value. Buckets are distinct (Scope asserts it), so each sum is
+  /// independent of the others.
   PairRun advance_pairs(VirtDuration first, VirtDuration second, u64 n,
                         VirtDuration deadline) noexcept {
     assert(first.count() >= 0.0 && second.count() >= 0.0);
-    PairRun run;
-    VirtDuration now = now_;
-    while (run.done < n) {
-      now += first;
-      ++run.done;
-      if (now >= deadline) {
-        run.reached = true;
-        break;
-      }
-      now += second;
-    }
-    now_ = now;
+    double now = now_.count();
+    const PairRun run = add_pairs(now, first.count(), second.count(), n, deadline.count());
+    now_ = VirtDuration{now};
     const u64 full = run.done - (run.reached ? 1 : 0);
     for (VirtDuration* b : open_buckets_) {
-      VirtDuration sum = *b;
-      for (u64 i = 0; i < full; ++i) {
-        sum += first;
-        sum += second;
-      }
-      if (run.reached) sum += first;
-      *b = sum;
+      double sum = b->count();
+      add_pairs(sum, first.count(), second.count(), full, kNoDeadline);
+      if (run.reached) sum += first.count();
+      *b = VirtDuration{sum};
     }
     return run;
   }
@@ -112,6 +120,39 @@ class VirtualClock {
   }
 
  private:
+  /// Runs shorter than this many pairs take the plain addition loop: below
+  /// it the closed form's fixed cost (operand decomposition, a division and
+  /// an out-of-line call) outweighs the 2n additions it saves. Chosen from
+  /// the gbench rows BM_ClockAdvancePairs (n = 8 is faster as a loop, n = 64
+  /// as a closed form), BM_TouchRangePerPage (n = 1) and
+  /// BM_TouchRangeSubPageStride (n = 8).
+  static constexpr u64 kClosedFormMinPairs = 16;
+  static constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+  /// Apply up to `n` pairs `x += a; x += b` to `x`, stopping right after the
+  /// `x += a` that brings it to or past `deadline`.
+  static PairRun add_pairs(double& x, double a, double b, u64 n, double deadline) noexcept {
+    if (n >= kClosedFormMinPairs) return add_pairs_on_grid(x, a, b, n, deadline);
+    PairRun run;
+    double v = x;
+    while (run.done < n) {
+      v += a;
+      ++run.done;
+      if (v >= deadline) {
+        run.reached = true;
+        break;
+      }
+      v += b;
+    }
+    x = v;
+    return run;
+  }
+
+  /// add_pairs() in a few integer operations per binade instead of 2n
+  /// additions, bit-identical to the loop (clock.cpp explains why).
+  static PairRun add_pairs_on_grid(double& x, double a, double b, u64 n,
+                                   double deadline) noexcept;
+
   VirtDuration now_{0};
   std::vector<VirtDuration*> open_buckets_;
 };

@@ -57,12 +57,16 @@ class Mmu {
   /// own per-access charge `after`.
   ///
   /// The segment is batched on the host: one TLB lookup and one kTlbHit
-  /// count of `done`. What stays per access is the order of the floating-
-  /// point additions: the clock and every open attribution bucket still see
-  /// +tlb_hit, +after, +tlb_hit, ... one addend at a time
-  /// (VirtualClock::advance_pairs), because double addition does not
-  /// reassociate and a summed `k * tlb_hit` would move every figure. A TLB
-  /// hit walks nothing and so logs nothing; the bookkeeping is all it does.
+  /// count of `done`. The clock and every open attribution bucket end
+  /// exactly where +tlb_hit, +after, +tlb_hit, ... added one at a time would
+  /// leave them; a summed `k * tlb_hit` would not (double addition does not
+  /// reassociate) and would move every figure. VirtualClock::advance_pairs
+  /// gets there without the per-access additions on segments of 16 accesses
+  /// or more: inside one binade each addend moves every value by the same
+  /// whole number of ulps, so a segment is integer steps on that ulp grid,
+  /// with a real addition only at a binade crossing or a rounding tie.
+  /// Shorter segments keep the addition loop. A TLB hit walks nothing and so
+  /// logs nothing; the bookkeeping is all it does.
   ///
   /// The run stops right after the tlb_hit charge that brings the clock to
   /// `deadline` (that access's `after` is not charged yet), so the caller

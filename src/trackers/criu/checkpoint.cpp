@@ -1,5 +1,6 @@
 #include "trackers/criu/checkpoint.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "base/clock.hpp"
@@ -159,7 +160,16 @@ void restore(guest::Process& proc, const CheckpointImage& image) {
       throw std::runtime_error("restore could not reproduce the VMA layout");
     }
   }
-  for (const auto& [gva, content] : image.pages) {
+  // Ascending GVA, not the hash map's order: the restore's faults, TLB fills
+  // and virtual time must not depend on the standard library.
+  using Page = decltype(image.pages)::value_type;
+  std::vector<const Page*> pages;
+  pages.reserve(image.pages.size());
+  for (const Page& page : image.pages) pages.push_back(&page);
+  std::sort(pages.begin(), pages.end(),
+            [](const Page* x, const Page* y) { return x->first < y->first; });
+  for (const Page* page : pages) {
+    const auto& [gva, content] = *page;
     if (content.empty()) {
       // All-zero (or metadata-only) page: touch so it exists post-restore.
       proc.touch_write(gva);

@@ -2,7 +2,11 @@
 // buffer, counters, cost model calibration, stats, table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -159,6 +163,128 @@ TEST(VirtualClock, AdvancePairsMatchesAdvanceLoop) {
     EXPECT_EQ(b_outer.count(), l_outer.count());
     EXPECT_EQ(b_inner.count(), l_inner.count());
   }
+}
+
+// advance_pairs steps long runs on the ulp grid of each binade instead of
+// adding (see VirtualClock::add_pairs). Differential check against the plain
+// advance() loop, compared by bit pattern, over seeded random runs that hit
+// every fallback: zero and subnormal starts, starts just below a power of
+// two, long runs crossing binades, addends that tie on the start's grid,
+// deadlines at or before now, exactly on a reached value, and +inf, with up
+// to three open buckets of unrelated magnitudes.
+TEST(VirtualClock, AdvancePairsBitExactOnUlpGrid) {
+  Rng rng(0x0015'6e1d);
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto bits = [](double v) { return std::bit_cast<u64>(v); };
+  // One grid step (ulp) of the binade holding `v` (> 0).
+  const auto ulp = [](double v) {
+    int e = 0;
+    (void)std::frexp(v, &e);
+    return std::ldexp(1.0, std::max(e - 53, -1074));
+  };
+  const auto magnitude = [&](int lo, int hi) {
+    return std::ldexp(rng.uniform(1.0, 2.0), lo + static_cast<int>(rng.below(hi - lo + 1)));
+  };
+  const auto start_value = [&]() -> double {
+    switch (rng.below(6)) {
+      case 0: return 0.0;
+      case 1: return std::bit_cast<double>(1 + rng.below(u64{1} << 52));  // subnormal
+      case 2: {  // a few ulps below a power of two
+        const double p = std::ldexp(1.0, -20 + static_cast<int>(rng.below(51)));
+        return p - static_cast<double>(1 + rng.below(4096)) * ulp(p / 2);
+      }
+      case 3: return rng.uniform(1e6, 1e7);  // realistic clock, in us
+      case 4: return magnitude(-30, 30);
+      default: return static_cast<double>(rng.below(1 << 20)) / 64;  // dyadic
+    }
+  };
+  const auto addend = [&](double x) -> double {
+    switch (rng.below(7)) {
+      case 0: return 0.0;
+      case 1: return rng.below(2) == 0 ? nsecs(1.0).count() : nsecs(100.0).count();
+      case 2: return magnitude(-40, 5);
+      case 3: return static_cast<double>(rng.below(256)) / 64;  // dyadic
+      case 4: return std::bit_cast<double>(rng.below(u64{1} << 52));  // subnormal
+      case 5: return x > 0.0 ? ulp(x) * (rng.below(2) == 0 ? 1.5 : 0.5) : 0.5;  // tie
+      default: return x > 0.0 ? ulp(x) * static_cast<double>(1 + rng.below(1 << 16)) : 1.0;
+    }
+  };
+
+  constexpr int kCases = 100'000;
+  int reached_cases = 0, exact_deadlines = 0;
+  for (int c = 0; c < kCases; ++c) {
+    const double start = start_value();
+    const VirtDuration first{addend(start)}, second{addend(start)};
+    // Log-uniform lengths straddle the short-run cutoff; some are long
+    // enough to cross several binades.
+    const u64 n = rng.below(8) == 0 ? 0 : (u64{1} << rng.below(12)) + rng.below(64);
+    const u64 buckets = rng.below(4);
+    double bucket_start[3];
+    for (double& b : bucket_start) b = start_value();
+
+    // The reference loop, recording where each +first lands.
+    VirtualClock loop;
+    loop.advance(VirtDuration{start});
+    // Arrays destroy back to front, closing the scopes innermost first.
+    VirtDuration l_bucket[3];
+    std::optional<VirtualClock::Scope> l_scopes[3];
+    for (u64 i = 0; i < buckets; ++i) {
+      l_bucket[i] = VirtDuration{bucket_start[i]};
+      l_scopes[i].emplace(loop, l_bucket[i]);
+    }
+    double deadline = inf;
+    switch (rng.below(5)) {
+      case 0: break;
+      case 1: deadline = start - static_cast<double>(rng.below(2)) * start / 4; break;
+      case 2: deadline = rng.below(2) == 0 ? 0.0 : -0.0; break;
+      default: {  // exactly on a value the run reaches, or between two of them
+        VirtualClock probe;
+        probe.advance(VirtDuration{start});
+        const u64 k = n == 0 ? 0 : rng.below(n);
+        for (u64 i = 0; i < k; ++i) probe.advance(first), probe.advance(second);
+        probe.advance(first);
+        deadline = probe.now().count();
+        if (rng.below(3) == 0) deadline = std::nextafter(deadline, inf);
+      }
+    }
+    VirtualClock::PairRun want;
+    while (want.done < n) {
+      loop.advance(first);
+      ++want.done;
+      if (loop.now().count() >= deadline) {
+        want.reached = true;
+        break;
+      }
+      loop.advance(second);
+    }
+
+    VirtualClock batched;
+    batched.advance(VirtDuration{start});
+    VirtDuration b_bucket[3];
+    std::optional<VirtualClock::Scope> b_scopes[3];
+    for (u64 i = 0; i < buckets; ++i) {
+      b_bucket[i] = VirtDuration{bucket_start[i]};
+      b_scopes[i].emplace(batched, b_bucket[i]);
+    }
+    const VirtualClock::PairRun got =
+        batched.advance_pairs(first, second, n, VirtDuration{deadline});
+
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << c << std::hexfloat << ": start " << start << " first "
+                 << first.count() << " second " << second.count() << " n " << n
+                 << " deadline " << deadline << " buckets " << buckets);
+    ASSERT_EQ(got.done, want.done);
+    ASSERT_EQ(got.reached, want.reached);
+    ASSERT_EQ(bits(batched.now().count()), bits(loop.now().count()));
+    for (u64 i = 0; i < buckets; ++i) {
+      ASSERT_EQ(bits(b_bucket[i].count()), bits(l_bucket[i].count())) << "bucket " << i;
+    }
+    reached_cases += want.reached ? 1 : 0;
+    exact_deadlines += want.reached && loop.now().count() == deadline ? 1 : 0;
+  }
+  // The generator really exercised deadline stops, including exact hits.
+  EXPECT_GT(reached_cases, kCases / 4);
+  EXPECT_GT(exact_deadlines, kCases / 10);
 }
 
 // ---- ring buffer ---------------------------------------------------------------

@@ -4,6 +4,10 @@
 // SPML's MD dominated by reverse mapping; EPML MW is pure page writing).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+#include <vector>
+
 #include "base/rng.hpp"
 #include "ooh/testbed.hpp"
 #include "trackers/criu/checkpoint.hpp"
@@ -124,6 +128,55 @@ TEST(Criu, FullCheckpointCapturesAllPresentPages) {
   for (u64 i = 0; i < 16; i += 2) {
     EXPECT_EQ(restored.read_u64(base + i * kPageSize), i);
   }
+}
+
+// restore() writes pages in ascending GVA order, so the same image contents
+// restore to the same virtual time and counters however the image was
+// dumped -- and so whatever order its hash map iterates in.
+TEST(Criu, RestoreIsIndependentOfDumpOrder) {
+  lib::TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  constexpr u64 kDataPages = 1024, kMetaPages = 64;
+  const Gva data = proc.mmap(kDataPages * kPageSize, /*data_backed=*/true);
+  const Gva meta = proc.mmap(kMetaPages * kPageSize, /*data_backed=*/false);
+  Rng rng(21);
+  std::vector<Gva> order;
+  for (u64 i = 0; i < kDataPages; ++i) {
+    const Gva page = data + i * kPageSize;
+    proc.write_u64(page + rng.below(kPageSize / 8) * 8, rng.next());
+    order.push_back(page);
+  }
+  for (u64 i = 0; i < kMetaPages; i += 2) {
+    proc.touch_write(meta + i * kPageSize);
+    order.push_back(meta + i * kPageSize);
+  }
+
+  Checkpointer cp(k, Technique::kOracle);
+  CheckpointImage ascending, shuffled;
+  for (const guest::Vma& vma : proc.vmas()) {
+    ascending.vmas.push_back({vma.start, vma.bytes(), vma.data_backed});
+  }
+  shuffled.vmas = ascending.vmas;
+  cp.dump_pages(proc, order, ascending);
+  for (u64 i = order.size() - 1; i > 0; --i) std::swap(order[i], order[rng.below(i + 1)]);
+  cp.dump_pages(proc, order, shuffled);
+  ASSERT_EQ(ascending.pages, shuffled.pages);
+
+  struct Restored {
+    double clock;
+    EventCounters counters;
+  };
+  const auto restore_fresh = [](const CheckpointImage& image) {
+    lib::TestBed fresh;
+    guest::Process& p = fresh.kernel().create_process();
+    restore(p, image);
+    return Restored{fresh.kernel().ctx().clock.now().count(), fresh.kernel().ctx().counters};
+  };
+  const Restored a = restore_fresh(ascending);
+  const Restored b = restore_fresh(shuffled);
+  EXPECT_EQ(std::bit_cast<u64>(a.clock), std::bit_cast<u64>(b.clock));
+  EXPECT_TRUE(a.counters == b.counters);
 }
 
 TEST(Criu, RestoreRequiresFreshProcess) {

@@ -2,9 +2,9 @@
 """End-to-end figure wall-clock harness.
 
 gbench_sim_primitives times simulator primitives; this tool times what the
-user actually waits for: whole figure and table binaries (fig3 through
-fig11 and the five tables, at their small/default configs) from exec to
-exit. It emits google-benchmark compatible JSON so
+user actually waits for: whole figure, table and ablation binaries (fig3
+through fig11, the five tables and the seven ablations, at their
+small/default configs) from exec to exit. It emits google-benchmark compatible JSON so
 tools/check_bench_regression.py can gate the numbers against a committed
 baseline exactly like the microbenches.
 
@@ -15,6 +15,9 @@ Two things are measured per target:
     epoch-parallel fan-out; on a multi-core runner this is the
     order-of-magnitude column, on a 1-core runner it documents the
     oversubscription cost instead).
+  * E2E_all/serial         — the sum of every target's serial row: the
+    wall-clock of regenerating every figure, table and ablation one
+    binary at a time.
 
 Independently of timing, the harness enforces EPOCH-1 at the figure level:
 for every target that fans cells across the epoch pool, the serial and
@@ -52,8 +55,9 @@ from typing import NamedTuple
 # but take the worker count from --threads (default auto) rather than
 # OOH_EPOCH_THREADS and print host wall-clock into stdout, so they get timed
 # but not the serial-vs-parallel stdout compare; fig3, fig4, fig6, fig7,
-# fig9 and the tables run their cells serially. fig4, fig7 and fig9 drive
-# their workloads through touch_range, the batched access path.
+# fig9, the tables and the ablations run their cells serially. fig4, fig7
+# and fig9 drive their workloads through touch_range, the batched access
+# path.
 TARGETS: list[tuple[str, list[str], bool]] = [
     ("table1_ufd_proc_overhead", [], False),
     ("table3_workload_footprints", [], False),
@@ -69,6 +73,13 @@ TARGETS: list[tuple[str, list[str], bool]] = [
     ("fig9_criu_tracked", [], False),
     ("fig10_scalability_tracker", [], False),
     ("fig11_scalability_tracked", [], False),
+    ("ablation_collect_period", [], False),
+    ("ablation_quantum", [], False),
+    ("ablation_ring_capacity", [], False),
+    ("ablation_spp_guard", [], False),
+    ("ablation_swap_writeback", [], False),
+    ("ablation_uaf_sweep", [], False),
+    ("ablation_wss", [], False),
 ]
 
 
@@ -167,6 +178,22 @@ def main(argv: list[str]) -> int:
             entry = bench_entry(f"E2E_{target}/threads:{args.threads}", par)
             benchmarks.append(entry)
             report(entry, par)
+
+    serial_rows = [b for b in benchmarks if b["name"].endswith("/serial")]
+    total = {
+        "name": "E2E_all/serial",
+        "run_type": "iteration",
+        "iterations": 1,
+        "real_time": sum(b["real_time"] for b in serial_rows),
+        "cpu_time": sum(b["cpu_time"] for b in serial_rows),
+        "time_unit": "ms",
+        "user_ms": sum(b["user_ms"] for b in serial_rows),
+        "sys_ms": sum(b["sys_ms"] for b in serial_rows),
+    }
+    benchmarks.append(total)
+    print(f"  {total['name']}: {total['real_time']:.0f} ms (sum of "
+          f"{len(serial_rows)} serial rows; user {total['user_ms']:.0f} ms, "
+          f"sys {total['sys_ms']:.0f} ms)")
 
     doc = {
         "context": {
