@@ -22,6 +22,7 @@
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "base/clock.hpp"
 #include "base/cost_model.hpp"
 #include "base/ring_buffer.hpp"
+#include "base/rng.hpp"
 #include "ooh/adaptive/adaptive_tracker.hpp"
 #include "guest/kernel.hpp"
 #include "hypervisor/dirty_ring.hpp"
@@ -619,6 +621,62 @@ void BM_CheckpointDump256Pages(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CheckpointDump256Pages)->Unit(benchmark::kMicrosecond);
+
+/// 1,000 skewed page picks over `pages` (half on the hottest eighth, ranks
+/// scattered by an odd multiplier), sorted and deduplicated like a collect.
+std::vector<u64> skewed_pages(u64 pages, u64 seed) {
+  Rng rng(seed);
+  std::vector<u64> out;
+  for (int i = 0; i < 1000; ++i) {
+    const double u = rng.uniform();
+    const auto rank = static_cast<u64>(static_cast<double>(pages) * u * u * u);
+    out.push_back((rank * 0x9E3779B1ULL) % pages);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+void BM_CheckpointRedumpScattered(benchmark::State& state) {
+  // An incremental CRIU step's dump: re-dump ~1,000 skewed pages of a
+  // 64 MiB data-backed VMA into an image that already holds every page.
+  constexpr u64 kPages = 64 * kMiB / kPageSize;
+  lib::TestBed bed;
+  auto& k = bed.kernel();
+  auto& proc = k.create_process();
+  const Gva base = proc.mmap(kPages * kPageSize, /*data_backed=*/true);
+  for (u64 p = 0; p < kPages; ++p) proc.write_u64(base + p * kPageSize, p);
+  criu::Checkpointer cp(k, lib::Technique::kOracle);
+  criu::CheckpointImage image = cp.full_checkpoint(proc);
+  std::vector<Gva> dirty;
+  for (const u64 p : skewed_pages(kPages, 81)) dirty.push_back(base + p * kPageSize);
+  for (auto _ : state) {
+    cp.dump_pages(proc, dirty, image);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(image.dump_ops);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(dirty.size()));
+}
+BENCHMARK(BM_CheckpointRedumpScattered)->Unit(benchmark::kMicrosecond);
+
+void BM_TruthRecordScattered(benchmark::State& state) {
+  // Scalar stores to random pages of a prefaulted 64 MiB VMA: mostly TLB
+  // misses, each ending in one truth-ledger record.
+  constexpr u64 kPages = 64 * kMiB / kPageSize;
+  lib::TestBed bed;
+  auto& proc = bed.kernel().create_process();
+  const Gva base = proc.mmap(kPages * kPageSize);
+  proc.touch_range_write(base, kPages * kPageSize);  // prefault
+  std::vector<Gva> targets(4096);
+  Rng rng(90);
+  for (Gva& t : targets) t = base + rng.below(kPages) * kPageSize;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    proc.write_u64(targets[i], i);
+    i = (i + 1) % targets.size();
+  }
+}
+BENCHMARK(BM_TruthRecordScattered);
 
 // ---- arena -----------------------------------------------------------------
 

@@ -8,18 +8,95 @@
 
 namespace ooh::guest {
 
+// ---- TruthLedger ---------------------------------------------------------------
+
+TruthLedger::Item TruthLedger::const_iterator::operator*() const noexcept {
+  const Region& r = ledger_->regions_[region_];
+  return {r.start + page_ * kPageSize, r.last[page_]};
+}
+
+void TruthLedger::const_iterator::settle() noexcept {
+  const std::vector<Region>& regions = ledger_->regions_;
+  for (; region_ < regions.size(); ++region_, page_ = 0) {
+    const std::vector<u64>& last = regions[region_].last;
+    for (; page_ < last.size(); ++page_) {
+      if (last[page_] > ledger_->watermark_) return;
+    }
+  }
+  page_ = 0;
+}
+
+const TruthLedger::Region* TruthLedger::region_of(Gva page) const noexcept {
+  const auto it = std::upper_bound(regions_.begin(), regions_.end(), page,
+                                   [](Gva p, const Region& r) { return p < r.start; });
+  if (it == regions_.begin()) return nullptr;
+  const Region& r = *std::prev(it);
+  return page < r.end ? &r : nullptr;
+}
+
+bool TruthLedger::contains(Gva page) const noexcept {
+  const Region* r = region_of(page);
+  return r != nullptr && r->last[page_index(page - r->start)] > watermark_;
+}
+
+void TruthLedger::locate(Gva page, const std::vector<Vma>& vmas) {
+  if (const Region* r = region_of(page); r != nullptr) {
+    mru_ = static_cast<std::size_t>(r - regions_.data());
+    return;
+  }
+  const auto vma = std::find_if(vmas.begin(), vmas.end(),
+                                [page](const Vma& v) { return v.contains(page); });
+  if (vma == vmas.end()) {
+    throw std::out_of_range("truth_record: page outside every VMA");
+  }
+  const auto at = std::lower_bound(
+      regions_.begin(), regions_.end(), vma->start,
+      [](const Region& r, Gva start) { return r.start < start; });
+  const auto it = regions_.insert(
+      at, Region{vma->start, vma->end, std::vector<u64>(page_index(vma->bytes()), 0)});
+  mru_ = static_cast<std::size_t>(it - regions_.begin());
+}
+
+void TruthLedger::drop(Gva start) noexcept {
+  const auto it = std::find_if(regions_.begin(), regions_.end(),
+                               [start](const Region& r) { return r.start == start; });
+  if (it == regions_.end()) return;  // never written
+  for (const u64 seq : it->last) {
+    if (seq > watermark_) --dirty_;
+  }
+  regions_.erase(it);
+  mru_ = 0;
+}
+
+// ---- Process -------------------------------------------------------------------
+
 Gva Process::mmap(u64 bytes, bool data_backed) {
+  const Gva start = next_mmap_;
+  mmap_fixed(start, bytes, data_backed);
+  return start;
+}
+
+void Process::mmap_fixed(Gva start, u64 bytes, bool data_backed) {
   if (bytes == 0) throw std::invalid_argument("mmap of zero bytes");
+  if (!is_page_aligned(start)) throw std::invalid_argument("mmap: unaligned start");
   const u64 len = page_ceil(bytes);
   Vma vma;
-  vma.start = next_mmap_;
-  vma.end = next_mmap_ + len;
+  vma.start = start;
+  vma.end = start + len;
   vma.writable = true;
   vma.data_backed = data_backed;
-  vmas_.push_back(vma);
-  next_mmap_ += len + kPageSize;  // guard page between mappings
+  // vmas_ stays sorted by start; the neighbours either side must not overlap.
+  const auto at = std::lower_bound(
+      vmas_.begin(), vmas_.end(), start,
+      [](const Vma& v, Gva s) { return v.start < s; });
+  if ((at != vmas_.end() && at->start < vma.end) ||
+      (at != vmas_.begin() && std::prev(at)->end > start)) {
+    throw std::invalid_argument("mmap: range overlaps an existing VMA");
+  }
+  vmas_.insert(at, vma);
+  vma_mru_ = 0;  // indices may have shifted
+  next_mmap_ = std::max(next_mmap_, vma.end + kPageSize);  // guard page between mappings
   mapped_bytes_ += len;
-  return vma.start;
 }
 
 void Process::munmap(Gva base) {
@@ -53,8 +130,8 @@ void Process::munmap(Gva base) {
     }
     pt.unmap(page);
     kernel_.tlb_invalidate_page(*this, page);
-    truth_.erase(page);
   }
+  truth_.drop(it->start);
   m.count(Event::kContextSwitch, 2);  // the munmap syscall
   m.charge_us(2 * m.cost.ctx_switch_us);
   mapped_bytes_ -= it->bytes();

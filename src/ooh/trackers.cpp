@@ -77,9 +77,9 @@ void SpmlTracker::on_track_flush(u32 pid, Gva start, Gva end) {
   // The unmapped range's translations are dead; its guest frames can be
   // recycled into other VMAs, where a cached entry would reverse-map the
   // new GPA hit to the old address (mirrors KVM's track_flush_slot).
-  rmap_cache_.erase_if([start, end](const FlatPageMap::Item& kv) {
-    return kv.second >= start && kv.second < end;
-  });
+  for (Gva& gva : rmap_cache_) {
+    if (gva >= start && gva < end) gva = kNoGva;
+  }
 }
 
 void SpmlTracker::do_init() {
@@ -114,8 +114,8 @@ std::vector<Gva> SpmlTracker::do_collect() {
   out.reserve(gpas.size());
   std::vector<Gpa> misses;
   for (const Gpa gpa : gpas) {
-    if (const auto it = rmap_cache_.find(gpa); it != rmap_cache_.end()) {
-      out.push_back(it->second);
+    if (const Gva gva = cached_gva(gpa); gva != kNoGva) {
+      out.push_back(gva);
     } else {
       misses.push_back(gpa);
     }
@@ -129,16 +129,17 @@ std::vector<Gva> SpmlTracker::do_collect() {
     // One pagemap walk resolves every miss; the first GVA in walk order
     // mapping a GPA wins.
     std::sort(misses.begin(), misses.end());
+    rmap_cache_.resize(std::max<std::size_t>(rmap_cache_.size(),
+                                             page_index(misses.back()) + 1),
+                       kNoGva);
     for (const auto& [gva, gpa] : kernel_.procfs().pagemap_entries(proc_)) {
-      if (std::binary_search(misses.begin(), misses.end(), gpa) &&
-          !rmap_cache_.contains(gpa)) {
-        rmap_cache_.insert_or_assign(gpa, gva);
+      if (std::binary_search(misses.begin(), misses.end(), gpa)) {
+        Gva& slot = rmap_cache_[page_index(gpa)];
+        if (slot == kNoGva) slot = gva;
       }
     }
     for (const Gpa gpa : misses) {
-      if (const auto it = rmap_cache_.find(gpa); it != rmap_cache_.end()) {
-        out.push_back(it->second);
-      }
+      if (const Gva gva = cached_gva(gpa); gva != kNoGva) out.push_back(gva);
     }
   }
   return out;

@@ -5,7 +5,6 @@
 
 #include <unordered_set>
 
-#include "base/flat_page_map.hpp"
 #include "base/page_bitmap.hpp"
 #include "ooh/tracker.hpp"
 #include "sim/page_track.hpp"
@@ -75,11 +74,21 @@ class SpmlTracker final : public DirtyTracker, public sim::PageTrackNotifier {
   }
 
  private:
+  static constexpr Gva kNoGva = ~Gva{0};  ///< rmap_cache_ slot not cached.
+
+  /// The cached GVA of the page holding `gpa`, or kNoGva.
+  [[nodiscard]] Gva cached_gva(Gpa gpa) const noexcept {
+    const u64 page = page_index(gpa);
+    return page < rmap_cache_.size() ? rmap_cache_[page] : kNoGva;
+  }
+
   guest::OohModule* module_ = nullptr;
-  /// GPA -> GVA index built by reverse mapping. The paper's Boehm
-  /// integration reuses first-cycle addresses (§VI-E footnote), so lookups
-  /// only pay M16/M17 for GPAs not yet in the cache.
-  FlatPageMap rmap_cache_;
+  /// GPA page -> GVA index built by reverse mapping, kNoGva where not cached.
+  /// The paper's Boehm integration reuses first-cycle addresses (§VI-E
+  /// footnote), so lookups only pay M16/M17 for GPAs not yet in the cache.
+  /// Grown on demand up to the highest cached GPA page; every GPA passed
+  /// seen_'s bound first, so it never outgrows the VM's memory.
+  std::vector<Gva> rmap_cache_;
   /// Dedup bitmap over the guest-physical space for the fetched GPAs; the
   /// tracker's own, so userspace never touches hypervisor state.
   PageBitmap seen_;

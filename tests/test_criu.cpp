@@ -4,7 +4,10 @@
 // SPML's MD dominated by reverse mapping; EPML MW is pure page writing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -50,6 +53,11 @@ std::vector<u8> read_page(guest::Process& p, Gva page) {
   std::vector<u8> buf(kPageSize);
   p.read_bytes(page, buf);
   return buf;
+}
+
+std::vector<u8> image_page(const CheckpointImage& image, Gva page) {
+  const std::span<const u8> bytes = image.pages.at(page);
+  return {bytes.begin(), bytes.end()};
 }
 
 class CriuRoundTrip : public ::testing::TestWithParam<Technique> {};
@@ -301,9 +309,9 @@ TEST(Criu, RedumpOverwritesImagePagesInPlace) {
   cp.dump_pages(proc, {data, data + 3 * kPageSize, meta}, image);
   EXPECT_EQ(image.dump_ops, data_pages + meta_pages + 3) << "every write counts";
   EXPECT_EQ(image.pages.size(), data_pages + meta_pages);
-  EXPECT_EQ(image.pages.at(data), read_page(proc, data));
+  EXPECT_EQ(image_page(image, data), read_page(proc, data));
   EXPECT_EQ(image.pages.at(data).data(), buffer) << "re-dump reuses the slot's buffer";
-  EXPECT_EQ(image.pages.at(data + 3 * kPageSize), read_page(proc, data + 3 * kPageSize));
+  EXPECT_EQ(image_page(image, data + 3 * kPageSize), read_page(proc, data + 3 * kPageSize));
   for (u64 i = 0; i < meta_pages; ++i) {
     EXPECT_TRUE(image.pages.at(meta + i * kPageSize).empty());
   }
@@ -315,6 +323,170 @@ TEST(Criu, RedumpOverwritesImagePagesInPlace) {
     EXPECT_EQ(read_page(proc, page), read_page(restored, page)) << "page " << i;
   }
   EXPECT_EQ(k.page_table(restored).present_pages(), data_pages + meta_pages);
+}
+
+// The run maps and fills a data VMA the pre-run layout never saw: the image
+// must record the layout as of the final dump, or restore faults on it.
+TEST(Criu, CheckpointDuringRecordsVmasMappedByTheRun) {
+  lib::TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  const u64 pages = 16;
+  const Gva base = proc.mmap(pages * kPageSize, /*data_backed=*/true);
+  for (u64 i = 0; i < pages; ++i) proc.write_u64(base + i * kPageSize, i);
+
+  Gva fresh = 0;
+  const auto workload = [&](guest::Process& p) {
+    pattern_writer(base, pages, 3)(p);
+    fresh = p.mmap(pages * kPageSize, /*data_backed=*/true);
+    pattern_writer(fresh, pages, 4)(p);
+  };
+  Checkpointer cp(k, Technique::kEpml);
+  const CheckpointResult res = cp.checkpoint_during(proc, workload);
+  ASSERT_EQ(res.image.vmas.size(), 2u);
+
+  guest::Process& restored = k.create_process();
+  restore(restored, res.image);
+  for (const Gva vma : {base, fresh}) {
+    for (u64 i = 0; i < pages; ++i) {
+      const Gva page = vma + i * kPageSize;
+      EXPECT_EQ(read_page(proc, page), read_page(restored, page)) << "page " << i;
+    }
+  }
+}
+
+// A step whose slice unmaps a VMA below others leaves a hole in the layout:
+// restore must map each VMA at its recorded start, and the image must drop
+// the dead VMA's pages.
+TEST(CriuIncremental, RestoresAfterTheProcessUnmapsAVma) {
+  for (const Technique tech : {Technique::kProc, Technique::kSpml, Technique::kEpml}) {
+    lib::TestBed bed;
+    guest::GuestKernel& k = bed.kernel();
+    guest::Process& proc = k.create_process();
+    const u64 pages = 8;
+    std::array<Gva, 3> vmas{};
+    for (Gva& v : vmas) {
+      v = proc.mmap(pages * kPageSize, /*data_backed=*/true);
+      for (u64 i = 0; i < pages; ++i) proc.write_u64(v + i * kPageSize, v + i);
+    }
+    IncrementalSession session(k, tech, proc);
+    ASSERT_TRUE(session.image().pages.contains(vmas[1]));
+    (void)session.step([&](guest::Process& p) {
+      p.munmap(vmas[1]);
+      pattern_writer(vmas[2], pages, 8)(p);
+    });
+    const CheckpointImage& image = session.image();
+    EXPECT_EQ(image.vmas.size(), 2u) << tech_label(tech);
+    EXPECT_FALSE(image.pages.contains(vmas[1])) << tech_label(tech);
+    EXPECT_EQ(image.pages.size(), 2 * pages) << tech_label(tech);
+
+    guest::Process& restored = k.create_process();
+    restore(restored, image);
+    for (const Gva v : {vmas[0], vmas[2]}) {
+      for (u64 i = 0; i < pages; ++i) {
+        const Gva page = v + i * kPageSize;
+        EXPECT_EQ(read_page(proc, page), read_page(restored, page)) << tech_label(tech);
+      }
+    }
+    EXPECT_EQ(restored.vma_of(vmas[1]), nullptr);
+  }
+}
+
+// ---- the image's page store ----------------------------------------------------
+
+guest::Vma make_vma(Gva start, u64 pages, bool data_backed) {
+  guest::Vma vma;
+  vma.start = start;
+  vma.end = start + pages * kPageSize;
+  vma.data_backed = data_backed;
+  return vma;
+}
+
+std::vector<u8> filled_page(u8 value) { return std::vector<u8>(kPageSize, value); }
+
+TEST(CriuPageStore, IteratesInAscendingGvaOrder) {
+  const guest::Vma low = make_vma(0x1000'0000, 32, true);
+  const guest::Vma high = make_vma(0x2000'0000, 32, false);
+  std::vector<Gva> dumped;
+  for (u64 i = 0; i < 32; i += 3) {
+    dumped.push_back(low.start + i * kPageSize);
+    dumped.push_back(high.start + i * kPageSize);
+  }
+  std::vector<Gva> order = dumped;
+  Rng rng(5);
+  for (std::size_t i = order.size() - 1; i > 0; --i) std::swap(order[i], order[rng.below(i + 1)]);
+  PageStore store;
+  const std::vector<u8> page = filled_page(7);
+  for (const Gva gva : order) {
+    const bool is_low = gva < high.start;
+    store.store(is_low ? low : high, gva, is_low ? page.data() : nullptr);
+  }
+  std::vector<Gva> seen;
+  for (const auto& [gva, bytes] : store) seen.push_back(gva);
+  std::sort(dumped.begin(), dumped.end());
+  EXPECT_EQ(seen, dumped);
+}
+
+TEST(CriuPageStore, FindOnAbsentPageReturnsEnd) {
+  const guest::Vma vma = make_vma(0x1000'0000, 8, true);
+  PageStore store;
+  EXPECT_EQ(store.find(vma.start), store.end());
+  const std::vector<u8> page = filled_page(1);
+  store.store(vma, vma.start + 2 * kPageSize, page.data());
+  EXPECT_EQ(store.find(vma.start), store.end()) << "absent page inside a region";
+  EXPECT_EQ(store.find(vma.end), store.end()) << "page past every region";
+  EXPECT_EQ(store.find(vma.start - kPageSize), store.end()) << "page below every region";
+  EXPECT_FALSE(store.contains(vma.start + 3 * kPageSize));
+  EXPECT_THROW((void)store.at(vma.start), std::out_of_range);
+  const auto it = store.find(vma.start + 2 * kPageSize);
+  ASSERT_NE(it, store.end());
+  EXPECT_EQ(it->first, vma.start + 2 * kPageSize);
+  EXPECT_EQ(it->second.size(), kPageSize);
+}
+
+TEST(CriuPageStore, MetadataOnlyPagesReadAsEmptySpans) {
+  const guest::Vma meta = make_vma(0x1000'0000, 4, false);
+  const guest::Vma data = make_vma(0x2000'0000, 4, true);
+  PageStore store;
+  store.store(meta, meta.start, nullptr);
+  store.store(data, data.start, nullptr);  // a data page whose frame is gone
+  EXPECT_TRUE(store.at(meta.start).empty());
+  EXPECT_TRUE(store.at(data.start).empty());
+  EXPECT_EQ(store.find(meta.start)->second.size(), 0u);
+}
+
+TEST(CriuPageStore, RedumpKeepsTheSlotAddress) {
+  const guest::Vma vma = make_vma(0x1000'0000, 16, true);
+  PageStore store;
+  const std::vector<u8> first = filled_page(1), second = filled_page(2);
+  store.store(vma, vma.start + 5 * kPageSize, first.data());
+  const u8* slot = store.at(vma.start + 5 * kPageSize).data();
+  for (u64 i = 0; i < 16; ++i) store.store(vma, vma.start + i * kPageSize, first.data());
+  store.store(vma, vma.start + 5 * kPageSize, second.data());
+  const std::span<const u8> got = store.at(vma.start + 5 * kPageSize);
+  EXPECT_EQ(got.data(), slot);
+  EXPECT_TRUE(std::ranges::equal(got, second));
+}
+
+TEST(CriuPageStore, SizeCountsPresentPages) {
+  const guest::Vma data = make_vma(0x1000'0000, 8, true);
+  const guest::Vma meta = make_vma(0x2000'0000, 8, false);
+  PageStore store;
+  EXPECT_TRUE(store.empty());
+  const std::vector<u8> page = filled_page(3);
+  for (u64 i = 0; i < 4; ++i) store.store(data, data.start + i * kPageSize, page.data());
+  for (u64 i = 0; i < 3; ++i) store.store(meta, meta.start + i * kPageSize, nullptr);
+  EXPECT_EQ(store.size(), 7u);
+  store.store(data, data.start, nullptr);  // re-dumps change state, not size
+  store.store(meta, meta.start, nullptr);
+  EXPECT_EQ(store.size(), 7u);
+  // A VMA remapped over the data region's range replaces the dead region.
+  store.store(make_vma(data.start + 2 * kPageSize, 2, true), data.start + 2 * kPageSize,
+              page.data());
+  EXPECT_EQ(store.size(), 4u);
+  std::vector<guest::Vma> live = {meta};
+  store.retain(live);
+  EXPECT_EQ(store.size(), 3u);
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 // interface, userfaultfd, and the scheduler's hooks/quantum/service windows.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "base/rng.hpp"
 #include "guest/kernel.hpp"
 #include "guest/ooh_module.hpp"
 #include "guest/procfs.hpp"
@@ -89,6 +95,95 @@ TEST_F(GuestTest, TruthRecordsWrittenPages) {
   EXPECT_TRUE(p.truth_dirty().contains(a + 3 * kPageSize));
   p.truth_reset();
   EXPECT_TRUE(p.truth_dirty().empty());
+}
+
+TEST_F(GuestTest, TruthRecordOutsideEveryVmaThrows) {
+  Process& p = kernel_.create_process();
+  const Gva a = p.mmap(2 * kPageSize);
+  EXPECT_THROW(p.truth_record(a + 4 * kPageSize), std::out_of_range);
+  EXPECT_TRUE(p.truth_dirty().empty());
+}
+
+TEST_F(GuestTest, MmapFixedRejectsOverlapAndMisalignment) {
+  Process& p = kernel_.create_process();
+  const Gva a = p.mmap(4 * kPageSize);
+  EXPECT_THROW(p.mmap_fixed(a + 2 * kPageSize, kPageSize), std::invalid_argument);
+  EXPECT_THROW(p.mmap_fixed(a - kPageSize, 2 * kPageSize), std::invalid_argument);
+  EXPECT_THROW(p.mmap_fixed(a + 64 * kPageSize + 8, kPageSize), std::invalid_argument);
+  EXPECT_THROW(p.mmap_fixed(a + 64 * kPageSize, 0), std::invalid_argument);
+  // A hole below an existing VMA is fine; the list stays sorted and later
+  // sequential maps land above every fixed one.
+  p.munmap(a);
+  const Gva high = a + 64 * kPageSize;
+  p.mmap_fixed(high, kPageSize, /*data_backed=*/true);
+  p.mmap_fixed(a, kPageSize);
+  ASSERT_EQ(p.vmas().size(), 2u);
+  EXPECT_EQ(p.vmas()[0].start, a);
+  EXPECT_EQ(p.vmas()[1].start, high);
+  EXPECT_TRUE(p.vmas()[1].data_backed);
+  EXPECT_GT(p.mmap(kPageSize), high + kPageSize);
+  EXPECT_EQ(p.mapped_bytes(), 3 * kPageSize);
+}
+
+// The dense truth ledger against a std::map reference: random writes,
+// multi-page touch runs, mmap/munmap and resets; after every op the size,
+// membership, the iterated (page, sequence) items and truth_seq must match.
+TEST_F(GuestTest, TruthLedgerMatchesReferenceUnderRandomOps) {
+  Process& p = kernel_.create_process();
+  Rng rng(20);
+  std::map<Gva, u64> ref;  // page -> last-write sequence since the reset
+  u64 seq = 0;
+  const auto record = [&](Gva addr) { ref[page_floor(addr)] = ++seq; };
+  std::vector<std::pair<Gva, u64>> vmas;  // (start, pages)
+  const auto map_one = [&] {
+    const u64 pages = 1 + rng.below(48);
+    vmas.emplace_back(p.mmap(pages * kPageSize, rng.below(2) == 0), pages);
+  };
+  for (int i = 0; i < 3; ++i) map_one();
+
+  for (int op = 0; op < 12000; ++op) {
+    const auto [start, pages] = vmas[rng.below(vmas.size())];
+    const u64 kind = rng.below(100);
+    if (kind < 55) {
+      const Gva addr = start + rng.below(pages * kPageSize / 8) * 8;
+      p.write_u64(addr, rng.next());
+      record(addr);
+    } else if (kind < 80) {
+      constexpr u64 kStrides[] = {8, 64, 1000, kPageSize, 3 * kPageSize};
+      const u64 stride = kStrides[rng.below(std::size(kStrides))];
+      const Gva from = start + rng.below(pages) * kPageSize + rng.below(kPageSize / 8) * 8;
+      const u64 room = start + pages * kPageSize - from;
+      const u64 bytes = 1 + rng.below(std::min<u64>(room, 6 * kPageSize));
+      p.touch_range_write(from, bytes, stride);
+      for (u64 off = 0; off < bytes; off += stride) record(from + off);
+    } else if (kind < 88) {
+      map_one();
+    } else if (kind < 94) {
+      if (vmas.size() > 1) {
+        const std::size_t v = rng.below(vmas.size());
+        const auto [base, n] = vmas[v];
+        p.munmap(base);
+        ref.erase(ref.lower_bound(base), ref.lower_bound(base + n * kPageSize));
+        vmas.erase(vmas.begin() + static_cast<std::ptrdiff_t>(v));
+      }
+    } else {
+      p.truth_reset();
+      ref.clear();
+    }
+
+    const TruthLedger& truth = p.truth_dirty();
+    ASSERT_EQ(p.truth_seq(), seq) << "op " << op;
+    ASSERT_EQ(truth.size(), ref.size()) << "op " << op;
+    ASSERT_EQ(truth.empty(), ref.empty()) << "op " << op;
+    std::vector<std::pair<Gva, u64>> got, want(ref.begin(), ref.end());
+    for (const auto& [page, last] : truth) got.emplace_back(page, last);
+    ASSERT_EQ(got, want) << "op " << op;
+    for (int probe = 0; probe < 4; ++probe) {
+      const auto [vstart, vpages] = vmas[rng.below(vmas.size())];
+      const Gva page = vstart + rng.below(vpages + 2) * kPageSize;
+      ASSERT_EQ(truth.contains(page), ref.contains(page)) << "op " << op;
+    }
+  }
 }
 
 TEST_F(GuestTest, ProcessesHaveIndependentPageTables) {

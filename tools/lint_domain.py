@@ -8,7 +8,9 @@ state (EPT/PTE flags, TLB fills, VMCS fields, event counters, the virtual
 clock, the page-track notifier chain) and the closed set of files allowed
 to contain it. New code must either route through an existing mutator or
 extend the whitelist in the same change that documents the new invariant
-(docs/invariants.md).
+(docs/invariants.md). A rule may instead carry a scope, the files where
+its pattern is forbidden outright (no hash containers on the dense
+per-page paths).
 
 Scans src/ only — tests deliberately corrupt state to exercise the oracle,
 and bench/ is read-only by construction.
@@ -35,12 +37,16 @@ class Rule:
     # matching line or the line above it (e.g. `// relaxed-ok: <reason>`):
     # the rule demands an adjacent justification rather than a whitelist.
     justify_marker: str | None = None
+    # When set, the rule applies only to files whose repo-relative path
+    # starts with one of these prefixes (a forbidden zone, not a whitelist).
+    scope: tuple[str, ...] | None = None
 
 
 def rule(name: str, pattern: str, allowed: list[str], why: str,
-         justify_marker: str | None = None) -> Rule:
+         justify_marker: str | None = None,
+         scope: list[str] | None = None) -> Rule:
     return Rule(name, re.compile(pattern), frozenset(allowed), why,
-                justify_marker)
+                justify_marker, tuple(scope) if scope is not None else None)
 
 
 RULES: list[Rule] = [
@@ -182,6 +188,22 @@ RULES: list[Rule] = [
         "how the missing-release bug class (RACE-1) enters the tree.",
         justify_marker="relaxed-ok",
     ),
+    rule(
+        "hash-container-on-page-path",
+        r"\bstd::unordered_(map|set|multimap|multiset)\b",
+        [],
+        "The per-page paths of the CRIU image, the Boehm GC object table and "
+        "the guest process (VMAs, truth ledger) are dense, address-ordered "
+        "arrays. A hash container there makes outputs depend on the "
+        "standard library's iteration order, which the ROADMAP's "
+        "correctness aim forbids for anything a figure prints, and puts a "
+        "hash back on a per-page hot path.",
+        scope=[
+            "src/trackers/criu/",
+            "src/trackers/boehmgc/",
+            "src/guest/process.",
+        ],
+    ),
 ]
 
 LINE_COMMENT = re.compile(r"//.*$")
@@ -215,6 +237,8 @@ def lint_file(path: Path, rel: str, report: Report) -> None:
         line = strip_comment(raw)
         allowed_here = set(ALLOW_MARKER.findall(raw))
         for r in RULES:
+            if r.scope is not None and not rel.startswith(r.scope):
+                continue
             if (not r.pattern.search(line) or rel in r.allowed
                     or r.name in allowed_here):
                 continue
@@ -260,6 +284,8 @@ def main(argv: list[str]) -> int:
     if args.list_rules:
         for r in RULES:
             print(f"{r.name}:\n  pattern: {r.pattern.pattern}")
+            if r.scope is not None:
+                print("  applies to:", ", ".join(r.scope))
             print("  allowed:", ", ".join(sorted(r.allowed)) or "(nowhere)")
             print(f"  why: {r.why}\n")
         return 0
