@@ -19,10 +19,13 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 10", "Per-VM Boehm GC time with 1..5 tenant VMs");
   const unsigned threads =
       args.threads != 0 ? args.threads : std::max(2u, epoch::EpochPool::auto_workers());
-  std::printf("tenant timelines on up to %u worker threads (--threads N to change)\n",
-              threads);
+  std::fprintf(stderr, "tenant timelines on up to %u worker threads (--threads N to change)\n",
+               threads);
 
-  TextTable t({"VMs + technique", "min GC (ms)", "max GC (ms)", "spread (%)", "wall (ms)"});
+  // Host wall clock goes to stderr so stdout is virtual time only, the same
+  // bytes on every host and thread count.
+  TextTable t({"VMs + technique", "min GC (ms)", "max GC (ms)", "spread (%)"});
+  TextTable tw({"VMs + technique", "wall (ms)"});
   for (unsigned vms = 1; vms <= 5; ++vms) {
     for (const lib::Technique tech :
          {lib::Technique::kSpml, lib::Technique::kEpml, lib::Technique::kWp,
@@ -37,22 +40,26 @@ int main(int argc, char** argv) {
       // Tiny --scale values can finish without a single timed collection;
       // report zero spread instead of dividing by a zero max.
       const double spread = max_gc > 0.0 ? (max_gc - min_gc) / max_gc * 100.0 : 0.0;
-      t.add_row(std::to_string(vms) + " " + std::string(lib::technique_name(tech)),
-                {min_gc / 1e3, max_gc / 1e3, spread, fleet.wall_ms}, 2);
+      const std::string label =
+          std::to_string(vms) + " " + std::string(lib::technique_name(tech));
+      t.add_row(label, {min_gc / 1e3, max_gc / 1e3, spread}, 2);
+      tw.add_row(label, {fleet.wall_ms}, 2);
     }
   }
   t.print(std::cout);
+  tw.print(std::cerr);
 
   // Wall-clock scaling check at 5 VMs: same fleet serial vs. worker pool.
   const bench::FleetResult serial =
       bench::run_boehm_fleet(5, args.scale, lib::Technique::kEpml, 1);
   const bench::FleetResult parallel =
       bench::run_boehm_fleet(5, args.scale, lib::Technique::kEpml, threads);
-  std::printf("\n5-VM EPML fleet wall clock: serial %.1f ms, %u workers %.1f ms "
-              "(speedup %.2fx)\n",
-              serial.wall_ms, threads, parallel.wall_ms,
-              parallel.wall_ms > 0.0 ? serial.wall_ms / parallel.wall_ms : 0.0);
-  std::printf("Shape check: per-VM GC time is flat in the VM count (spread ~0%%).\n");
+  std::fprintf(stderr,
+               "\n5-VM EPML fleet wall clock: serial %.1f ms, %u workers %.1f ms "
+               "(speedup %.2fx)\n",
+               serial.wall_ms, threads, parallel.wall_ms,
+               parallel.wall_ms > 0.0 ? serial.wall_ms / parallel.wall_ms : 0.0);
+  std::printf("\nShape check: per-VM GC time is flat in the VM count (spread ~0%%).\n");
 
   // vCPU axis: one SMP guest, per-vCPU dirty rings, userspace drainers
   // popping concurrently while the vCPU threads keep dirtying. Virtual time
@@ -61,23 +68,27 @@ int main(int argc, char** argv) {
   std::printf("\nSMP guest: per-vCPU dirty rings with concurrent userspace drain\n");
   const u64 smp_pages = 1024;  // fits the 1536-entry TLB: steady-state passes are lock-free
   const int smp_passes = args.full ? 256 : 48;
-  TextTable s({"vCPUs", "virt/vCPU (ms)", "spread (%)", "drained", "harvested",
-               "serial wall (ms)", "conc wall (ms)", "speedup"});
+  TextTable s({"vCPUs", "virt/vCPU (ms)", "spread (%)", "drained", "harvested"});
+  TextTable sw({"vCPUs", "serial wall (ms)", "conc wall (ms)", "speedup"});
   for (const unsigned v : bench::vcpu_sweep(args.vcpus)) {
     const bench::SmpDrainResult ser = bench::run_smp_drain(v, smp_pages, smp_passes, false);
     const bench::SmpDrainResult conc = bench::run_smp_drain(v, smp_pages, smp_passes, true);
     s.add_row(std::to_string(v),
               {conc.max_vcpu_ms, conc.spread_pct, static_cast<double>(conc.drained),
-               static_cast<double>(conc.harvested), ser.wall_ms, conc.wall_ms,
-               conc.wall_ms > 0.0 ? ser.wall_ms / conc.wall_ms : 0.0},
+               static_cast<double>(conc.harvested)},
               2);
+    sw.add_row(std::to_string(v),
+               {ser.wall_ms, conc.wall_ms,
+                conc.wall_ms > 0.0 ? ser.wall_ms / conc.wall_ms : 0.0},
+               2);
   }
   s.print(std::cout);
+  sw.print(std::cerr);
   std::printf("Shape check: harvested pages scale with the vCPU count while the\n"
               "concurrent drain keeps ring occupancy (and the harvest pause) low.\n"
-              "Per-vCPU virtual time is bit-identical serial vs. concurrent; the\n"
-              "wall-clock columns depend on host cores (%u here).\n",
-              epoch::EpochPool::auto_workers());
+              "Per-vCPU virtual time is bit-identical serial vs. concurrent.\n");
+  std::fprintf(stderr, "The wall-clock columns depend on host cores (%u here).\n",
+               epoch::EpochPool::auto_workers());
 
   // EPT granularity axis: the same 2-vCPU PML session with 4K leaves, 2M
   // PS-bit leaves kept during logging, and 2M leaves eagerly split at
@@ -86,16 +97,18 @@ int main(int argc, char** argv) {
   // one-off split cost at enable time. (--gran also runs the fleet table
   // above in one of these modes.)
   std::printf("\nEPT backing granularity: dirty precision vs. split cost\n");
-  TextTable g({"gran", "virt/vCPU (ms)", "harvested", "wall (ms)"});
+  TextTable g({"gran", "virt/vCPU (ms)", "harvested"});
+  TextTable gw({"gran", "wall (ms)"});
   for (const bench::GranMode m :
        {bench::GranMode::k4K, bench::GranMode::k2M,
         bench::GranMode::k2MEagerSplit}) {
     const bench::SmpDrainResult r =
         bench::run_smp_drain(2, smp_pages, smp_passes, false, m);
-    g.add_row(bench::gran_mode_name(m),
-              {r.max_vcpu_ms, static_cast<double>(r.harvested), r.wall_ms}, 2);
+    g.add_row(bench::gran_mode_name(m), {r.max_vcpu_ms, static_cast<double>(r.harvested)}, 2);
+    gw.add_row(bench::gran_mode_name(m), {r.wall_ms}, 2);
   }
   g.print(std::cout);
+  gw.print(std::cerr);
   std::printf("Shape check: 4K and 2M+split harvest identical page-precise dirty\n"
               "sets; plain 2M harvests a superset (whole huge regions).\n");
 
