@@ -107,11 +107,8 @@ Process* GuestKernel::find(u32 pid) noexcept {
   return nullptr;
 }
 
-sim::GuestPageTable& GuestKernel::page_table(Process& proc) {
-  if (&proc.kernel_ != this || proc.pt_ == nullptr) {
-    throw std::logic_error("process does not belong to this kernel");
-  }
-  return *proc.pt_;
+void GuestKernel::throw_not_owner() {
+  throw std::logic_error("process does not belong to this kernel");
 }
 
 OohModule& GuestKernel::load_ooh_module(OohMode mode) {
@@ -164,19 +161,23 @@ void GuestKernel::on_guest_pml_full(sim::Vcpu& vcpu) {
   ooh_module_->handle_guest_pml_full(vcpu.cpu_index());
 }
 
-Hpa GuestKernel::access(Process& proc, Gva gva, bool is_write) {
+Hpa GuestKernel::access_slow(Process& proc, Gva gva, bool is_write, VirtDuration after) {
   sim::GuestPageTable& pt = page_table(proc);
   sim::Mmu& mmu = mmu_of(proc);
   Scheduler& sched = scheduler_of(proc);
   // A single access needs at most: missing fault, then (after the page is
   // mapped write-protected by a registered ufd) a write-protect fault, then
-  // success. The bound just guards against policy bugs.
+  // success. The bound just guards against policy bugs. The caller already
+  // found that the TLB cannot serve the first try, so it starts at the walk;
+  // a retry after a fault asks the TLB again.
   for (int tries = 0; tries < 4; ++tries) {
-    const sim::Mmu::Result r = mmu.access(proc.pid(), pt, gva, is_write);
+    const sim::Mmu::Result r = tries == 0 ? mmu.access_miss(proc.pid(), pt, gva, is_write)
+                                          : mmu.access(proc.pid(), pt, gva, is_write);
     switch (r.status) {
       case sim::Mmu::Status::kOk:
         if (is_write) proc.truth_record(page_floor(gva));
         sched.on_progress(proc.pid());
+        ctx_of(proc).charge(after);
         return r.hpa;
       case sim::Mmu::Status::kFaultNotPresent:
         handle_not_present(proc, gva, is_write);
@@ -194,6 +195,7 @@ Hpa GuestKernel::access(Process& proc, Gva gva, bool is_write) {
 
 void GuestKernel::touch_run(Process& proc, Gva base, u64 stride, u64 n,
                             bool is_write) {
+  check_owner(proc);
   const u32 pid = proc.pid();
   sim::Mmu& mmu = mmu_of(proc);
   Scheduler& sched = scheduler_of(proc);
@@ -216,10 +218,9 @@ void GuestKernel::touch_run(Process& proc, Gva base, u64 stride, u64 n,
       continue;
     }
     // The next access needs the full pipeline (TLB miss, fault, or a
-    // dirty-flag transition); route it through access() like the per-access
-    // loop would, then resume the run.
-    (void)access(proc, gva, is_write);
-    ctx.charge_ns(ctx.cost.workload_write_ns);
+    // dirty-flag transition): the TLB just said so, so it goes straight to
+    // access()'s retry loop, then the run resumes.
+    (void)access_slow(proc, gva, is_write, work);
     ++i;
   }
 }
@@ -227,7 +228,7 @@ void GuestKernel::touch_run(Process& proc, Gva base, u64 stride, u64 n,
 Gpa GuestKernel::translate_gva(Process& proc, Gva gva_page) {
   // Fault the page in if needed, then read the translation from the walk
   // seam (per-4 KiB GPA even when a huge leaf covers the page).
-  (void)access(proc, gva_page, /*is_write=*/false);
+  (void)access(proc, gva_page, /*is_write=*/false, VirtDuration{0});
   const sim::GuestPageTable::Lookup lu = page_table(proc).lookup(gva_page);
   assert(lu.pte != nullptr && lu.pte->present);
   return lu.gpa_page;

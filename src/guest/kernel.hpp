@@ -132,8 +132,31 @@ class GuestKernel final : public sim::GuestIrqSink {
   [[nodiscard]] OohModule* ooh_module() noexcept { return ooh_module_.get(); }
 
   /// Core access path: translate (fault + retry as needed), record truth,
-  /// give the owning vCPU's scheduler a chance to tick. Returns the HPA.
-  Hpa access(Process& proc, Gva gva, bool is_write);
+  /// give the owning vCPU's scheduler a chance to tick, then charge the
+  /// caller's own per-access work `after` (its workload compute; zero for a
+  /// kernel touch). Returns the HPA.
+  ///
+  /// A TLB hit is served here, inline, through Mmu::hit: +tlb_hit, truth
+  /// for a write, then +after, with the scheduler run in between only when
+  /// the tlb_hit charge brought the clock to its next deadline (exactly
+  /// Scheduler::on_progress's own test). Anything else (a miss, a write
+  /// through a clean entry, a fault) takes the out-of-line retry loop.
+  /// Both paths refuse a process of another kernel before they touch
+  /// anything.
+  Hpa access(Process& proc, Gva gva, bool is_write, VirtDuration after) {
+    check_owner(proc);
+    const unsigned cpu = proc.cpu();
+    Scheduler& sched = *scheds_[cpu];
+    const sim::Mmu::Hits h =
+        mmus_[cpu]->hit(proc.pid(), gva, is_write, 1, after, sched.next_deadline());
+    if (h.run.done == 0) return access_slow(proc, gva, is_write, after);
+    if (is_write) proc.truth_record(page_floor(gva));
+    if (h.run.reached) {
+      sched.on_progress(proc.pid());
+      ctx_of(proc).charge(after);
+    }
+    return h.hpa;
+  }
 
   /// Batched equivalent of n accesses at base, base+stride, ...: accesses a
   /// cached translation can serve run through Mmu::access_run one page
@@ -145,7 +168,10 @@ class GuestKernel final : public sim::GuestIrqSink {
 
   /// Per-process page table (kernel-owned, like mm_struct). O(1): reads the
   /// pointer cached on the process at create_process() time.
-  [[nodiscard]] sim::GuestPageTable& page_table(Process& proc);
+  [[nodiscard]] sim::GuestPageTable& page_table(Process& proc) {
+    check_owner(proc);
+    return *proc.pt_;
+  }
 
   // ---- guest-physical memory -----------------------------------------------
   /// Allocate a guest frame, charging faults to `ctx` (the acting vCPU's
@@ -183,6 +209,14 @@ class GuestKernel final : public sim::GuestIrqSink {
   friend class ProcFs;
   friend class Uffd;
 
+  /// Throws std::logic_error unless `proc` was created by this kernel.
+  void check_owner(const Process& proc) const {
+    if (&proc.kernel_ != this || proc.pt_ == nullptr) [[unlikely]] throw_not_owner();
+  }
+  [[noreturn]] static void throw_not_owner();
+  /// access() once the TLB could not serve it: the fault/retry loop, then
+  /// the caller's `after`.
+  Hpa access_slow(Process& proc, Gva gva, bool is_write, VirtDuration after);
   void handle_not_present(Process& proc, Gva gva, bool is_write);
   void handle_not_writable(Process& proc, Gva gva);
   void handle_subpage_fault(Process& proc, Gva gva);

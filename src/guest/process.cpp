@@ -145,12 +145,8 @@ void Process::munmap(Gva base) {
   vma_mru_ = 0;  // indices shifted
 }
 
-Vma* Process::vma_of(Gva gva) noexcept {
-  // Accesses cluster heavily within one VMA, so try the last hit first
-  // (index-based: push_back may reallocate the vector under a pointer).
-  if (vma_mru_ < vmas_.size() && vmas_[vma_mru_].contains(gva)) {
-    return &vmas_[vma_mru_];
-  }
+Vma* Process::vma_scan(Gva gva) noexcept {
+  // The memo is an index: push_back may reallocate the vector under a pointer.
   for (std::size_t i = 0; i < vmas_.size(); ++i) {
     if (vmas_[i].contains(gva)) {
       vma_mru_ = i;
@@ -161,31 +157,27 @@ Vma* Process::vma_of(Gva gva) noexcept {
 }
 
 void Process::write_u64(Gva gva, u64 value) {
-  const Hpa hpa = kernel_.access(*this, gva, /*is_write=*/true);
   sim::ExecContext& m = kernel_.ctx_of(*this);
-  m.charge_ns(m.cost.workload_write_ns);
+  const Hpa hpa = kernel_.access(*this, gva, /*is_write=*/true, nsecs(m.cost.workload_write_ns));
   const Vma* vma = vma_of(gva);
   if (vma != nullptr && vma->data_backed) m.pmem.write_u64(hpa, value);
 }
 
 u64 Process::read_u64(Gva gva) {
-  const Hpa hpa = kernel_.access(*this, gva, /*is_write=*/false);
   sim::ExecContext& m = kernel_.ctx_of(*this);
-  m.charge_ns(m.cost.workload_write_ns);
+  const Hpa hpa = kernel_.access(*this, gva, /*is_write=*/false, nsecs(m.cost.workload_write_ns));
   const Vma* vma = vma_of(gva);
   return (vma != nullptr && vma->data_backed) ? m.pmem.read_u64(hpa) : 0;
 }
 
 void Process::touch_write(Gva gva) {
-  (void)kernel_.access(*this, gva, /*is_write=*/true);
-  sim::ExecContext& m = kernel_.ctx_of(*this);
-  m.charge_ns(m.cost.workload_write_ns);
+  const sim::ExecContext& m = kernel_.ctx_of(*this);
+  (void)kernel_.access(*this, gva, /*is_write=*/true, nsecs(m.cost.workload_write_ns));
 }
 
 void Process::touch_read(Gva gva) {
-  (void)kernel_.access(*this, gva, /*is_write=*/false);
-  sim::ExecContext& m = kernel_.ctx_of(*this);
-  m.charge_ns(m.cost.workload_write_ns);
+  const sim::ExecContext& m = kernel_.ctx_of(*this);
+  (void)kernel_.access(*this, gva, /*is_write=*/false, nsecs(m.cost.workload_write_ns));
 }
 
 void Process::touch_range(Gva gva, u64 bytes, bool is_write, u64 stride) {
@@ -204,8 +196,9 @@ void Process::write_bytes(Gva gva, std::span<const u8> data) {
     const Gva addr = gva + off;
     const std::size_t chunk =
         std::min<std::size_t>(data.size() - off, kPageSize - page_offset(addr));
-    const Hpa hpa = kernel_.access(*this, addr, /*is_write=*/true);
-    m.charge_ns(m.cost.workload_bulk_word_ns * static_cast<double>((chunk + 7) / 8));
+    const Hpa hpa = kernel_.access(
+        *this, addr, /*is_write=*/true,
+        nsecs(m.cost.workload_bulk_word_ns * static_cast<double>((chunk + 7) / 8)));
     const Vma* vma = vma_of(addr);
     if (vma != nullptr && vma->data_backed) {
       std::memcpy(m.pmem.frame_data(page_floor(hpa)) + page_offset(hpa),
@@ -222,8 +215,9 @@ void Process::read_bytes(Gva gva, std::span<u8> out) {
     const Gva addr = gva + off;
     const std::size_t chunk =
         std::min<std::size_t>(out.size() - off, kPageSize - page_offset(addr));
-    const Hpa hpa = kernel_.access(*this, addr, /*is_write=*/false);
-    m.charge_ns(m.cost.workload_bulk_word_ns * static_cast<double>((chunk + 7) / 8));
+    const Hpa hpa = kernel_.access(
+        *this, addr, /*is_write=*/false,
+        nsecs(m.cost.workload_bulk_word_ns * static_cast<double>((chunk + 7) / 8)));
     const Vma* vma = vma_of(addr);
     if (vma != nullptr && vma->data_backed) {
       const u8* src = m.pmem.frame_data_if_present(page_floor(hpa));

@@ -179,7 +179,12 @@ class Process {
   [[nodiscard]] const std::vector<Vma>& vmas() const noexcept { return vmas_; }
   /// Mutable VMA access for kernel subsystems (ufd registration flags).
   [[nodiscard]] std::vector<Vma>& vmas_mut() noexcept { return vmas_; }
-  [[nodiscard]] Vma* vma_of(Gva gva) noexcept;
+  /// The VMA containing `gva`, or nullptr. Accesses cluster heavily within
+  /// one VMA, so the last one resolved is tried first, inline.
+  [[nodiscard]] Vma* vma_of(Gva gva) noexcept {
+    if (vma_mru_ < vmas_.size() && vmas_[vma_mru_].contains(gva)) return &vmas_[vma_mru_];
+    return vma_scan(gva);
+  }
 
   // ---- ground truth ---------------------------------------------------------
   /// Pages written since truth_reset(), each tagged with the global write
@@ -198,6 +203,9 @@ class Process {
 
  private:
   friend class GuestKernel;
+
+  /// vma_of() past the last-resolved memo: a scan that updates it.
+  [[nodiscard]] Vma* vma_scan(Gva gva) noexcept;
 
   GuestKernel& kernel_;
   u32 pid_;

@@ -12,11 +12,13 @@ void Scheduler::set_periodic(VirtDuration period, std::function<void()> fn) {
   period_ = period;
   periodic_ = std::move(fn);
   next_periodic_ = ctx_.clock.now() + period;
+  refresh_deadline();
 }
 
 void Scheduler::clear_periodic() {
   periodic_ = nullptr;
   period_ = VirtDuration{0};
+  refresh_deadline();
 }
 
 void Scheduler::switch_out(u32 pid) {
@@ -34,6 +36,7 @@ void Scheduler::switch_in(u32 pid) {
 void Scheduler::rearm_deadlines() {
   next_quantum_ = ctx_.clock.now() + quantum_;
   if (periodic_) next_periodic_ = ctx_.clock.now() + period_;
+  refresh_deadline();
 }
 
 void Scheduler::enter_process(u32 pid) {
@@ -51,16 +54,16 @@ void Scheduler::fire_quantum(u32 pid) {
   // Formula 4 charges SPML/EPML per switch.
   ctx_.count(Event::kSchedQuantum);
   ++quantum_switches_;
-  in_service_ = true;
+  set_in_service(true);
   switch_out(pid);
   switch_in(pid);
   in_service_ = false;
   next_quantum_ = ctx_.clock.now() + quantum_;
+  refresh_deadline();
 }
 
-void Scheduler::on_progress(u32 pid) {
+void Scheduler::on_deadline(u32 pid) {
   const VirtDuration now = ctx_.clock.now();
-  if (now < next_deadline()) return;
   if (periodic_ && now >= next_periodic_) {
     // Run a copy: the service is allowed to clear_periodic() from inside
     // itself (e.g. a collection cap), which destroys the stored callable.

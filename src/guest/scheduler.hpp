@@ -42,17 +42,19 @@ class Scheduler {
   void clear_periodic();
 
   /// Called from the memory-access path of the running process; fires
-  /// quantum ticks and periodic service when their deadlines pass.
-  void on_progress(u32 pid);
+  /// quantum ticks and periodic service when their deadlines pass. Inline
+  /// up to the deadline test, so an access that reaches no deadline pays
+  /// one comparison.
+  void on_progress(u32 pid) {
+    if (ctx_.clock.now() < next_deadline()) return;
+    on_deadline(pid);
+  }
 
   /// The earliest clock value at which on_progress() acts: the sooner of the
   /// quantum and periodic deadlines, +inf while a service runs. Below it
   /// on_progress() is a no-op, so batched access runs call it only once the
   /// clock gets there.
-  [[nodiscard]] VirtDuration next_deadline() const noexcept {
-    if (in_service_) return VirtDuration{std::numeric_limits<double>::infinity()};
-    return periodic_ && next_periodic_ < next_quantum_ ? next_periodic_ : next_quantum_;
-  }
+  [[nodiscard]] VirtDuration next_deadline() const noexcept { return deadline_; }
 
   /// Run `fn` as a different task: schedule the current process out (firing
   /// hooks, charging context switches), run, schedule it back in.
@@ -62,11 +64,11 @@ class Scheduler {
       fn();
       return;
     }
-    in_service_ = true;
+    set_in_service(true);
     switch_out(pid);
     fn();
     switch_in(pid);
-    in_service_ = false;
+    set_in_service(false);
     rearm_deadlines();
   }
 
@@ -81,7 +83,21 @@ class Scheduler {
   void switch_out(u32 pid);
   void switch_in(u32 pid);
   void rearm_deadlines();
+  /// Recompute deadline_ from the state it caches; every write to
+  /// in_service_, periodic_, next_quantum_ or next_periodic_ is followed by
+  /// one.
+  void refresh_deadline() noexcept {
+    deadline_ = in_service_ ? VirtDuration{std::numeric_limits<double>::infinity()}
+                : periodic_ && next_periodic_ < next_quantum_ ? next_periodic_
+                                                              : next_quantum_;
+  }
+  void set_in_service(bool on) noexcept {
+    in_service_ = on;
+    refresh_deadline();
+  }
   void fire_quantum(u32 pid);
+  /// on_progress() once the clock has reached next_deadline().
+  void on_deadline(u32 pid);
 
   sim::ExecContext& ctx_;
   std::vector<SchedHook*> hooks_;
@@ -91,6 +107,8 @@ class Scheduler {
   VirtDuration period_{0};
   VirtDuration next_periodic_{0};
   bool in_service_ = false;
+  /// next_deadline(), cached: the access path reads it on every access.
+  VirtDuration deadline_{secs(1.0)};
   u64 quantum_switches_ = 0;
 };
 

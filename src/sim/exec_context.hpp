@@ -31,6 +31,7 @@ class ExecContext {
 
   void charge_us(double us) { clock.advance(usecs(us)); }
   void charge_ns(double ns) { clock.advance(nsecs(ns)); }
+  void charge(VirtDuration d) { clock.advance(d); }
   void count(Event e, u64 n = 1) noexcept { counters.add(e, n); }
 
   // ---- fault injection (tentpole of the robustness PR) ------------------

@@ -1,5 +1,6 @@
 #include "sim/mmu.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "sim/exec_context.hpp"
@@ -12,23 +13,25 @@ Mmu::Mmu(Vcpu& vcpu, Ept& ept, SppTable* spp)
     : ctx_(vcpu.ctx()), vcpu_(vcpu), tlb_(vcpu.tlb()), ept_(ept), spp_(spp) {}
 
 Mmu::Result Mmu::access(u32 pid, GuestPageTable& pt, Gva gva, bool is_write) {
+  // No per-access charge follows the hit: +0.0 leaves the clock's bits as
+  // they are.
+  constexpr VirtDuration kNoDeadline{std::numeric_limits<double>::infinity()};
+  if (const Hits h = hit(pid, gva, is_write, 1, VirtDuration{0}, kNoDeadline); h.run.done != 0) {
+    return {Status::kOk, h.hpa};
+  }
+  return access_miss(pid, pt, gva, is_write);
+}
+
+Mmu::Result Mmu::access_miss(u32 pid, GuestPageTable& pt, Gva gva, bool is_write) {
   const Gva gva_page = page_floor(gva);
   Tlb& tlb = tlb_;
   WriteTrackRegistry& track = vcpu_.track_registry();
 
-  if (TlbEntry* te = tlb.lookup(pid, gva_page); te != nullptr) {
-    // A cached translation can serve reads always, and writes when the
-    // dirty state is already established (no flag transition => no logging).
-    if (!is_write || (te->writable && te->dirty)) {
-      ctx_.count(Event::kTlbHit);
-      ctx_.charge_ns(ctx_.cost.tlb_hit_ns);
-      // For a huge entry the cached bases are region bases; the in-region
-      // offset reduces to page_offset(gva) in the k4K case.
-      return {Status::kOk, te->hpa_page + gran_offset(gva, te->gran)};
-    }
-    // Write through a clean/RO cached entry: hardware re-walks to set flags.
-    tlb.invalidate_page(pid, gva_page);
-  }
+  // Only a write can miss with an entry cached (a clean or read-only one):
+  // hardware re-walks to set the flags. invalidate_page() drops exactly the
+  // entry lookup() returned, if any; the TLB's memos answer both calls from
+  // the lookup hit() just made, without probing again.
+  if (is_write && tlb.may_hold(pid, gva_page)) tlb.invalidate_page(pid, gva_page);
   ctx_.count(Event::kTlbMiss);
 
   // ---- guest page-table walk ----------------------------------------------

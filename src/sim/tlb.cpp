@@ -73,11 +73,21 @@ void Tlb::index_erase(std::size_t b) noexcept {
   index_[hole] = kEmptyBucket;
 }
 
-TlbEntry* Tlb::lookup(u32 pid, Gva gva_page) noexcept {
-  assert((gva_page >> 48) == 0 && "GVA beyond the 48-bit canonical split");
-  gva_page = page_floor(gva_page);  // tags are page-granular, as before
+std::size_t Tlb::exact_slot(u32 pid, Gva gva_page) noexcept {
+  if (known_absent(pid, gva_page)) return kAbsent;
   const std::size_t b = find_bucket(pid, gva_page);
-  if (b != kAbsent) return &slots_[index_[b] - 1].entry;
+  if (b == kAbsent) {
+    remember_absent(pid, gva_page);
+    return kAbsent;
+  }
+  hit_pos_ = index_[b] - 1;
+  return hit_pos_;
+}
+
+TlbEntry* Tlb::lookup_indexed(u32 pid, Gva gva_page) noexcept {
+  if (const std::size_t pos = exact_slot(pid, gva_page); pos != kAbsent) {
+    return &slots_[pos].entry;
+  }
   if (huge_entries_ != 0) {
     // Region-base probes, smallest first (GRAN-1 means at most one hits).
     for (const PageGran g : {PageGran::k2M, PageGran::k1G}) {
@@ -96,11 +106,12 @@ void Tlb::insert(u32 pid, Gva gva_page, const TlbEntry& entry) {
   assert(is_gran_aligned(gva_page, entry.gran) &&
          "huge entries are keyed by their region base");
   gva_page = page_floor(gva_page);
-  const std::size_t b = find_bucket(pid, gva_page);
-  if (b != kAbsent) {
+  const std::size_t at = memo_hit(pid, gva_page) ? hit_pos_ : exact_slot(pid, gva_page);
+  absent_page_ = kNoAbsentKey;  // the key is about to be present
+  if (at != kAbsent) {
     // In-place refresh: the slot does not move, so memoised entry pointers
     // stay valid and re-read the new permission/dirty bits.
-    TlbEntry& old = slots_[index_[b] - 1].entry;
+    TlbEntry& old = slots_[at].entry;
     if (old.gran != PageGran::k4K) --huge_entries_;
     if (entry.gran != PageGran::k4K) ++huge_entries_;
     old = entry;
@@ -124,6 +135,7 @@ void Tlb::insert(u32 pid, Gva gva_page, const TlbEntry& entry) {
   index_insert(pid, gva_page, pos);
   if (entry.gran != PageGran::k4K) ++huge_entries_;
   ++size_;
+  hit_pos_ = pos;  // a fill is followed by hits on the same page
 }
 
 void Tlb::evict_at(std::size_t pos) noexcept {
@@ -142,9 +154,11 @@ void Tlb::evict_at(std::size_t pos) noexcept {
 }
 
 void Tlb::invalidate_page(u32 pid, Gva gva_page) noexcept {
-  const std::size_t b = find_bucket(pid, page_floor(gva_page));
-  if (b != kAbsent) {
-    evict_at(index_[b] - 1);
+  gva_page = page_floor(gva_page);
+  if (const std::size_t pos = memo_hit(pid, gva_page) ? hit_pos_ : exact_slot(pid, gva_page);
+      pos != kAbsent) {
+    evict_at(pos);
+    remember_absent(pid, gva_page);
     return;
   }
   if (huge_entries_ != 0) {

@@ -213,7 +213,9 @@ AdaptiveRunResult run_phase_changing(unsigned cold_intervals,
     EXPECT_EQ(got, expect);
   }
   EXPECT_EQ(tracker.effective_technique(), Technique::kEpml);
-  if (assert_switching) EXPECT_EQ(tracker.switches(), 0u);
+  if (assert_switching) {
+    EXPECT_EQ(tracker.switches(), 0u);
+  }
 
   // Phase 2: cold — reads only; the EWMA decays to zero and the policy
   // hands off to write-protection.

@@ -31,6 +31,8 @@ std::string tech_label(Technique t) {
     case Technique::kEpml: return "epml";
     case Technique::kWp: return "wp";
     case Technique::kOracle: return "oracle";
+    case Technique::kSeg: return "seg";
+    case Technique::kAdaptive: return "adaptive";
   }
   return "?";
 }

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "base/rng.hpp"
+#include "guest/procfs.hpp"
 #include "ooh/experiment.hpp"
 #include "ooh/testbed.hpp"
 #include "ooh/trackers.hpp"
@@ -505,6 +509,185 @@ TEST(VirtualTimePinning, TouchRangeMatchesPerByteLoop) {
     EXPECT_GE(loop.fire_seq.size(), 3u);
     EXPECT_TRUE(std::any_of(loop.fire_seq.begin(), loop.fire_seq.end(), mid_page));
   }
+}
+
+// ---- scalar access pinning (TLB-hit fast path) -------------------------------
+//
+// A seeded mix of write_u64 / read_u64 / touch_read / touch_write /
+// touch_range under a small quantum and a periodic collection service, with
+// clear_refs, munmap and a migrate_process to the second vCPU partway
+// through. The final clock bits of both vCPUs, a hash of every event counter
+// on each, and the truth ledger are pinned to constants captured before the
+// scalar TLB-hit path was served inline: any change to a hit/miss sequence,
+// a charge order or a scheduler tick moves at least one of them.
+
+u64 mix_hash(u64 h, u64 v) noexcept { return (h ^ v) * 0x100000001b3ull; }
+
+struct ScalarMixPin {
+  u64 clock_bits[2];
+  u64 counter_hash[2];
+  u64 tlb_hit;   ///< summed over both vCPUs.
+  u64 tlb_miss;  ///< summed over both vCPUs.
+  u64 truth_hash;
+  u64 truth_size;
+  u64 truth_seq;
+  u64 read_sum;  ///< xor of every read_u64 result.
+};
+
+ScalarMixPin scalar_access_mix(lib::Technique tech) {
+  lib::TestBedOptions o;
+  o.vcpus_per_vm = 2;
+  o.vm_mem_bytes = 64 * kMiB;
+  o.host_mem_bytes = 256 * kMiB;
+  o.sched_quantum = usecs(20);
+  lib::TestBed bed(o);
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  constexpr u64 kDataPages = 96;
+  constexpr u64 kMetaPages = 64;
+  const Gva data = proc.mmap(kDataPages * kPageSize, /*data_backed=*/true);
+  const Gva meta = proc.mmap(kMetaPages * kPageSize);
+  const Gva spare = proc.mmap(16 * kPageSize);
+  bool spare_mapped = true;
+
+  // A tracker session per vCPU: the OoH module binds a tracked process to
+  // the vCPU it ran on at init, so the migration happens between sessions.
+  std::unique_ptr<lib::DirtyTracker> tracker;
+  u64 collected = 0;
+  const auto service = [&] {
+    collected += tracker->collect().size();
+    tracker->begin_interval();
+  };
+  const auto start_session = [&] {
+    tracker = lib::make_tracker(tech, k, proc);
+    tracker->init();
+    tracker->begin_interval();
+    k.scheduler_of(proc).set_periodic(msecs(1), service);
+    k.scheduler_of(proc).enter_process(proc.pid());
+  };
+  const auto end_session = [&] {
+    k.scheduler_of(proc).clear_periodic();
+    k.scheduler_of(proc).exit_process(proc.pid());
+    collected += tracker->collect().size();
+    tracker->shutdown();
+  };
+
+  ScalarMixPin pin{};
+  Rng rng(0x5ca1a7);
+  constexpr int kOps = 40000;
+  start_session();
+  for (int i = 0; i < kOps; ++i) {
+    if (i == kOps / 4) k.procfs().clear_refs(proc);
+    if (i == kOps / 2) {
+      end_session();
+      k.migrate_process(proc, 1);
+      start_session();
+    }
+    if (i == 3 * kOps / 4) {
+      proc.munmap(spare);  // shoots down the stale vCPU 0 entries too
+      spare_mapped = false;
+    }
+    const u64 r = rng.below(100);
+    const Gva d = data + rng.below(kDataPages * kPageSize / 8) * 8;
+    const Gva m = meta + rng.below(kMetaPages * kPageSize);
+    if (r < 30) {
+      proc.write_u64(d, rng.next());
+    } else if (r < 50) {
+      pin.read_sum ^= proc.read_u64(d);
+    } else if (r < 65) {
+      proc.touch_write(m);
+    } else if (r < 80) {
+      proc.touch_read(rng.below(2) == 0 ? m : d);
+    } else if (r < 88) {
+      constexpr u64 kStrides[] = {8, 64, 192, kPageSize};
+      const u64 stride = kStrides[rng.below(4)];
+      const u64 off = rng.below((kMetaPages - 3) * kPageSize);
+      proc.touch_range(meta + off, 1 + rng.below(3 * kPageSize), rng.below(2) == 0, stride);
+    } else if (spare_mapped) {
+      proc.touch_write(spare + rng.below(16 * kPageSize));
+    } else {
+      proc.touch_read(m);
+    }
+  }
+  end_session();
+  EXPECT_GT(collected, 0u);
+  for (unsigned cpu = 0; cpu < 2; ++cpu) {
+    const sim::ExecContext& ctx = k.vm().vcpu(cpu).ctx();
+    pin.clock_bits[cpu] = std::bit_cast<u64>(ctx.clock.now().count());
+    u64 h = 0xcbf29ce484222325ull;
+    for (std::size_t e = 0; e < kEventCount; ++e) h = mix_hash(h, ctx.counters.get(Event(e)));
+    pin.counter_hash[cpu] = h;
+    pin.tlb_hit += ctx.counters.get(Event::kTlbHit);
+    pin.tlb_miss += ctx.counters.get(Event::kTlbMiss);
+  }
+  pin.truth_hash = 0xcbf29ce484222325ull;
+  for (const auto& [page, seq] : proc.truth_dirty()) {
+    pin.truth_hash = mix_hash(mix_hash(pin.truth_hash, page), seq);
+  }
+  pin.truth_size = proc.truth_dirty().size();
+  pin.truth_seq = proc.truth_seq();
+  return pin;
+}
+
+void expect_scalar_mix(lib::Technique tech, const ScalarMixPin& want) {
+  const ScalarMixPin got = scalar_access_mix(tech);
+  EXPECT_EQ(got.clock_bits[0], want.clock_bits[0]);
+  EXPECT_EQ(got.clock_bits[1], want.clock_bits[1]);
+  EXPECT_EQ(got.counter_hash[0], want.counter_hash[0]);
+  EXPECT_EQ(got.counter_hash[1], want.counter_hash[1]);
+  EXPECT_EQ(got.tlb_hit, want.tlb_hit);
+  EXPECT_EQ(got.tlb_miss, want.tlb_miss);
+  EXPECT_EQ(got.truth_hash, want.truth_hash);
+  EXPECT_EQ(got.truth_size, want.truth_size);
+  EXPECT_EQ(got.truth_seq, want.truth_seq);
+  EXPECT_EQ(got.read_sum, want.read_sum);
+  // Mostly hits, as in gc_churn, but with misses enough to matter.
+  EXPECT_GT(got.tlb_hit, 10 * got.tlb_miss);
+  EXPECT_GT(got.tlb_miss, 500u);
+  // Print the observed pin, in initializer form, to make a deliberate
+  // re-baseline a copy and paste.
+  if (::testing::Test::HasFailure()) {
+    std::printf("{{0x%016llxull, 0x%016llxull}, {0x%016llxull, 0x%016llxull}, %llu, %llu,\n"
+                " 0x%016llxull, %llu, %llu, 0x%016llxull}\n",
+                static_cast<unsigned long long>(got.clock_bits[0]),
+                static_cast<unsigned long long>(got.clock_bits[1]),
+                static_cast<unsigned long long>(got.counter_hash[0]),
+                static_cast<unsigned long long>(got.counter_hash[1]),
+                static_cast<unsigned long long>(got.tlb_hit),
+                static_cast<unsigned long long>(got.tlb_miss),
+                static_cast<unsigned long long>(got.truth_hash),
+                static_cast<unsigned long long>(got.truth_size),
+                static_cast<unsigned long long>(got.truth_seq),
+                static_cast<unsigned long long>(got.read_sum));
+  }
+}
+
+TEST(VirtualTimePinning, ScalarAccessMixProc) {
+  expect_scalar_mix(lib::Technique::kProc,
+                    {{0x40fb9515c652f520ull, 0x40fafb2a73286e7aull},
+                     {0x2eddd2918f015de0ull, 0x370f2433622661fbull}, 765797, 30930,
+                     0xfecd516a9bb3be34ull, 160, 363424, 0x91339d2cc9bda423ull});
+}
+
+TEST(VirtualTimePinning, ScalarAccessMixSpml) {
+  expect_scalar_mix(lib::Technique::kSpml,
+                    {{0x410611cf98878d2full, 0x410634e51cb1ee28ull},
+                     {0x329cd009a369af2aull, 0x66167bf66bd9650aull}, 754738, 30059,
+                     0xfecd516a9bb3be34ull, 160, 363424, 0x91339d2cc9bda423ull});
+}
+
+TEST(VirtualTimePinning, ScalarAccessMixEpml) {
+  expect_scalar_mix(lib::Technique::kEpml,
+                    {{0x40f08e76b5a5c30cull, 0x40f297d8ebf2876bull},
+                     {0x22dc5e3b6418a56full, 0x8bc7d817bc543e29ull}, 766203, 18594,
+                     0xfecd516a9bb3be34ull, 160, 363424, 0x91339d2cc9bda423ull});
+}
+
+TEST(VirtualTimePinning, ScalarAccessMixWp) {
+  expect_scalar_mix(lib::Technique::kWp,
+                    {{0x40f14781fab38a08ull, 0x40f108ec51eabbcfull},
+                     {0x54d31386488053b8ull, 0x8d5448cf6a50793eull}, 760730, 24067,
+                     0xfecd516a9bb3be34ull, 160, 363424, 0x91339d2cc9bda423ull});
 }
 
 // ---- scheduler quantum-after-service fix ------------------------------------

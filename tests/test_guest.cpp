@@ -186,6 +186,31 @@ TEST_F(GuestTest, TruthLedgerMatchesReferenceUnderRandomOps) {
   }
 }
 
+TEST_F(GuestTest, AccessThroughAnotherKernelThrows) {
+  // A second VM whose kernel caches a translation for the same pid and page:
+  // the TLB-hit paths (scalar and batched) must still refuse a process the
+  // kernel does not own, before they charge or record anything.
+  hv::Vm& vm2 = hv_.create_vm(16 * kMiB);
+  GuestKernel other(hv_, vm2);
+  Process& mine = kernel_.create_process();
+  Process& theirs = other.create_process();
+  ASSERT_EQ(mine.pid(), theirs.pid());
+  const Gva base = mine.mmap(kPageSize);
+  ASSERT_EQ(theirs.mmap(kPageSize), base);
+  mine.touch_write(base);
+  theirs.touch_write(base);
+  ASSERT_NE(vm2.vcpu(0).tlb().lookup(theirs.pid(), base), nullptr);
+
+  const double clock = vm2.vcpu(0).ctx().clock.now().count();
+  EXPECT_THROW((void)other.access(mine, base, /*is_write=*/false, VirtDuration{0}),
+               std::logic_error);
+  EXPECT_THROW((void)other.access(mine, base, /*is_write=*/true, VirtDuration{0}),
+               std::logic_error);
+  EXPECT_THROW(other.touch_run(mine, base, 8, 4, /*is_write=*/true), std::logic_error);
+  EXPECT_EQ(vm2.vcpu(0).ctx().clock.now().count(), clock) << "a refused access charges nothing";
+  EXPECT_EQ(mine.truth_seq(), 1u) << "a refused write records no truth";
+}
+
 TEST_F(GuestTest, ProcessesHaveIndependentPageTables) {
   Process& p1 = kernel_.create_process();
   Process& p2 = kernel_.create_process();

@@ -51,6 +51,8 @@ INSTANTIATE_TEST_SUITE_P(AllTechniques, SmokeTest,
                              case lib::Technique::kEpml: return "epml";
                              case lib::Technique::kWp: return "wp";
                              case lib::Technique::kOracle: return "oracle";
+                             case lib::Technique::kSeg: return "seg";
+                             case lib::Technique::kAdaptive: return "adaptive";
                            }
                            return "unknown";
                          });

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "base/rng.hpp"
 #include "base/types.hpp"
 #include "sim/tlb.hpp"
 
@@ -180,6 +181,87 @@ TEST(Tlb, ProbeChainSurvivesInterleavedEviction) {
     for (const auto& [pid, gva] : live) {
       EXPECT_NE(tlb.lookup(pid, gva), nullptr) << "pid=" << pid << " gva=" << gva;
     }
+  }
+}
+
+// The last-hit and last-absent-key memos must never change an answer.
+// Reference: what lookup() means, re-derived from for_each() — the entry
+// keyed exactly (pid, page), else the one keyed by the page's 2 MiB (then
+// 1 GiB) region base with that granularity, else nothing. Seeded random
+// inserts (2 MiB entries included), lookups, invalidations and flushes over
+// a small key space and a small capacity, so keys are evicted, re-inserted
+// and looked up again while the memos still name them; every op is
+// followed by lookups of its own key and of random ones.
+[[nodiscard]] const TlbEntry* reference_lookup(const Tlb& tlb, u32 pid, Gva page) {
+  const TlbEntry* exact = nullptr;
+  const TlbEntry* huge2m = nullptr;
+  const TlbEntry* huge1g = nullptr;
+  tlb.for_each([&](u32 p, Gva key, const TlbEntry& e) {
+    if (p != pid) return;
+    if (key == page) exact = &e;
+    if (key == gran_floor(page, PageGran::k2M) && e.gran == PageGran::k2M) huge2m = &e;
+    if (key == gran_floor(page, PageGran::k1G) && e.gran == PageGran::k1G) huge1g = &e;
+  });
+  return exact != nullptr ? exact : huge2m != nullptr ? huge2m : huge1g;
+}
+
+TEST(Tlb, MemosAgreeWithForEachUnderRandomOps) {
+  constexpr u64 kPages = 1536;  // three 2 MiB regions
+  for (const u64 seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Tlb tlb(24);
+    std::size_t huge_inserted = 0;
+    const auto random_page = [&] {
+      // Half the picks come from a hot set, so keys recur while memoised.
+      const u64 p = rng.below(2) == 0 ? rng.below(8) : rng.below(kPages);
+      return p * kPageSize;
+    };
+    const auto check = [&](u32 pid, Gva page) {
+      const TlbEntry* want = reference_lookup(tlb, pid, page);
+      ASSERT_EQ(tlb.lookup(pid, page), want) << "pid=" << pid << " page=" << page;
+      // A repeat answers from the memos; it must agree too.
+      ASSERT_EQ(tlb.lookup(pid, page + 8), want) << "repeat, pid=" << pid << " page=" << page;
+    };
+    for (int op = 0; op < 20000; ++op) {
+      const u32 pid = 1 + static_cast<u32>(rng.below(3));
+      Gva page = random_page();
+      switch (rng.below(16)) {
+        case 0: case 1: case 2: case 3: case 4: {
+          TlbEntry e = entry_for(static_cast<u64>(op));
+          if (rng.below(8) == 0) {
+            e.gran = PageGran::k2M;
+            page = gran_floor(page, PageGran::k2M);
+            ++huge_inserted;
+          }
+          tlb.insert(pid, page, e);
+          break;
+        }
+        case 5: case 6: case 7: case 8: case 9: case 10:
+          (void)tlb.lookup(pid, page);
+          break;
+        case 11: case 12:
+          tlb.invalidate_page(pid, page);
+          break;
+        case 13:
+          tlb.invalidate_region(pid, page, PageGran::k2M);
+          break;
+        case 14:
+          tlb.flush_pid(pid);
+          break;
+        default:
+          if (rng.below(8) == 0) tlb.flush_all();
+          break;
+      }
+      std::size_t live = 0;
+      tlb.for_each([&](u32, Gva, const TlbEntry&) { ++live; });
+      ASSERT_EQ(live, tlb.size());
+      ASSERT_LE(tlb.size(), tlb.capacity());
+      check(pid, page);
+      for (int k = 0; k < 3; ++k) check(1 + static_cast<u32>(rng.below(3)), random_page());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(huge_inserted, 100u);
   }
 }
 

@@ -53,8 +53,9 @@ from typing import NamedTuple
 # (target, extra argv, fans cells across the epoch pool?). fig10 and fig11
 # run their multi-VM fleets through TestBed::run_tenants on the epoch pool,
 # but take the worker count from --threads (default auto) rather than
-# OOH_EPOCH_THREADS and print host wall-clock into stdout, so they get timed
-# but not the serial-vs-parallel stdout compare; fig3, fig4, fig6, fig7,
+# OOH_EPOCH_THREADS, so they get timed but not the serial-vs-parallel stdout
+# compare here (the golden ctests compare them at --threads 1 and 4, with
+# their host wall-clock on stderr); fig3, fig4, fig6, fig7,
 # fig9, the tables and the ablations run their cells serially. fig4, fig7
 # and fig9 drive their workloads through touch_range, the batched access
 # path.
