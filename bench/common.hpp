@@ -23,7 +23,7 @@
 
 #include "base/table.hpp"
 #include "base/vtime.hpp"
-#include "ooh/adaptive/adaptive_tracker.hpp"
+#include "ooh/adaptive/policy.hpp"
 #include "ooh/experiment.hpp"
 #include "ooh/testbed.hpp"
 #include "ooh/trackers.hpp"
@@ -313,15 +313,12 @@ inline AdaptivePhasesResult run_adaptive_phases(
   proc.touch_range_write(base, 4 * hot_pages * kPageSize);  // prefault
 
   std::unique_ptr<lib::DirtyTracker> tracker;
-  lib::AdaptiveTracker* adaptive = nullptr;
   if (static_tech) {
     tracker = lib::make_tracker(*static_tech, k, proc);
   } else {
     lib::AdaptiveOptions ao;
     ao.estimator_alpha = 0.9;  // respond within a couple of windows
-    auto at = std::make_unique<lib::AdaptiveTracker>(k, proc, ao);
-    adaptive = at.get();
-    tracker = std::move(at);
+    tracker = std::make_unique<lib::DirtyTracker>(k, proc, ao);
   }
   tracker->init();
   tracker->begin_interval();
@@ -348,7 +345,7 @@ inline AdaptivePhasesResult run_adaptive_phases(
     });
   }
   out.virt_ms = (bed.ctx().clock.now() - start).count() / 1e3;
-  out.switches = adaptive != nullptr ? adaptive->switches() : 0;
+  out.switches = tracker->switches();
   out.final_backend = std::string(lib::technique_name(tracker->effective_technique()));
   tracker->shutdown();
   bed.audit();

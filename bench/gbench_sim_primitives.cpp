@@ -32,7 +32,7 @@
 #include "base/cost_model.hpp"
 #include "base/ring_buffer.hpp"
 #include "base/rng.hpp"
-#include "ooh/adaptive/adaptive_tracker.hpp"
+#include "ooh/adaptive/policy.hpp"
 #include "guest/kernel.hpp"
 #include "hypervisor/dirty_ring.hpp"
 #include "hypervisor/hypervisor.hpp"
@@ -579,7 +579,7 @@ void BM_PolicySwitchHandoff(benchmark::State& state) {
   ao.estimator_alpha = 1.0;  // signal == last window: flips deterministically
   ao.policy.warmup_windows = 0;
   ao.policy.min_windows_between_switches = 0;
-  lib::AdaptiveTracker tracker(k, proc, ao);
+  lib::DirtyTracker tracker(k, proc, ao);
   tracker.init();
   tracker.begin_interval();
   for (auto _ : state) {

@@ -51,7 +51,6 @@ constexpr std::array<std::string_view, kEventCount> kNames = {
     "tlb_shootdown_ipi",
     "dirty_ring_full",
     "policy_switch",
-    "migration_throttle",
 };
 
 }  // namespace

@@ -59,7 +59,6 @@ enum class Event : std::size_t {
   kTlbShootdownIpi,       ///< IPI sent to a remote vCPU to invalidate a stale translation.
   kDirtyRingFull,         ///< per-vCPU dirty ring full; entry diverted to the spill log.
   kPolicySwitch,          ///< adaptive control plane switched the tracker backend.
-  kMigrationThrottle,     ///< migration throttled the guest (auto-converge stall).
   kCount
 };
 

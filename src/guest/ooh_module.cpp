@@ -1,5 +1,6 @@
 #include "guest/ooh_module.hpp"
 
+#include <bit>
 #include <new>
 #include <stdexcept>
 
@@ -60,11 +61,7 @@ void OohModule::track(Process& proc) {
   t.ring = std::make_unique<RingBuffer>(ring_entries_);
 
   if (mode_ == OohMode::kSpml) {
-    // SPML init hypercall (M9): PML buffer setup + EPT dirty-state reset.
-    // The hypervisor reports allocation failure instead of dying half-set-up;
-    // surface it as the OOM it is so the tracker layer can degrade.
-    const u64 rc = vcpu.hypercall(sim::Hypercall::kOohInitPml, proc.mapped_bytes());
-    if (rc == ~u64{0}) throw std::bad_alloc{};
+    arm(t, cpu);
   } else {
     if (!cpus_[cpu].epml_init) {
       // The only hypercall EPML ever makes (M10): VMCS shadowing + the new
@@ -100,8 +97,29 @@ void OohModule::track(Process& proc) {
     kernel_.tlb_flush_pid(proc);
     m.count(Event::kTlbFlush);
     m.charge_us(m.cost.tlb_flush_us);
+    t.armed_cpus = u64{1} << cpu;
   }
   tracked_.emplace(proc.pid(), std::move(t));
+}
+
+void OohModule::arm(Tracked& t, unsigned cpu) {
+  const u64 bit = u64{1} << cpu;
+  if ((t.armed_cpus & bit) != 0) return;
+  sim::Vcpu& vcpu = kernel_.vm().vcpu(cpu);
+  if (mode_ == OohMode::kSpml) {
+    // SPML init hypercall (M9): PML buffer setup + EPT dirty-state reset.
+    // The hypervisor reports allocation failure instead of dying half-set-up;
+    // surface it as the OOM it is so the tracker layer can degrade.
+    const u64 rc = vcpu.hypercall(sim::Hypercall::kOohInitPml, t.proc->mapped_bytes());
+    if (rc == ~u64{0}) throw std::bad_alloc{};
+  } else {
+    if (!cpus_[cpu].epml_init) {
+      vcpu.hypercall(sim::Hypercall::kOohInitEpml);
+      cpus_[cpu].epml_init = true;
+    }
+    kernel_.ensure_ept_mapped(t.guest_buf_gpa, cpu);
+  }
+  t.armed_cpus |= bit;
 }
 
 void OohModule::untrack(Process& proc) {
@@ -109,16 +127,19 @@ void OohModule::untrack(Process& proc) {
   if (it == tracked_.end()) throw std::logic_error("process not tracked");
   const unsigned cpu = proc.cpu();
   sim::ExecContext& m = kernel_.ctx_of(proc);
-  sim::Vcpu& vcpu = kernel_.vcpu_of(proc);
 
   if (cpus_[cpu].active_pid == proc.pid()) on_schedule_out(proc.pid());
 
   m.count(Event::kContextSwitch, 2);
   m.charge_us(m.cost.ioctl_deactivate_pml_us + 2 * m.cost.ctx_switch_us);
 
+  const u64 armed = it->second.armed_cpus;
   tracked_.erase(it);
   if (mode_ == OohMode::kSpml) {
-    vcpu.hypercall(sim::Hypercall::kOohDeactivatePml);
+    for (u64 left = armed; left != 0; left &= left - 1) {
+      const auto c = static_cast<unsigned>(std::countr_zero(left));
+      kernel_.vm().vcpu(c).hypercall(sim::Hypercall::kOohDeactivatePml);
+    }
   } else if (tracked_.empty()) {
     for (unsigned c = 0; c < cpus_.size(); ++c) {
       if (cpus_[c].epml_init) {
@@ -133,10 +154,13 @@ void OohModule::on_schedule_in(u32 pid) {
   const auto it = tracked_.find(pid);
   if (it == tracked_.end()) return;
   const unsigned cpu = it->second.proc->cpu();
+  arm(it->second, cpu);  // a no-op unless the process migrated here
   cpus_[cpu].active_pid = pid;
   sim::Vcpu& vcpu = kernel_.vm().vcpu(cpu);
   if (mode_ == OohMode::kSpml) {
-    vcpu.hypercall(sim::Hypercall::kOohEnableLogging);
+    if (vcpu.hypercall(sim::Hypercall::kOohEnableLogging) != 0) {
+      throw std::logic_error("SPML logging not armed on the vCPU");
+    }
   } else {
     // Point the hardware at this process's buffer and arm logging, all with
     // guest-mode vmwrites on the shadow VMCS -- no VM-exit (§IV-D).
@@ -266,13 +290,17 @@ std::vector<u64> OohModule::fetch(Process& proc) {
   if (mode_ == OohMode::kSpml) {
     // The interval-reset hypercall drains the PML buffer into the shared
     // ring and re-arms the consumed pages; move the new entries into this
-    // process's private ring before handing them to userspace.
-    kernel_.vcpu_of(proc).hypercall(sim::Hypercall::kOohIntervalReset);
-    RingBuffer& shared = kernel_.vm().spml_ring(cpu);
-    u64 v = 0;
-    while (shared.pop(v)) {
-      t.ring->push(v);
-      m.charge_ns(m.cost.drain_entry_ns);
+    // process's private ring before handing them to userspace. Every vCPU
+    // the session armed may have logged for it (the process migrated).
+    for (u64 left = t.armed_cpus; left != 0; left &= left - 1) {
+      const auto c = static_cast<unsigned>(std::countr_zero(left));
+      kernel_.vm().vcpu(c).hypercall(sim::Hypercall::kOohIntervalReset);
+      RingBuffer& shared = kernel_.vm().spml_ring(c);
+      u64 v = 0;
+      while (shared.pop(v)) {
+        t.ring->push(v);
+        m.charge_ns(m.cost.drain_entry_ns);
+      }
     }
   }
 

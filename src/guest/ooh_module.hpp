@@ -12,9 +12,10 @@
 // per-vCPU session record (active pid, EPML shadow-VMCS init, drain
 // reentrancy flags) and registers its scheduler hook on every vCPU's
 // scheduler. A tracked process's hypercalls, vmwrites, drains and charges
-// all land on the vCPU it is placed on. Tracked processes must stay on one
-// vCPU for the EPML shadow-VMCS lifetime (track() initializes only the
-// owning vCPU); track/untrack are quiescent-point operations.
+// all land on the vCPU it is placed on. track() arms PML on that vCPU; a
+// process migrated to another vCPU is armed there when it is first
+// scheduled in, and untrack() tears down every vCPU it armed.
+// track/untrack are quiescent-point operations.
 #pragma once
 
 #include <functional>
@@ -76,6 +77,7 @@ class OohModule final : public SchedHook {
     Process* proc = nullptr;
     std::unique_ptr<RingBuffer> ring;
     Gpa guest_buf_gpa = 0;  ///< EPML: guest-level PML buffer page.
+    u64 armed_cpus = 0;     ///< vCPUs this session armed PML on, one bit each.
   };
   /// Per-vCPU session state: one PML instance per vCPU.
   struct CpuSession {
@@ -85,6 +87,11 @@ class OohModule final : public SchedHook {
     bool ipi_deferred = false;  ///< self-IPI arrived mid-drain; redeliver after.
   };
 
+  /// Arm `t`'s session on vCPU `cpu` unless it already is: SPML's init
+  /// hypercall, or EPML's shadow-VMCS init plus the guest buffer's EPT
+  /// mapping. track() arms the process's vCPU, on_schedule_in any vCPU it
+  /// migrated to.
+  void arm(Tracked& t, unsigned cpu);
   void epml_drain_guest_buffer(Tracked& t, unsigned cpu);
   [[nodiscard]] Tracked* active_tracked(unsigned cpu) noexcept;
 

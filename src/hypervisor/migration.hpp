@@ -27,31 +27,6 @@ struct MigrationOptions {
   /// vCPU pause (the drain window). Writes made here land in the PML
   /// buffer/dirty log and must appear in the stop-and-copy set.
   std::function<void()> drain_window_body;
-  /// Concurrent userspace drain: while each guest quantum runs, one host
-  /// drainer thread per vCPU pops that vCPU's dirty ring
-  /// (Hypervisor::drain_dirty_ring) instead of leaving every entry for the
-  /// round-boundary harvest. The quiescent harvest folds the drained set
-  /// back in (Vm::drained_log), so rounds, pages_sent, downtime and all
-  /// virtual-time results are bit-identical with the flag on or off — the
-  /// difference is host-side: ring occupancy stays low and the harvest
-  /// pause shrinks (MigrationReport::ring_drained counts the overlap).
-  bool concurrent_ring_drain = false;
-
-  // ---- adaptive convergence control (inert unless enabled) ------------------
-  /// Drive the pre-copy loop with a ConvergencePredictor: compare each
-  /// round's smoothed dirty rate against the transport's send bandwidth,
-  /// throttle the guest while pre-copy cannot converge, and cut the loop
-  /// short (auto-sizing max_rounds down) once non-convergence is sustained
-  /// — instead of burning all max_rounds resending the same hot set.
-  bool adaptive_convergence = false;
-  /// Rounds the predictor observes before it may act (the EWMA needs data).
-  unsigned predictor_warmup_rounds = 2;
-  /// Consecutive non-convergent verdicts (after warmup) before the forced
-  /// stop-and-copy cutoff.
-  unsigned predictor_patience = 2;
-  /// Fraction of each non-convergent round's duration charged to the guest
-  /// as a throttle stall (QEMU auto-converge style). 0 disables throttling.
-  double throttle_fraction = 0.3;
 };
 
 struct MigrationReport {
@@ -60,15 +35,10 @@ struct MigrationReport {
   u64 initial_pages = 0;       ///< pages in the first full copy.
   u64 stop_copy_pages = 0;     ///< pages re-sent while the VM was paused.
   u64 send_retries = 0;        ///< transfer attempts that failed and backed off.
-  u64 ring_drained = 0;        ///< ring entries popped by concurrent drainers.
   bool converged = false;      ///< dirty rate fell under the threshold.
   bool aborted = false;        ///< a transfer kept failing; migration gave up.
   VirtDuration total_time{0};
   VirtDuration downtime{0};    ///< stop-and-copy duration (VM paused).
-  // ---- adaptive convergence control (zero/false unless enabled) -------------
-  u64 throttled_rounds = 0;    ///< rounds the guest was throttle-stalled.
-  bool predicted_nonconvergent = false;  ///< predictor forced the cutoff.
-  double predicted_dirty_rate = 0.0;     ///< final smoothed rate, pages/virtual-ms.
 };
 
 class MigrationEngine {

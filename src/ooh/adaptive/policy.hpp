@@ -6,8 +6,8 @@
 // phase wants write-protection or /proc (no standing PML session; the few
 // writes each pay a fault). The engine is a pure deterministic function of
 // the signal plus its own hysteresis state — same seed, same decisions —
-// and the switch itself is carried out by AdaptiveTracker at the interval
-// boundary (the quiescent point), under the POL-1 invariant.
+// and the switch itself is the DirtyTracker session's handoff at the
+// interval boundary (the quiescent point), under the POL-1 invariant.
 #pragma once
 
 #include "ooh/adaptive/wss_estimator.hpp"
@@ -49,6 +49,15 @@ class PolicyEngine {
   PolicyConfig cfg_;
   u64 switches_ = 0;
   u64 last_switch_window_ = 0;
+};
+
+/// Constructor argument of an adaptive DirtyTracker session.
+struct AdaptiveOptions {
+  /// Backend the session starts on (the paper's default tracker, EPML).
+  Technique initial = Technique::kEpml;
+  PolicyConfig policy;
+  /// EWMA weight of the newest window in the estimator.
+  double estimator_alpha = 0.5;
 };
 
 }  // namespace ooh::lib

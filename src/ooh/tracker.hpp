@@ -1,7 +1,8 @@
 // The OoH userspace library: a unified dirty-page tracker API over the four
 // techniques the paper compares (/proc, userfaultfd, SPML, EPML), a
-// KVM-page_track-style write-protection backend (wp), and an oracle
-// (zero-cost ground truth, the hypothetical technique of §VI-B).
+// KVM-page_track-style write-protection backend (wp), segment-table
+// soft-dirty (seg), and an oracle (zero-cost ground truth, the hypothetical
+// technique of §VI-B).
 //
 // Tracker lifecycle:
 //     init()            one-time setup (ufd registration, OoH PML init)
@@ -10,8 +11,15 @@
 //     collect()         harvest dirty GVAs for the interval
 //     shutdown()        teardown
 //
-// Per-phase virtual time is attributed to Phases so benches can report the
-// paper's Tracker-side costs (Fig. 3, Table I "On Tracker").
+// A DirtyTracker is one session. It drives one backend (ooh/trackers.hpp)
+// at a time, and one handoff replaces it: the old backend shuts down, the
+// new one is made and inits. Graceful degradation (a backend's init runs out
+// of memory) and the adaptive control plane (ooh/adaptive/: a policy picks
+// the next interval's backend from the process's dirty rate) both use it.
+//
+// Per-phase virtual time is attributed to Phases, on the tracked process's
+// vCPU, so benches can report the paper's Tracker-side costs (Fig. 3,
+// Table I "On Tracker").
 #pragma once
 
 #include <memory>
@@ -43,73 +51,86 @@ struct Phases {
   }
 };
 
+struct AdaptiveOptions;  // ooh/adaptive/policy.hpp
+class Backend;           // ooh/trackers.hpp
+
+/// One tracking session over one process. The session owns the active
+/// backend, attributes its phases on the process's vCPU, dedups what it
+/// collects, and is the only place a backend is replaced (handoff): when a
+/// backend's init() runs out of memory, or, for an adaptive session, when
+/// the policy picks another backend at an interval boundary.
 class DirtyTracker {
  public:
-  DirtyTracker(guest::GuestKernel& kernel, guest::Process& proc)
-      : kernel_(kernel), proc_(proc) {}
-  virtual ~DirtyTracker() = default;
+  /// A session on technique `t`'s backend (not kAdaptive: use the
+  /// AdaptiveOptions constructor or make_tracker).
+  DirtyTracker(guest::GuestKernel& kernel, guest::Process& proc, Technique t);
+  /// An adaptive session: a WssEstimator senses the process's dirty rate and
+  /// a PolicyEngine picks the backend of the next interval.
+  DirtyTracker(guest::GuestKernel& kernel, guest::Process& proc,
+               const AdaptiveOptions& opts);
+  ~DirtyTracker();
 
   DirtyTracker(const DirtyTracker&) = delete;
   DirtyTracker& operator=(const DirtyTracker&) = delete;
 
-  [[nodiscard]] virtual Technique technique() const noexcept = 0;
+  /// The technique the session was opened with (kAdaptive for adaptive).
+  [[nodiscard]] Technique technique() const noexcept { return technique_; }
   [[nodiscard]] std::string_view name() const noexcept {
     return technique_name(technique());
   }
 
   /// One-time setup. If the backend's resources cannot be allocated
-  /// (bad_alloc — real or injected), the tracker degrades gracefully: it
-  /// constructs its fallback_technique() tracker and delegates the whole
-  /// lifecycle to it, counting Event::kTrackerDegraded. Techniques with no
-  /// weaker sibling rethrow.
-  ///
-  /// The lifecycle is virtual so composing trackers (AdaptiveTracker) can
-  /// delegate whole-hog to a live backend without double-counting the
-  /// wrapper accounting this base performs (kTrackerCollect, phase scopes,
-  /// dedup); concrete backends override the protected do_* hooks only.
-  virtual void init();
-  virtual void begin_interval();
+  /// (bad_alloc — real or injected), the session degrades gracefully to the
+  /// backend's weaker sibling, counting Event::kTrackerDegraded. Techniques
+  /// with no weaker sibling rethrow.
+  void init();
+  void begin_interval();
   /// Dirty page GVAs (page-aligned, deduplicated, sorted) for the interval.
-  [[nodiscard]] virtual std::vector<Gva> collect();
-  virtual void shutdown();
+  /// An adaptive session may hand off to another backend afterwards; the
+  /// caller's next begin_interval() arms it.
+  [[nodiscard]] std::vector<Gva> collect();
+  void shutdown();
 
-  /// Pages known to have been lost (ring overflow). 0 for exact techniques.
-  [[nodiscard]] virtual u64 dropped() const {
-    return fallback_ ? fallback_->dropped() : do_dropped();
-  }
+  /// Pages known to have been lost (ring overflow), over every backend the
+  /// session ran. 0 for exact techniques.
+  [[nodiscard]] u64 dropped() const;
 
   /// True when init() fell back to a weaker technique.
-  [[nodiscard]] bool degraded() const noexcept { return fallback_ != nullptr; }
-  /// The technique actually doing the tracking (the fallback's when degraded).
-  [[nodiscard]] virtual Technique effective_technique() const noexcept {
-    return fallback_ ? fallback_->effective_technique() : technique();
+  [[nodiscard]] bool degraded() const noexcept { return degraded_; }
+  /// The technique of the backend doing the tracking now.
+  [[nodiscard]] Technique effective_technique() const noexcept;
+  /// Backends the adaptive policy switched to, in order.
+  [[nodiscard]] const std::vector<Technique>& switch_history() const noexcept {
+    return history_;
   }
+  [[nodiscard]] u64 switches() const noexcept { return history_.size(); }
 
-  [[nodiscard]] virtual const Phases& phases() const noexcept {
-    return fallback_ ? fallback_->phases() : phases_;
-  }
+  /// Phase times over every backend the session ran.
+  [[nodiscard]] const Phases& phases() const noexcept { return phases_; }
   [[nodiscard]] guest::Process& process() noexcept { return proc_; }
 
- protected:
-  virtual void do_init() = 0;
-  virtual void do_begin_interval() = 0;
-  [[nodiscard]] virtual std::vector<Gva> do_collect() = 0;
-  virtual void do_shutdown() = 0;
-  [[nodiscard]] virtual u64 do_dropped() const { return 0; }
-  /// The weaker technique to degrade to when do_init() hits bad_alloc.
-  /// Returning the tracker's own technique means "no fallback: rethrow".
-  [[nodiscard]] virtual Technique fallback_technique() const noexcept {
-    return technique();
-  }
+ private:
+  struct ControlPlane;  ///< WssEstimator + PolicyEngine (adaptive sessions).
+
+  /// Init the active backend; on bad_alloc, degrade through handoff().
+  void init_backend();
+  /// Shut the active backend down (if it was armed), make `next`, init it.
+  void handoff(Technique next);
 
   guest::GuestKernel& kernel_;
   guest::Process& proc_;
+  Technique technique_;
   Phases phases_;
-  std::unique_ptr<DirtyTracker> fallback_;  ///< set when init() degraded.
+  std::unique_ptr<Backend> backend_;  ///< null only inside a degradation.
+  std::unique_ptr<ControlPlane> plane_;
+  std::vector<Technique> history_;
+  u64 dropped_retired_ = 0;  ///< dropped() of backends handed off.
+  bool degraded_ = false;
 };
 
-/// Factory over the technique enum; SPML/EPML load the OoH kernel module on
-/// init() if it is not already loaded in the right mode.
+/// A session over the technique enum (kAdaptive: default AdaptiveOptions);
+/// SPML/EPML load the OoH kernel module on init() if it is not already
+/// loaded in the right mode.
 [[nodiscard]] std::unique_ptr<DirtyTracker> make_tracker(Technique t,
                                                          guest::GuestKernel& kernel,
                                                          guest::Process& proc);

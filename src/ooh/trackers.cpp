@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <new>
+#include <stdexcept>
 
 #include "base/clock.hpp"
 #include "guest/ooh_module.hpp"
-#include "ooh/adaptive/adaptive_tracker.hpp"
 #include "guest/procfs.hpp"
 #include "guest/uffd.hpp"
 
@@ -27,22 +27,22 @@ guest::OohModule& ensure_module(guest::GuestKernel& kernel, guest::OohMode mode)
 
 // ---- ProcTracker ------------------------------------------------------------
 
-void ProcTracker::do_begin_interval() {
+void ProcTracker::begin_interval() {
   kernel_.procfs().clear_refs(proc_);
 }
 
-std::vector<Gva> ProcTracker::do_collect() {
+std::vector<Gva> ProcTracker::collect() {
   return kernel_.procfs().pagemap_dirty(proc_);
 }
 
 // ---- UfdTracker --------------------------------------------------------------
 
-void UfdTracker::do_init() {
+void UfdTracker::init() {
   kernel_.uffd().register_wp(
       proc_, [this](Gva page) { pending_.insert(page); }, &phases_.monitor);
 }
 
-void UfdTracker::do_begin_interval() {
+void UfdTracker::begin_interval() {
   // Registration already write-protected everything; later intervals must
   // re-protect so second writes to the same page fault again.
   if (first_interval_) {
@@ -52,13 +52,13 @@ void UfdTracker::do_begin_interval() {
   kernel_.uffd().rearm_wp(proc_);
 }
 
-std::vector<Gva> UfdTracker::do_collect() {
+std::vector<Gva> UfdTracker::collect() {
   std::vector<Gva> out(pending_.begin(), pending_.end());
   pending_.clear();
   return out;
 }
 
-void UfdTracker::do_shutdown() {
+void UfdTracker::shutdown() {
   kernel_.uffd().unregister(proc_);
 }
 
@@ -82,7 +82,7 @@ void SpmlTracker::on_track_flush(u32 pid, Gva start, Gva end) {
   }
 }
 
-void SpmlTracker::do_init() {
+void SpmlTracker::init() {
   module_ = &ensure_module(kernel_, guest::OohMode::kSpml);
   module_->track(proc_);
   seen_ = PageBitmap(kernel_.vm().mem_bytes());
@@ -92,7 +92,7 @@ void SpmlTracker::do_init() {
   }
 }
 
-std::vector<Gva> SpmlTracker::do_collect() {
+std::vector<Gva> SpmlTracker::collect() {
   sim::ExecContext& m = kernel_.ctx_of(proc_);
   const std::vector<u64> fetched = module_->fetch(proc_);  // charges the RB copy
 
@@ -145,7 +145,7 @@ std::vector<Gva> SpmlTracker::do_collect() {
   return out;
 }
 
-void SpmlTracker::do_shutdown() {
+void SpmlTracker::shutdown() {
   if (module_ != nullptr && module_->tracking(proc_)) module_->untrack(proc_);
   if (flush_registered_) {
     kernel_.vm().track().unregister_flush(this);
@@ -153,28 +153,28 @@ void SpmlTracker::do_shutdown() {
   }
 }
 
-u64 SpmlTracker::do_dropped() const {
+u64 SpmlTracker::dropped() const {
   return module_ != nullptr && module_->tracking(proc_) ? module_->dropped(proc_)
                                                         : 0;
 }
 
 // ---- EpmlTracker -------------------------------------------------------------
 
-void EpmlTracker::do_init() {
+void EpmlTracker::init() {
   module_ = &ensure_module(kernel_, guest::OohMode::kEpml);
   module_->track(proc_);
 }
 
-std::vector<Gva> EpmlTracker::do_collect() {
+std::vector<Gva> EpmlTracker::collect() {
   // The hardware already logged GVAs: collection is a ring-buffer read.
   return module_->fetch(proc_);
 }
 
-void EpmlTracker::do_shutdown() {
+void EpmlTracker::shutdown() {
   if (module_ != nullptr && module_->tracking(proc_)) module_->untrack(proc_);
 }
 
-u64 EpmlTracker::do_dropped() const {
+u64 EpmlTracker::dropped() const {
   return module_ != nullptr && module_->tracking(proc_) ? module_->dropped(proc_)
                                                         : 0;
 }
@@ -240,7 +240,7 @@ void WpTracker::protect_pages(const std::vector<Gva>& pages) {
   m.charge_us(m.cost.tlb_flush_us);
 }
 
-void WpTracker::do_init() {
+void WpTracker::init() {
   if (kernel_.ctx_of(proc_).fault_fire(sim::fault::FaultPoint::kWpProtectFail)) {
     // Injected failure of the write-protect pass (KVM's page_track rmap
     // allocation returning ENOMEM): degrade before touching any EPT entry.
@@ -266,7 +266,7 @@ void WpTracker::do_init() {
   protect_pages(present);
 }
 
-std::vector<Gva> WpTracker::do_collect() {
+std::vector<Gva> WpTracker::collect() {
   std::vector<Gva> out(pending_.begin(), pending_.end());
   pending_.clear();
   // Interval boundary: re-protect the harvested pages so their next write
@@ -278,7 +278,7 @@ std::vector<Gva> WpTracker::do_collect() {
   return out;
 }
 
-void WpTracker::do_shutdown() {
+void WpTracker::shutdown() {
   sim::ExecContext& m = kernel_.ctx_of(proc_);
   sim::Ept& ept = kernel_.vm().ept();
   u64 unprotected = 0;
@@ -304,7 +304,7 @@ void WpTracker::do_shutdown() {
 
 // ---- SegTracker --------------------------------------------------------------
 
-void SegTracker::do_init() {
+void SegTracker::init() {
   sim::GuestPageTable& pt = kernel_.page_table(proc_);
   if (pt.backend() == sim::TranslationBackend::kSegment) return;
   // One syscall-shaped conversion pass over the whole page table (modelled
@@ -321,11 +321,11 @@ void SegTracker::do_init() {
   m.charge_us(m.cost.tlb_flush_us);
 }
 
-void SegTracker::do_begin_interval() {
+void SegTracker::begin_interval() {
   kernel_.procfs().clear_refs(proc_);
 }
 
-std::vector<Gva> SegTracker::do_collect() {
+std::vector<Gva> SegTracker::collect() {
   // Superset semantics: pagemap_dirty expands each soft-dirty segment to
   // every page it covers.
   return kernel_.procfs().pagemap_dirty(proc_);
@@ -333,11 +333,11 @@ std::vector<Gva> SegTracker::do_collect() {
 
 // ---- OracleTracker -----------------------------------------------------------
 
-void OracleTracker::do_begin_interval() {
+void OracleTracker::begin_interval() {
   baseline_seq_ = proc_.truth_seq();
 }
 
-std::vector<Gva> OracleTracker::do_collect() {
+std::vector<Gva> OracleTracker::collect() {
   std::vector<Gva> out;
   for (const auto& [page, seq] : proc_.truth_dirty()) {
     if (seq > baseline_seq_) out.push_back(page);
@@ -347,20 +347,20 @@ std::vector<Gva> OracleTracker::do_collect() {
 
 // ---- factory -------------------------------------------------------------------
 
-std::unique_ptr<DirtyTracker> make_tracker(Technique t, guest::GuestKernel& kernel,
-                                           guest::Process& proc) {
+std::unique_ptr<Backend> make_backend(Technique t, guest::GuestKernel& kernel,
+                                      guest::Process& proc, Phases& phases) {
   switch (t) {
-    case Technique::kProc: return std::make_unique<ProcTracker>(kernel, proc);
-    case Technique::kUfd: return std::make_unique<UfdTracker>(kernel, proc);
-    case Technique::kSpml: return std::make_unique<SpmlTracker>(kernel, proc);
-    case Technique::kEpml: return std::make_unique<EpmlTracker>(kernel, proc);
-    case Technique::kWp: return std::make_unique<WpTracker>(kernel, proc);
-    case Technique::kSeg: return std::make_unique<SegTracker>(kernel, proc);
-    case Technique::kOracle: return std::make_unique<OracleTracker>(kernel, proc);
-    case Technique::kAdaptive:
-      return std::make_unique<AdaptiveTracker>(kernel, proc);
+    case Technique::kProc: return std::make_unique<ProcTracker>(kernel, proc, phases);
+    case Technique::kUfd: return std::make_unique<UfdTracker>(kernel, proc, phases);
+    case Technique::kSpml: return std::make_unique<SpmlTracker>(kernel, proc, phases);
+    case Technique::kEpml: return std::make_unique<EpmlTracker>(kernel, proc, phases);
+    case Technique::kWp: return std::make_unique<WpTracker>(kernel, proc, phases);
+    case Technique::kSeg: return std::make_unique<SegTracker>(kernel, proc, phases);
+    case Technique::kOracle:
+      return std::make_unique<OracleTracker>(kernel, proc, phases);
+    case Technique::kAdaptive: break;
   }
-  throw std::invalid_argument("unknown technique");
+  throw std::invalid_argument("no backend for this technique");
 }
 
 }  // namespace ooh::lib

@@ -1,8 +1,9 @@
-// The six DirtyTracker backends (paper §III and §IV, plus the
+// The DirtyTracker backends (paper §III and §IV, plus the
 // KVM-page_track-style write-protection backend built on the page-track
-// notifier chain).
+// notifier chain, segment-table soft-dirty, and the oracle).
 #pragma once
 
+#include <memory>
 #include <unordered_set>
 
 #include "base/page_bitmap.hpp"
@@ -15,32 +16,65 @@ class OohModule;
 
 namespace ooh::lib {
 
-/// /proc/PID/{clear_refs,pagemap} soft-dirty tracking -- the default in both
-/// CRIU and Boehm GC (§III-B).
-class ProcTracker final : public DirtyTracker {
+/// One tracking technique behind a DirtyTracker session. A backend does only
+/// its technique's work; the session attributes init, begin_interval and
+/// collect to their phases on the process's vCPU, dedups collect()'s output
+/// and replaces the backend (handoff).
+class Backend {
  public:
-  using DirtyTracker::DirtyTracker;
-  [[nodiscard]] Technique technique() const noexcept override { return Technique::kProc; }
+  Backend(guest::GuestKernel& kernel, guest::Process& proc, Phases& phases)
+      : kernel_(kernel), proc_(proc), phases_(phases) {}
+  virtual ~Backend() = default;
+
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
+
+  [[nodiscard]] virtual Technique technique() const noexcept = 0;
+  virtual void init() {}
+  virtual void begin_interval() {}
+  /// Dirty page GVAs for the interval, in any order, possibly repeated.
+  [[nodiscard]] virtual std::vector<Gva> collect() = 0;
+  virtual void shutdown() {}
+  /// Pages known to have been lost (ring overflow).
+  [[nodiscard]] virtual u64 dropped() const { return 0; }
+  /// The weaker technique to degrade to when init() hits bad_alloc.
+  /// Returning the backend's own technique means "no fallback: rethrow".
+  [[nodiscard]] virtual Technique fallback() const noexcept { return technique(); }
 
  protected:
-  void do_init() override {}
-  void do_begin_interval() override;
-  [[nodiscard]] std::vector<Gva> do_collect() override;
-  void do_shutdown() override {}
+  guest::GuestKernel& kernel_;
+  guest::Process& proc_;
+  Phases& phases_;  ///< the session's: fault service is charged to monitor.
+};
+
+/// The backend for technique `t` (not kAdaptive, which is a session).
+[[nodiscard]] std::unique_ptr<Backend> make_backend(Technique t,
+                                                    guest::GuestKernel& kernel,
+                                                    guest::Process& proc,
+                                                    Phases& phases);
+
+/// /proc/PID/{clear_refs,pagemap} soft-dirty tracking -- the default in both
+/// CRIU and Boehm GC (§III-B).
+class ProcTracker final : public Backend {
+ public:
+  using Backend::Backend;
+  [[nodiscard]] Technique technique() const noexcept override { return Technique::kProc; }
+
+  void begin_interval() override;
+  [[nodiscard]] std::vector<Gva> collect() override;
 };
 
 /// userfaultfd write-protect tracking (§III-A). Dirty addresses accumulate
 /// synchronously while the Tracked faults; collect() just takes the set.
-class UfdTracker final : public DirtyTracker {
+class UfdTracker final : public Backend {
  public:
-  using DirtyTracker::DirtyTracker;
+  using Backend::Backend;
   [[nodiscard]] Technique technique() const noexcept override { return Technique::kUfd; }
 
- protected:
-  void do_init() override;
-  void do_begin_interval() override;
-  [[nodiscard]] std::vector<Gva> do_collect() override;
-  void do_shutdown() override;
+  void init() override;
+  void begin_interval() override;
+  [[nodiscard]] std::vector<Gva> collect() override;
+  void shutdown() override;
 
  private:
   std::unordered_set<Gva> pending_;
@@ -51,9 +85,9 @@ class UfdTracker final : public DirtyTracker {
 /// enable/disable_logging hypercalls; the library reverse-maps logged GPAs
 /// to GVAs by parsing the page table through /proc -- the measured
 /// bottleneck (Fig. 3).
-class SpmlTracker final : public DirtyTracker, public sim::PageTrackNotifier {
+class SpmlTracker final : public Backend, public sim::PageTrackNotifier {
  public:
-  using DirtyTracker::DirtyTracker;
+  using Backend::Backend;
   ~SpmlTracker() override;
   [[nodiscard]] Technique technique() const noexcept override { return Technique::kSpml; }
 
@@ -63,13 +97,12 @@ class SpmlTracker final : public DirtyTracker, public sim::PageTrackNotifier {
   /// a recycled frame would otherwise reverse-map to the old address.
   void on_track_flush(u32 pid, Gva start, Gva end) override;
 
- protected:
-  void do_init() override;
-  void do_begin_interval() override {}
-  [[nodiscard]] std::vector<Gva> do_collect() override;
-  void do_shutdown() override;
-  [[nodiscard]] u64 do_dropped() const override;
-  [[nodiscard]] Technique fallback_technique() const noexcept override {
+  // ---- Backend --------------------------------------------------------------
+  void init() override;
+  [[nodiscard]] std::vector<Gva> collect() override;
+  void shutdown() override;
+  [[nodiscard]] u64 dropped() const override;
+  [[nodiscard]] Technique fallback() const noexcept override {
     return Technique::kProc;  // no PML buffer: degrade to soft-dirty
   }
 
@@ -97,18 +130,16 @@ class SpmlTracker final : public DirtyTracker, public sim::PageTrackNotifier {
 
 /// Extended PML (§IV-D): the hardware logs GVAs straight into a guest-level
 /// buffer; collection is a plain ring-buffer read.
-class EpmlTracker final : public DirtyTracker {
+class EpmlTracker final : public Backend {
  public:
-  using DirtyTracker::DirtyTracker;
+  using Backend::Backend;
   [[nodiscard]] Technique technique() const noexcept override { return Technique::kEpml; }
 
- protected:
-  void do_init() override;
-  void do_begin_interval() override {}
-  [[nodiscard]] std::vector<Gva> do_collect() override;
-  void do_shutdown() override;
-  [[nodiscard]] u64 do_dropped() const override;
-  [[nodiscard]] Technique fallback_technique() const noexcept override {
+  void init() override;
+  [[nodiscard]] std::vector<Gva> collect() override;
+  void shutdown() override;
+  [[nodiscard]] u64 dropped() const override;
+  [[nodiscard]] Technique fallback() const noexcept override {
     return Technique::kSpml;  // guest buffer page unavailable: degrade to SPML
   }
 
@@ -123,21 +154,20 @@ class EpmlTracker final : public DirtyTracker {
 /// VM-exit per dirty page); collect() re-protects the harvested pages.
 /// Pages demand-mapped after the protect pass are caught at their EPT
 /// dirty-flag transition (kEptDirty), so no dirty page is missed.
-class WpTracker final : public DirtyTracker, public sim::PageTrackNotifier {
+class WpTracker final : public Backend, public sim::PageTrackNotifier {
  public:
-  using DirtyTracker::DirtyTracker;
+  using Backend::Backend;
   ~WpTracker() override;
   [[nodiscard]] Technique technique() const noexcept override { return Technique::kWp; }
 
   // ---- sim::PageTrackNotifier (kEptWpFault + kEptDirty) ---------------------
   bool on_track(sim::TrackLayer layer, const sim::TrackEvent& ev) override;
 
- protected:
-  void do_init() override;
-  void do_begin_interval() override {}
-  [[nodiscard]] std::vector<Gva> do_collect() override;
-  void do_shutdown() override;
-  [[nodiscard]] Technique fallback_technique() const noexcept override {
+  // ---- Backend --------------------------------------------------------------
+  void init() override;
+  [[nodiscard]] std::vector<Gva> collect() override;
+  void shutdown() override;
+  [[nodiscard]] Technique fallback() const noexcept override {
     return Technique::kProc;  // protect pass failed: degrade to soft-dirty
   }
 
@@ -158,32 +188,27 @@ class WpTracker final : public DirtyTracker, public sim::PageTrackNotifier {
 /// superset of the truth — a write anywhere in a run reports the whole run.
 /// The comparison point quantifies what coarse translation metadata costs
 /// in precision versus what it saves in walk/arm work.
-class SegTracker final : public DirtyTracker {
+class SegTracker final : public Backend {
  public:
-  using DirtyTracker::DirtyTracker;
+  using Backend::Backend;
   [[nodiscard]] Technique technique() const noexcept override { return Technique::kSeg; }
 
- protected:
-  void do_init() override;
-  void do_begin_interval() override;
-  [[nodiscard]] std::vector<Gva> do_collect() override;
-  void do_shutdown() override {}
+  void init() override;
+  void begin_interval() override;
+  [[nodiscard]] std::vector<Gva> collect() override;
 };
 
 /// The hypothetical zero-cost technique of §VI-B ("oracle"): perfect dirty
 /// information with E(C_oracle) = 0. Reads the simulator's ground truth.
-class OracleTracker final : public DirtyTracker {
+class OracleTracker final : public Backend {
  public:
-  using DirtyTracker::DirtyTracker;
+  using Backend::Backend;
   [[nodiscard]] Technique technique() const noexcept override {
     return Technique::kOracle;
   }
 
- protected:
-  void do_init() override {}
-  void do_begin_interval() override;
-  [[nodiscard]] std::vector<Gva> do_collect() override;
-  void do_shutdown() override {}
+  void begin_interval() override;
+  [[nodiscard]] std::vector<Gva> collect() override;
 
  private:
   u64 baseline_seq_ = 0;  ///< write sequence at the start of the interval.

@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "base/counters.hpp"
-#include "ooh/adaptive/adaptive_tracker.hpp"
-#include "ooh/adaptive/convergence.hpp"
 #include "ooh/adaptive/policy.hpp"
 #include "ooh/adaptive/wss_estimator.hpp"
 #include "ooh/testbed.hpp"
@@ -149,7 +147,7 @@ TEST(PolicyEngine, HysteresisBandAndFlapDamping) {
   EXPECT_EQ(eng.switches(), 2u);
 }
 
-// ---- AdaptiveTracker: runtime switching, loss-freedom, determinism ----------
+// ---- adaptive sessions: runtime switching, loss-freedom, determinism -------
 
 struct AdaptiveRunResult {
   double final_us = 0.0;
@@ -180,7 +178,7 @@ AdaptiveRunResult run_phase_changing(unsigned cold_intervals,
   ao.policy.hot = Technique::kEpml;
   ao.policy.cold = Technique::kWp;
   ao.estimator_alpha = 0.9;  // weight the newest window: fast phase response
-  AdaptiveTracker tracker(k, proc, ao);
+  DirtyTracker tracker(k, proc, ao);
   tracker.init();
   tracker.begin_interval();
 
@@ -300,35 +298,6 @@ TEST(AdaptiveTracker, AggregatesPhasesAndReportsAdaptiveTechnique) {
   EXPECT_EQ(tracker->phases().intervals, 1u);
   EXPECT_EQ(tracker->phases().collected_pages, 32u);
   bed.audit();
-}
-
-// ---- ConvergencePredictor: unit behaviour -----------------------------------
-
-TEST(ConvergencePredictor, ComparesDirtyRateAgainstSendBandwidth) {
-  CostModel cost;
-  cost.migration_send_page_us = 100.0;  // 10 pages/ms transport
-  ConvergencePredictor p(0.5);
-  EXPECT_DOUBLE_EQ(ConvergencePredictor::send_rate(cost), 10.0);
-  EXPECT_FALSE(p.non_convergent(cost)) << "no observations yet";
-
-  p.observe_round(100, msecs(2.0));  // 50 pages/ms > 10
-  EXPECT_TRUE(p.non_convergent(cost));
-  p.note_verdict(true);
-  p.observe_round(100, msecs(2.0));
-  EXPECT_TRUE(p.non_convergent(cost));
-  p.note_verdict(true);
-  EXPECT_EQ(p.sustained_non_convergence(), 2u);
-
-  // A quiet round drags the EWMA down and resets the sustained streak.
-  p.observe_round(1, msecs(10.0));
-  p.note_verdict(p.non_convergent(cost));
-  EXPECT_LT(p.dirty_rate(), 50.0);
-  p.observe_round(0, msecs(10.0));
-  p.observe_round(0, msecs(10.0));
-  EXPECT_FALSE(p.non_convergent(cost));
-  p.note_verdict(false);
-  EXPECT_EQ(p.sustained_non_convergence(), 0u);
-  EXPECT_EQ(p.rounds(), 5u);
 }
 
 }  // namespace

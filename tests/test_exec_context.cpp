@@ -550,8 +550,8 @@ ScalarMixPin scalar_access_mix(lib::Technique tech) {
   const Gva spare = proc.mmap(16 * kPageSize);
   bool spare_mapped = true;
 
-  // A tracker session per vCPU: the OoH module binds a tracked process to
-  // the vCPU it ran on at init, so the migration happens between sessions.
+  // A tracker session per vCPU, the migration between them (sessions that
+  // live across a migration: SmpTracker.SessionsSurviveMigrateProcess).
   std::unique_ptr<lib::DirtyTracker> tracker;
   u64 collected = 0;
   const auto service = [&] {
@@ -665,28 +665,28 @@ void expect_scalar_mix(lib::Technique tech, const ScalarMixPin& want) {
 TEST(VirtualTimePinning, ScalarAccessMixProc) {
   expect_scalar_mix(lib::Technique::kProc,
                     {{0x40fb9515c652f520ull, 0x40fafb2a73286e7aull},
-                     {0x2eddd2918f015de0ull, 0x370f2433622661fbull}, 765797, 30930,
+                     {0x078acd904fdae2a9ull, 0x3fb80ba6d0bccb9aull}, 765797, 30930,
                      0xfecd516a9bb3be34ull, 160, 363424, 0x91339d2cc9bda423ull});
 }
 
 TEST(VirtualTimePinning, ScalarAccessMixSpml) {
   expect_scalar_mix(lib::Technique::kSpml,
                     {{0x410611cf98878d2full, 0x410634e51cb1ee28ull},
-                     {0x329cd009a369af2aull, 0x66167bf66bd9650aull}, 754738, 30059,
+                     {0xc7a3e2fd03622a4aull, 0xe272a65f2a22694aull}, 754738, 30059,
                      0xfecd516a9bb3be34ull, 160, 363424, 0x91339d2cc9bda423ull});
 }
 
 TEST(VirtualTimePinning, ScalarAccessMixEpml) {
   expect_scalar_mix(lib::Technique::kEpml,
                     {{0x40f08e76b5a5c30cull, 0x40f297d8ebf2876bull},
-                     {0x22dc5e3b6418a56full, 0x8bc7d817bc543e29ull}, 766203, 18594,
+                     {0xa7a604475802a6c8ull, 0xce34367f84fe5978ull}, 766203, 18594,
                      0xfecd516a9bb3be34ull, 160, 363424, 0x91339d2cc9bda423ull});
 }
 
 TEST(VirtualTimePinning, ScalarAccessMixWp) {
   expect_scalar_mix(lib::Technique::kWp,
                     {{0x40f14781fab38a08ull, 0x40f108ec51eabbcfull},
-                     {0x54d31386488053b8ull, 0x8d5448cf6a50793eull}, 760730, 24067,
+                     {0xa0eda8f5819c4f12ull, 0x9e6bb276f52a79acull}, 760730, 24067,
                      0xfecd516a9bb3be34ull, 160, 363424, 0x91339d2cc9bda423ull});
 }
 

@@ -233,68 +233,6 @@ TEST(Migration, ForcedCutoffCountsItsRoundInReportAndCounters) {
   EXPECT_EQ(rep.stop_copy_pages, 16u);
 }
 
-TEST(Migration, ConvergencePredictorShortCircuitsHopelessPrecopy) {
-  // A hot guest rewriting its working set faster than the transport can
-  // send it will never converge; the predictor must detect that after its
-  // warmup+patience budget and cut straight to stop-and-copy instead of
-  // burning all 30 static rounds.
-  const auto run = [](bool adaptive) {
-    lib::TestBedOptions o;
-    o.cost.migration_send_page_us = 200.0;  // 5 pages/ms transport
-    lib::TestBed bed(o);
-    auto& k = bed.kernel();
-    auto& proc = k.create_process();
-    const u64 pages = 64;
-    const Gva base = proc.mmap(pages * kPageSize);
-    for (u64 i = 0; i < pages; ++i) proc.touch_write(base + i * kPageSize);
-    MigrationEngine engine(bed.hypervisor());
-    MigrationOptions opts;
-    opts.max_rounds = 30;
-    opts.stop_copy_threshold_pages = 0;
-    opts.adaptive_convergence = adaptive;
-    return engine.migrate(
-        bed.vm(),
-        [&] {
-          for (u64 i = 0; i < pages; ++i) proc.touch_write(base + i * kPageSize);
-        },
-        opts);
-  };
-  const MigrationReport fixed = run(false);
-  EXPECT_FALSE(fixed.converged);
-  EXPECT_EQ(fixed.rounds, 31u) << "static budget: 30 rounds + forced cutoff";
-  EXPECT_FALSE(fixed.predicted_nonconvergent);
-  EXPECT_EQ(fixed.throttled_rounds, 0u);
-
-  const MigrationReport adaptive = run(true);
-  EXPECT_FALSE(adaptive.converged);
-  EXPECT_TRUE(adaptive.predicted_nonconvergent);
-  // Default predictor budget: 2 warmup rounds, then 2 sustained verdicts,
-  // then the cutoff round — far short of the static 31.
-  EXPECT_EQ(adaptive.rounds, 4u);
-  EXPECT_LT(adaptive.rounds, fixed.rounds);
-  EXPECT_GT(adaptive.predicted_dirty_rate, 5.0)
-      << "the measured dirty rate exceeds the 5 pages/ms send rate";
-  EXPECT_GE(adaptive.throttled_rounds, 1u) << "auto-converge throttled the guest";
-  EXPECT_EQ(adaptive.stop_copy_pages, 64u)
-      << "the predicted-hopeless hot set still arrives at stop-and-copy";
-}
-
-TEST(Migration, PredictorLeavesConvergingMigrationsAlone) {
-  lib::TestBed bed;
-  auto& k = bed.kernel();
-  auto& proc = k.create_process();
-  const Gva base = proc.mmap(100 * kPageSize);
-  for (u64 i = 0; i < 100; ++i) proc.touch_write(base + i * kPageSize);
-  MigrationEngine engine(bed.hypervisor());
-  MigrationOptions opts;
-  opts.adaptive_convergence = true;
-  const MigrationReport rep = engine.migrate(bed.vm(), [] {}, opts);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_FALSE(rep.predicted_nonconvergent);
-  EXPECT_EQ(rep.throttled_rounds, 0u);
-  EXPECT_EQ(bed.ctx().counters.get(Event::kMigrationThrottle), 0u);
-}
-
 TEST(Migration, BackToBackMigrationsWork) {
   lib::TestBed bed;
   auto& k = bed.kernel();

@@ -3,8 +3,8 @@
 // processes pay nothing), bit-identical virtual time between serial and
 // threaded execution of one VM's vCPUs, loss-free concurrent userspace ring
 // drain under real threads (the TSan stress), the kDirtyRingFull injected
-// spill path, migration's concurrent-drain equivalence, and the RING-1 /
-// SHOOT-1 coherence-oracle mutation checks.
+// spill path, tracker sessions of processes on other vCPUs or migrated
+// between them, and the RING-1 / SHOOT-1 coherence-oracle mutation checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +16,8 @@
 
 #include "guest/kernel.hpp"
 #include "hypervisor/hypervisor.hpp"
-#include "hypervisor/migration.hpp"
 #include "ooh/testbed.hpp"
+#include "ooh/tracker.hpp"
 #include "sim/check/coherence.hpp"
 
 namespace ooh {
@@ -391,55 +391,108 @@ TEST(SmpFaultInjection, DirtyRingFullSpillsLossFreeOnEveryVcpu) {
   bed.audit();
 }
 
-// ---- migration with concurrent ring drain -----------------------------------
+// ---- tracker sessions of processes off vCPU 0 ------------------------------
 
-hv::MigrationReport run_migration(bool concurrent_drain) {
-  // Big enough that the first pre-copy quantum logs more than one PML
-  // buffer (512 entries): the mid-quantum PML-full drain lands entries in
-  // the dirty ring while the quantum is still running, which is what the
-  // concurrent drainers consume.
-  constexpr u64 kHot = 1200;
+lib::TestBedOptions two_vcpu_bed() {
   lib::TestBedOptions opts;
   opts.vm_mem_bytes = 64 * kMiB;
   opts.host_mem_bytes = 1 * kGiB;
   opts.vcpus_per_vm = 2;
-  opts.cost = CostModel::unit();
-  lib::TestBed bed(opts);
-  guest::GuestKernel& k = bed.kernel();
-  guest::Process& p = k.create_process();
-  const Gva base = p.mmap(kHot * kPageSize);
-  for (u64 i = 0; i < kHot; ++i) p.touch_write(base + i * kPageSize);
-
-  hv::MigrationEngine engine(bed.hypervisor());
-  hv::MigrationOptions mopts;
-  mopts.concurrent_ring_drain = concurrent_drain;
-  u64 hot = kHot;
-  const hv::MigrationReport rep = engine.migrate(
-      bed.vm(),
-      [&] {
-        // Shrinking hot set so pre-copy converges.
-        hot = std::max<u64>(hot / 2, 8);
-        for (u64 i = 0; i < hot; ++i) p.touch_write(base + i * kPageSize);
-      },
-      mopts);
-  bed.audit();
-  return rep;
+  return opts;
 }
 
-TEST(SmpMigration, ConcurrentRingDrainIsVirtualTimeIdentical) {
-  const hv::MigrationReport off = run_migration(false);
-  const hv::MigrationReport on = run_migration(true);
-  EXPECT_TRUE(off.converged);
-  EXPECT_TRUE(on.converged);
-  EXPECT_EQ(on.rounds, off.rounds);
-  EXPECT_EQ(on.pages_sent, off.pages_sent);
-  EXPECT_EQ(on.stop_copy_pages, off.stop_copy_pages);
-  EXPECT_EQ(on.total_time.count(), off.total_time.count());
-  EXPECT_EQ(on.downtime.count(), off.downtime.count());
-  EXPECT_EQ(off.ring_drained, 0u);
-  // The drainers' post-quantum sweep makes at least the final quantum's
-  // entries drain concurrently, deterministically.
-  EXPECT_GT(on.ring_drained, 0u);
+/// The process's truth ledger as a sorted page list (collect()'s shape).
+std::vector<Gva> truth_pages(const guest::Process& proc) {
+  std::vector<Gva> out;
+  for (const auto& [page, seq] : proc.truth_dirty()) out.push_back(page);
+  return out;
+}
+
+TEST(SmpTracker, PhasesLandOnTheProcessVcpu) {
+  for (const lib::Technique tech : {lib::Technique::kProc, lib::Technique::kSpml,
+                                    lib::Technique::kEpml, lib::Technique::kWp}) {
+    SCOPED_TRACE(std::string(lib::technique_name(tech)));
+    lib::TestBed bed(two_vcpu_bed());
+    guest::GuestKernel& k = bed.kernel();
+    guest::Process& proc = k.create_process();
+    k.migrate_process(proc, 1);
+    constexpr u64 kPages = 32;
+    const Gva base = proc.mmap(kPages * kPageSize);
+    for (u64 i = 0; i < kPages; ++i) proc.touch_write(base + i * kPageSize);
+    sim::ExecContext& own = k.vm().vcpu(1).ctx();
+    sim::ExecContext& other = k.vm().vcpu(0).ctx();
+
+    auto tracker = lib::make_tracker(tech, k, proc);
+    tracker->init();
+    tracker->begin_interval();
+    k.scheduler_of(proc).enter_process(proc.pid());
+    for (u64 i = 0; i < kPages; ++i) proc.touch_write(base + i * kPageSize);
+    k.scheduler_of(proc).exit_process(proc.pid());
+    const VirtDuration before = own.clock.now();
+    EXPECT_EQ(tracker->collect().size(), kPages);
+    const VirtDuration spent = own.clock.now() - before;
+
+    // The session's phase times are the time its calls took on the
+    // process's vCPU, and its collect counts there.
+    const lib::Phases& ph = tracker->phases();
+    EXPECT_GT(spent.count(), 0.0);
+    EXPECT_NEAR(ph.collect.count(), spent.count(), 1e-9 * spent.count());
+    if (tech == lib::Technique::kProc) {
+      EXPECT_GT(ph.arm.count(), 0.0) << "clear_refs";
+    } else {
+      EXPECT_GT(ph.init.count(), 0.0);
+    }
+    EXPECT_EQ(own.counters.get(Event::kTrackerCollect), 1u);
+    EXPECT_EQ(other.counters.get(Event::kTrackerCollect), 0u);
+    tracker->shutdown();
+    bed.audit();
+  }
+}
+
+TEST(SmpTracker, SessionsSurviveMigrateProcess) {
+  for (const lib::Technique tech :
+       {lib::Technique::kProc, lib::Technique::kUfd, lib::Technique::kSpml,
+        lib::Technique::kEpml, lib::Technique::kWp}) {
+    SCOPED_TRACE(std::string(lib::technique_name(tech)));
+    lib::TestBed bed(two_vcpu_bed());
+    guest::GuestKernel& k = bed.kernel();
+    guest::Process& proc = k.create_process();
+    ASSERT_EQ(proc.cpu(), 0u);
+    constexpr u64 kPages = 32;
+    const Gva base = proc.mmap(kPages * kPageSize);
+    for (u64 i = 0; i < kPages; ++i) proc.touch_write(base + i * kPageSize);
+
+    auto tracker = lib::make_tracker(tech, k, proc);
+    tracker->init();
+    const auto begin = [&] {
+      tracker->begin_interval();
+      proc.truth_reset();
+    };
+    const auto write_on = [&](unsigned cpu, u64 from, u64 n) {
+      if (proc.cpu() != cpu) k.migrate_process(proc, cpu);
+      k.scheduler_of(proc).enter_process(proc.pid());
+      for (u64 i = from; i < from + n; ++i) proc.touch_write(base + i * kPageSize);
+      k.scheduler_of(proc).exit_process(proc.pid());
+    };
+
+    // Tracked on vCPU 0, migrated to vCPU 1 mid-interval, 16 writes there.
+    begin();
+    write_on(0, 0, 8);
+    write_on(1, 8, 16);
+    EXPECT_EQ(tracker->collect(), truth_pages(proc)) << "interval 1";
+    // Back to vCPU 0 mid-interval.
+    begin();
+    write_on(1, 0, 16);
+    write_on(0, 16, 16);
+    EXPECT_EQ(tracker->collect(), truth_pages(proc)) << "interval 2";
+    // Rewrites of pages last logged on the other vCPU must log again.
+    begin();
+    write_on(0, 0, kPages);
+    EXPECT_EQ(tracker->collect(), truth_pages(proc)) << "interval 3";
+    EXPECT_EQ(tracker->dropped(), 0u);
+    tracker->shutdown();
+    bed.audit();
+  }
 }
 
 // ---- coherence oracle: RING-1 and SHOOT-1 mutations -------------------------

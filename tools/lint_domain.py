@@ -141,7 +141,7 @@ RULES: list[Rule] = [
             "src/hypervisor/hypervisor.cpp",
             "src/guest/kernel.cpp",
             "src/ooh/trackers.cpp",
-            "src/ooh/adaptive/adaptive_tracker.cpp",
+            "src/ooh/tracker.cpp",  # adaptive sessions' WSS estimator
         ],
         "Page-track consumers may only (un)register through the subsystems "
         "the registry audit knows about; others corrupt chain-order "
@@ -154,13 +154,12 @@ RULES: list[Rule] = [
         r"|lock_guard\b|scoped_lock\b|unique_lock\b)",
         [
             # The seam itself, the explorer that instruments it (whose own
-            # engine must not be instrumented), and the two sanctioned
-            # host-thread-spawning call sites (the sync seam wraps state,
-            # not thread lifetime).
+            # engine must not be instrumented), and the one sanctioned
+            # host-thread-spawning call site, the worker pool (the sync seam
+            # wraps state, not thread lifetime).
             "src/base/sync.hpp",
             "src/sim/check/sched_explorer.hpp",
             "src/sim/check/sched_explorer.cpp",
-            "src/hypervisor/migration.cpp",
             "src/sim/epoch/epoch_pool.cpp",
         ],
         "Cross-thread state must live behind sync::Atomic / sync::Mutex / "
@@ -202,6 +201,22 @@ RULES: list[Rule] = [
             "src/trackers/criu/",
             "src/trackers/boehmgc/",
             "src/guest/process.",
+        ],
+    ),
+    rule(
+        "layer-include",
+        r'#\s*include\s+"(ooh|trackers|workloads|model)/',
+        [],
+        "The machine layers (base, sim, guest, hypervisor) sit below the "
+        "OoH library, its consumers, the workloads and the analytical model. "
+        "An include upward makes a lower layer depend on code built on top "
+        "of it: the layering stops being a tree, and a library-side feature "
+        "can leak into the machine it is supposed to observe.",
+        scope=[
+            "src/base/",
+            "src/sim/",
+            "src/guest/",
+            "src/hypervisor/",
         ],
     ),
 ]
