@@ -58,10 +58,22 @@ inline BoehmRun run_boehm_in(guest::GuestKernel& k, std::string_view app,
   return out;
 }
 
-inline BoehmRun run_boehm(std::string_view app, wl::ConfigSize size, u64 scale,
-                          lib::Technique tech) {
-  lib::TestBed bed;
-  return run_boehm_in(bed.kernel(), app, size, scale, tech);
+/// The Figs. 5-6 grid: one cell per (app, technique), each on its own bed.
+inline std::vector<std::vector<BoehmRun>> run_boehm_grid(
+    const std::vector<AppConfig>& apps, const std::vector<lib::Technique>& techs, u64 scale,
+    unsigned threads) {
+  return run_grid<BoehmRun>(
+      apps.size(), techs.size(),
+      [&](std::size_t a, std::size_t t) {
+        lib::TestBed bed;
+        return run_boehm_in(bed.kernel(), apps[a].first, apps[a].second, scale, techs[t]);
+      },
+      threads);
+}
+
+/// "name (Config)": the Figs. 5-6 row label.
+inline std::string app_label(const AppConfig& app) {
+  return std::string(app.first) + " (" + std::string(wl::config_name(app.second)) + ")";
 }
 
 /// One scalability-study configuration (Figs. 10-11): `vms` tenant VMs each

@@ -13,19 +13,20 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 4", "Microbench slowdown (x) per technique vs memory size");
 
   const std::vector<u64> sizes = bench::memory_sweep(args.full);
+  const std::vector<lib::Technique> techs = {lib::Technique::kProc, lib::Technique::kUfd,
+                                             lib::Technique::kSpml, lib::Technique::kEpml,
+                                             lib::Technique::kOracle};
+  const bench::MicroGrid g = bench::run_micro_grid(techs, sizes, args.threads);
+
   std::vector<std::string> header = {"technique"};
   for (const u64 s : sizes) header.push_back(bench::mem_label(s));
   TextTable t(header);
-
-  for (const lib::Technique tech :
-       {lib::Technique::kProc, lib::Technique::kUfd, lib::Technique::kSpml,
-        lib::Technique::kEpml, lib::Technique::kOracle}) {
+  for (std::size_t r = 0; r < techs.size(); ++r) {
     std::vector<double> row;
-    for (const u64 mem : sizes) {
-      const bench::MicroRun r = bench::run_micro(tech, mem);
-      row.push_back(r.tracked_us / r.ideal_us);
+    for (std::size_t c = 0; c < sizes.size(); ++c) {
+      row.push_back(g.runs[r][c].tracked_time.count() / g.ideal_us[c]);
     }
-    t.add_row(std::string(lib::technique_name(tech)), row, 2);
+    t.add_row(std::string(lib::technique_name(techs[r])), row, 2);
   }
   t.print(std::cout);
   std::printf(

@@ -5,7 +5,6 @@
 // Paper's findings: ignoring the first cycle, SPML outperforms /proc by up
 // to 36%; EPML outperforms /proc by up to 58% and SPML by up to 47%.
 #include "boehm_common.hpp"
-#include "ooh/epoch_run.hpp"
 
 using namespace ooh;
 
@@ -13,49 +12,26 @@ int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv, /*default_scale=*/64);
   bench::print_header("Figure 5", "Boehm GC time per technique (first cycle highlighted)");
 
-  struct App {
-    std::string_view name;
-    wl::ConfigSize size;
-  };
-  const std::vector<App> apps = {
+  const std::vector<bench::AppConfig> apps = {
       {"GCBench", wl::ConfigSize::kSmall},    {"GCBench", wl::ConfigSize::kMedium},
       {"GCBench", wl::ConfigSize::kLarge},    {"histogram", wl::ConfigSize::kLarge},
       {"word-count", wl::ConfigSize::kMedium}, {"string-match", wl::ConfigSize::kLarge},
   };
 
-  // Each (app, technique) cell builds its own TestBed inside run_boehm, so
-  // the 18 cells are independent epochs: fan them across the epoch pool
-  // (OOH_EPOCH_THREADS / --threads; EPOCH-1 keeps the emitted bytes
-  // identical to the serial loop) and render rows in submission order.
-  struct Cell {
-    App app;
-    lib::Technique tech;
-  };
-  std::vector<Cell> cells;
-  for (const App& app : apps) {
-    for (const lib::Technique tech :
-         {lib::Technique::kProc, lib::Technique::kSpml, lib::Technique::kEpml}) {
-      cells.push_back({app, tech});
-    }
-  }
-  const std::vector<bench::BoehmRun> results = lib::run_cells<bench::BoehmRun>(
-      cells.size(),
-      [&](std::size_t i) {
-        return bench::run_boehm(cells[i].app.name, cells[i].app.size, args.scale,
-                                cells[i].tech);
-      },
-      args.threads);
+  const std::vector<lib::Technique> techs = {lib::Technique::kProc, lib::Technique::kSpml,
+                                             lib::Technique::kEpml};
+  const auto runs = bench::run_boehm_grid(apps, techs, args.scale, args.threads);
 
   TextTable t({"application + technique", "cycles", "GC total (ms)", "cycle1 (ms)",
                "later avg (ms)"});
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const App& app = cells[i].app;
-    const bench::BoehmRun& r = results[i];
-    t.add_row(std::string(app.name) + " (" + std::string(wl::config_name(app.size)) + ") " +
-                  std::string(lib::technique_name(cells[i].tech)),
-              {static_cast<double>(r.cycles), r.gc_total_us / 1e3,
-               r.gc_first_cycle_us / 1e3, r.gc_later_avg_us / 1e3},
-              2);
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    for (std::size_t ti = 0; ti < techs.size(); ++ti) {
+      const bench::BoehmRun& r = runs[a][ti];
+      t.add_row(bench::app_label(apps[a]) + " " + std::string(lib::technique_name(techs[ti])),
+                {static_cast<double>(r.cycles), r.gc_total_us / 1e3,
+                 r.gc_first_cycle_us / 1e3, r.gc_later_avg_us / 1e3},
+                2);
+    }
   }
   t.print(std::cout);
   std::printf("\nShape check: SPML's cycle 1 dwarfs its later cycles (reverse map);\n"

@@ -12,29 +12,27 @@ int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv, /*default_scale=*/64);
   bench::print_header("Figure 6", "Boehm GC overhead (%) on Tracked per technique");
 
-  struct App {
-    std::string_view name;
-    wl::ConfigSize size;
-  };
-  const std::vector<App> apps = {
+  const std::vector<bench::AppConfig> apps = {
       {"GCBench", wl::ConfigSize::kMedium},    {"histogram", wl::ConfigSize::kLarge},
       {"kmeans", wl::ConfigSize::kMedium},     {"matrix-multiply", wl::ConfigSize::kLarge},
       {"string-match", wl::ConfigSize::kLarge}, {"word-count", wl::ConfigSize::kMedium},
   };
 
+  // Column 0, the oracle run, is its row's baseline; it fans out with the rest.
+  const auto runs = bench::run_boehm_grid(
+      apps,
+      {lib::Technique::kOracle, lib::Technique::kProc, lib::Technique::kSpml,
+       lib::Technique::kEpml},
+      args.scale, args.threads);
+
   TextTable t({"application", "/proc (%)", "SPML (%)", "EPML (%)"});
-  for (const App& app : apps) {
-    const double ideal =
-        bench::run_boehm(app.name, app.size, args.scale, lib::Technique::kOracle)
-            .app_time_us;
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    const double ideal = runs[a][0].app_time_us;
     std::vector<double> row;
-    for (const lib::Technique tech :
-         {lib::Technique::kProc, lib::Technique::kSpml, lib::Technique::kEpml}) {
-      const bench::BoehmRun r = bench::run_boehm(app.name, app.size, args.scale, tech);
-      row.push_back((r.app_time_us - ideal) / ideal * 100.0);
+    for (std::size_t ti = 1; ti < runs[a].size(); ++ti) {
+      row.push_back((runs[a][ti].app_time_us - ideal) / ideal * 100.0);
     }
-    t.add_row(std::string(app.name) + " (" + std::string(wl::config_name(app.size)) + ")",
-              row, 1);
+    t.add_row(bench::app_label(apps[a]), row, 1);
   }
   t.print(std::cout);
   std::printf("\nShape check: EPML's overhead is far below /proc's and SPML's on\n"

@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "criu_common.hpp"
-#include "ooh/epoch_run.hpp"
 
 using namespace ooh;
 
@@ -17,51 +16,28 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 8", "CRIU checkpoint time (MD + MW) per technique");
 
   TextTable t({"application + technique", "MD (ms)", "MW (ms)", "total (ms)"});
-  struct Summary {
-    double proc = 0, spml = 0, epml = 0;
-    bool tkrzw = false;
-  };
   double worst_spml_over_proc = 0, best_proc_over_epml = 0, best_spml_over_epml = 0;
 
-  // Every (app, technique) checkpoint is a self-contained cell (run_criu
-  // builds its own beds): fan the grid across the epoch pool and fold the
-  // summaries serially in submission order (EPOCH-1: output byte-identical
-  // to the old nested loop at any worker count).
   const auto apps = bench::criu_apps();
-  constexpr lib::Technique kTechs[] = {lib::Technique::kProc, lib::Technique::kSpml,
-                                       lib::Technique::kEpml};
-  const std::vector<bench::CriuRun> results = lib::run_cells<bench::CriuRun>(
-      apps.size() * 3,
-      [&](std::size_t i) {
-        const auto& [app, size] = apps[i / 3];
-        return bench::run_criu(app, size, args.scale, kTechs[i % 3]);
-      },
-      args.threads);
-
+  const auto runs = bench::run_criu_grid(apps, args.scale, args.threads);
   for (std::size_t a = 0; a < apps.size(); ++a) {
-    const auto& [app, size] = apps[a];
-    Summary s;
-    s.tkrzw = std::find(wl::tkrzw_apps().begin(), wl::tkrzw_apps().end(), app) !=
-              wl::tkrzw_apps().end();
-    for (std::size_t ti = 0; ti < 3; ++ti) {
-      const lib::Technique tech = kTechs[ti];
-      const bench::CriuRun& r = results[a * 3 + ti];
-      const double md = r.res.phases.md.count() / 1e3;
-      const double mw = r.res.phases.mw.count() / 1e3;
-      const double total = r.res.phases.checkpoint_total().count() / 1e3;
-      t.add_row(std::string(app) + " " + std::string(lib::technique_name(tech)),
-                {md, mw, total}, 3);
-      if (tech == lib::Technique::kProc) s.proc = total;
-      if (tech == lib::Technique::kSpml) s.spml = total;
-      if (tech == lib::Technique::kEpml) s.epml = total;
+    const std::string_view app = apps[a].first;
+    std::vector<double> total;
+    for (std::size_t ti = 0; ti < runs[a].size(); ++ti) {
+      const criu::CheckpointPhases& p = runs[a][ti].phases;
+      total.push_back(p.checkpoint_total().count() / 1e3);
+      t.add_row(std::string(app) + " " + std::string(lib::technique_name(bench::kCriuTechs[ti])),
+                {p.md.count() / 1e3, p.mw.count() / 1e3, total.back()}, 3);
     }
-    worst_spml_over_proc = std::max(worst_spml_over_proc, s.spml / s.proc);
-    if (s.tkrzw) {
+    const double proc = total[0], spml = total[1], epml = total[2];
+    worst_spml_over_proc = std::max(worst_spml_over_proc, spml / proc);
+    if (std::find(wl::tkrzw_apps().begin(), wl::tkrzw_apps().end(), app) !=
+        wl::tkrzw_apps().end()) {
       // Paper quotes the speedups on the write-heavy tkrzw engines (tiny,
       // baby); read-heavy Phoenix apps have near-empty dirty sets and would
       // make the ratio unboundedly flattering for EPML.
-      best_proc_over_epml = std::max(best_proc_over_epml, s.proc / s.epml);
-      best_spml_over_epml = std::max(best_spml_over_epml, s.spml / s.epml);
+      best_proc_over_epml = std::max(best_proc_over_epml, proc / epml);
+      best_spml_over_epml = std::max(best_spml_over_epml, spml / epml);
     }
   }
   t.print(std::cout);

@@ -22,14 +22,18 @@ int main(int argc, char** argv) {
   header[0] = "On Tracker";
   TextTable tracker(header);
 
-  for (const lib::Technique tech : {lib::Technique::kUfd, lib::Technique::kProc}) {
+  const std::vector<lib::Technique> techs = {lib::Technique::kUfd, lib::Technique::kProc};
+  const bench::MicroGrid g = bench::run_micro_grid(techs, sizes, args.threads);
+
+  for (std::size_t r = 0; r < techs.size(); ++r) {
     std::vector<double> tked_row, tker_row;
-    for (const u64 mem : sizes) {
-      const bench::MicroRun r = bench::run_micro(tech, mem);
-      tked_row.push_back(overhead_pct(r.tracked_us, r.ideal_us));
-      tker_row.push_back(r.tracker_us / r.ideal_us * 100.0);
+    for (std::size_t c = 0; c < sizes.size(); ++c) {
+      const lib::RunResult& run = g.runs[r][c];
+      tked_row.push_back(overhead_pct(run.tracked_time.count(), g.ideal_us[c]));
+      tker_row.push_back((run.tracker_time() - run.phases.init).count() / g.ideal_us[c] *
+                         100.0);
     }
-    const std::string name{lib::technique_name(tech)};
+    const std::string name{lib::technique_name(techs[r])};
     tracked.add_row(name, tked_row, 0);
     tracker.add_row(name, tker_row, 0);
   }

@@ -7,7 +7,7 @@
 using namespace ooh;
 
 int main(int argc, char** argv) {
-  (void)bench::Args::parse(argc, argv);
+  const bench::Args args = bench::Args::parse(argc, argv);
   bench::print_header("Table VI", "Influence of /proc, ufd, SPML, EPML on internal metrics");
 
   TextTable t({"", "/proc", "ufd", "SPML", "EPML"});
@@ -27,11 +27,10 @@ int main(int argc, char** argv) {
   // Measured census backing the table: one warm tracked run per technique.
   std::printf("\nMeasured event census (10MB microbench, one cycle):\n");
   TextTable ev({"event", "/proc", "ufd", "SPML", "EPML"});
-  std::vector<EventCounters> runs;
-  for (const lib::Technique tech : {lib::Technique::kProc, lib::Technique::kUfd,
-                                    lib::Technique::kSpml, lib::Technique::kEpml}) {
-    runs.push_back(bench::run_micro(tech, 10 * kMiB).result.events);
-  }
+  const bench::MicroGrid g = bench::run_micro_grid(
+      {lib::Technique::kProc, lib::Technique::kUfd, lib::Technique::kSpml,
+       lib::Technique::kEpml},
+      {10 * kMiB}, args.threads);
   const Event interesting[] = {
       Event::kPageFaultSoftDirty, Event::kPageFaultUffd, Event::kClearRefs,
       Event::kPagemapScan,        Event::kHypercall,     Event::kVmExitPmlFull,
@@ -39,7 +38,7 @@ int main(int argc, char** argv) {
       Event::kReverseMapLookup,   Event::kRingBufFetchEntry};
   for (const Event e : interesting) {
     std::vector<std::string> cells{std::string(event_name(e))};
-    for (const EventCounters& c : runs) cells.push_back(std::to_string(c.get(e)));
+    for (const auto& run : g.runs) cells.push_back(std::to_string(run[0].events.get(e)));
     ev.add_row(cells);
   }
   ev.print(std::cout);

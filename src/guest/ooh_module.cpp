@@ -136,7 +136,11 @@ void OohModule::untrack(Process& proc) {
   const u64 armed = it->second.armed_cpus;
   tracked_.erase(it);
   if (mode_ == OohMode::kSpml) {
-    for (u64 left = armed; left != 0; left &= left - 1) {
+    // A vCPU's PML session, and the drain consumer behind it, serves every
+    // SPML process armed there: end it only where no other session is armed.
+    u64 still_armed = 0;
+    for (const auto& [pid, other] : tracked_) still_armed |= other.armed_cpus;
+    for (u64 left = armed & ~still_armed; left != 0; left &= left - 1) {
       const auto c = static_cast<unsigned>(std::countr_zero(left));
       kernel_.vm().vcpu(c).hypercall(sim::Hypercall::kOohDeactivatePml);
     }

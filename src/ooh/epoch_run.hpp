@@ -1,10 +1,10 @@
 // Epoch-parallel execution at the experiment layer.
 //
-// run_cells(): a figure's independent cells (app x technique grid, each cell
-// building its own TestBed) fan out across the epoch worker pool. Results
-// land in submission-order slots, so row order — and every byte of figure
-// output — is identical to the serial loop (EPOCH-1). This is where the
-// order-of-magnitude figure wall-clock comes from.
+// run_cells(): every figure's fan-out. A figure's independent cells (its
+// untracked baselines, then its app x technique or technique x size grid,
+// each cell building its own TestBed) run across the epoch worker pool.
+// Results land in submission-order slots, so row order — and every byte of
+// figure output — is identical to the serial loop (EPOCH-1).
 #pragma once
 
 #include <utility>

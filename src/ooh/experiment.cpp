@@ -11,8 +11,8 @@ namespace ooh::lib {
 RunResult run_tracked(guest::GuestKernel& kernel, guest::Process& proc,
                       const WorkloadFn& workload, DirtyTracker* tracker,
                       const RunOptions& opts) {
-  sim::ExecContext& m = kernel.ctx();
-  guest::Scheduler& sched = kernel.scheduler();
+  sim::ExecContext& m = kernel.ctx_of(proc);
+  guest::Scheduler& sched = kernel.scheduler_of(proc);
 
   RunResult res;
   proc.truth_reset();

@@ -1,7 +1,7 @@
 // Experiment driver implementing the paper's methodology (§VI-B):
-// Tracker and Tracked share one vCPU; the Tracker periodically preempts the
-// Tracked to collect dirty addresses; the Tracked's completion time and the
-// Tracker's own time are both read off the same virtual clock, so
+// Tracker and Tracked share the Tracked's vCPU; the Tracker periodically
+// preempts the Tracked to collect dirty addresses; the Tracked's completion
+// time and the Tracker's own time are both read off that vCPU's clock, so
 //     E(C_tked_tker) = E(C_tked) + E(C_tker) + I(C_x, C_tked)
 // holds by construction and the overhead of each technique is measurable.
 #pragma once

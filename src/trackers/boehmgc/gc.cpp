@@ -163,7 +163,7 @@ void GcHeap::maybe_collect() {
 }
 
 std::vector<Gva> GcHeap::acquire_dirty_pages(GcCycleStats& st) {
-  sim::ExecContext& m = kernel_.ctx();
+  sim::ExecContext& m = kernel_.ctx_of(proc_);
   VirtualClock::Scope s(m.clock, st.dirty_query);
   std::vector<Gva> dirty = tracker_->collect();
   tracker_->begin_interval();
@@ -171,7 +171,7 @@ std::vector<Gva> GcHeap::acquire_dirty_pages(GcCycleStats& st) {
 }
 
 GcCycleStats GcHeap::collect() {
-  sim::ExecContext& m = kernel_.ctx();
+  sim::ExecContext& m = kernel_.ctx_of(proc_);
   GcCycleStats st;
   st.cycle = static_cast<unsigned>(stats_.cycles.size()) + 1;
   const VirtDuration start = m.clock.now();

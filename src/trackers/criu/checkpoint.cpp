@@ -137,7 +137,7 @@ void CheckpointImage::record_layout(const guest::Process& proc) {
 
 void Checkpointer::dump_pages(guest::Process& proc, const std::vector<Gva>& pages,
                               CheckpointImage& image) {
-  sim::ExecContext& m = kernel_.ctx();
+  sim::ExecContext& m = kernel_.ctx_of(proc);
   sim::GuestPageTable& pt = kernel_.page_table(proc);
   for (const Gva gva : pages) {
     const sim::Pte* pte = pt.pte(gva);
@@ -172,7 +172,7 @@ CheckpointImage Checkpointer::full_checkpoint(guest::Process& proc) {
 CheckpointResult Checkpointer::checkpoint_during(guest::Process& proc,
                                                  const lib::WorkloadFn& workload,
                                                  const CheckpointOptions& opts) {
-  sim::ExecContext& m = kernel_.ctx();
+  sim::ExecContext& m = kernel_.ctx_of(proc);
   CheckpointResult res;
   auto tracker = lib::make_tracker(technique_, kernel_, proc);
 
@@ -244,9 +244,9 @@ IncrementalSession::~IncrementalSession() {
 }
 
 IncrementalSession::StepResult IncrementalSession::step(const lib::WorkloadFn& slice) {
-  sim::ExecContext& m = kernel_.ctx();
+  sim::ExecContext& m = kernel_.ctx_of(proc_);
   StepResult res;
-  guest::Scheduler& sched = kernel_.scheduler();
+  guest::Scheduler& sched = kernel_.scheduler_of(proc_);
 
   const VirtDuration run_start = m.clock.now();
   sched.enter_process(proc_.pid());

@@ -68,7 +68,7 @@ bool QuarantineAllocator::block_pinned(Gva block) const {
 }
 
 void QuarantineAllocator::scan_page(Gva page) {
-  sim::ExecContext& m = kernel_.ctx();
+  sim::ExecContext& m = kernel_.ctx_of(proc_);
   m.charge_ns(kScanWordNs * static_cast<double>(kPageSize / 8));
 
   // Drop this page's old contribution to the reference map.
@@ -119,7 +119,7 @@ void QuarantineAllocator::release_unreferenced() {
 }
 
 QuarantineAllocator::SweepStats QuarantineAllocator::sweep() {
-  sim::ExecContext& m = kernel_.ctx();
+  sim::ExecContext& m = kernel_.ctx_of(proc_);
   SweepStats st;
   const VirtDuration start = m.clock.now();
 

@@ -89,7 +89,7 @@ void KvEngine::set(guest::Process& proc, u64 key) {
   }
 
   if (layout_.extra_compute_us > 0.0) {
-    proc.kernel().ctx().charge_us(layout_.extra_compute_us);
+    proc.kernel().ctx_of(proc).charge_us(layout_.extra_compute_us);
   }
   ++count_;
 }

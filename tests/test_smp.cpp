@@ -4,7 +4,7 @@
 // threaded execution of one VM's vCPUs, loss-free concurrent userspace ring
 // drain under real threads (the TSan stress), the kDirtyRingFull injected
 // spill path, tracker sessions of processes on other vCPUs or migrated
-// between them, and the RING-1 / SHOOT-1 coherence-oracle mutation checks.
+// between them, the tracker consumers timing the process's vCPU, and the RING-1 / SHOOT-1 coherence-oracle mutation checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,9 +16,13 @@
 
 #include "guest/kernel.hpp"
 #include "hypervisor/hypervisor.hpp"
+#include "ooh/experiment.hpp"
 #include "ooh/testbed.hpp"
 #include "ooh/tracker.hpp"
 #include "sim/check/coherence.hpp"
+#include "trackers/boehmgc/gc.hpp"
+#include "trackers/criu/checkpoint.hpp"
+#include "trackers/uafguard/quarantine.hpp"
 
 namespace ooh {
 namespace {
@@ -493,6 +497,46 @@ TEST(SmpTracker, SessionsSurviveMigrateProcess) {
     tracker->shutdown();
     bed.audit();
   }
+}
+
+TEST(SmpTracker, ConsumersTimeTheProcessVcpu) {
+  // run_tracked, CRIU, the GC and the UAF quarantine charge and read the
+  // clock of the vCPU their process runs on: with the process on vCPU 1,
+  // vCPU 0 stays idle and the tracker's time shows in their phases.
+  lib::TestBed bed(two_vcpu_bed());
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  k.migrate_process(proc, 1);
+  constexpr u64 kBytes = 32 * kPageSize;
+  const Gva base = proc.mmap(kBytes, /*data_backed=*/true);
+  proc.touch_range_write(base, kBytes);
+  const auto write_all = [&](guest::Process& p) { p.touch_range_write(base, kBytes); };
+  const VirtDuration idle = k.vm().vcpu(0).ctx().clock.now();
+
+  auto tracker = lib::make_tracker(lib::Technique::kEpml, k, proc);
+  const lib::RunResult run = lib::run_tracked(k, proc, write_all, tracker.get());
+  tracker->shutdown();
+  EXPECT_GT(run.tracked_time.count(), 0.0);
+  EXPECT_EQ(run.captured_truth, 32u);
+
+  const criu::CheckpointResult ckpt =
+      criu::Checkpointer(k, lib::Technique::kEpml).checkpoint_during(proc, write_all);
+  EXPECT_GT(ckpt.phases.md.count(), 0.0) << "the final collect";
+
+  {
+    gc::GcHeap heap(k, proc, 4 * kMiB, 1 * kMiB);
+    heap.set_technique(lib::Technique::kEpml);
+    heap.add_root(heap.alloc(1, 64));
+    (void)heap.collect();
+    EXPECT_GT(heap.collect().dirty_query.count(), 0.0);
+  }
+  {
+    uaf::QuarantineAllocator quarantine(k, proc, 1 * kMiB, lib::Technique::kEpml);
+    (void)quarantine.sweep();
+    EXPECT_GT(quarantine.sweep().dirty_query.count(), 0.0);
+  }
+  EXPECT_EQ(k.vm().vcpu(0).ctx().clock.now(), idle);
+  bed.audit();
 }
 
 // ---- coherence oracle: RING-1 and SHOOT-1 mutations -------------------------

@@ -253,6 +253,39 @@ TEST(TrackerScope, SpmlAndEpmlRequireTheirModuleMode) {
   epml->shutdown();
 }
 
+TEST(TrackerScope, SpmlSurvivorKeepsLoggingWhenAnotherSessionOnItsVcpuEnds) {
+  // Both processes run on vCPU 0 and share its PML session; ending one must
+  // leave the other's logging armed.
+  TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& gone = k.create_process();
+  guest::Process& survivor = k.create_process();
+  ASSERT_EQ(gone.cpu(), survivor.cpu());
+  constexpr u64 kBytes = 16 * kPageSize;
+  const Gva gone_base = gone.mmap(kBytes);
+  const Gva base = survivor.mmap(kBytes);
+  gone.touch_range_write(gone_base, kBytes);
+  survivor.touch_range_write(base, kBytes);
+
+  auto gone_tracker = make_tracker(Technique::kSpml, k, gone);
+  auto tracker = make_tracker(Technique::kSpml, k, survivor);
+  gone_tracker->init();
+  tracker->init();
+  gone_tracker->shutdown();
+
+  tracker->begin_interval();
+  survivor.truth_reset();
+  k.scheduler().enter_process(survivor.pid());
+  survivor.touch_range_write(base, kBytes);
+  k.scheduler().exit_process(survivor.pid());
+  std::vector<Gva> truth;
+  for (const auto& [page, seq] : survivor.truth_dirty()) truth.push_back(page);
+  ASSERT_EQ(truth.size(), 16u);
+  EXPECT_EQ(tracker->collect(), truth);
+  tracker->shutdown();
+  bed.audit();
+}
+
 TEST(TrackerNames, AreStable) {
   EXPECT_EQ(technique_name(Technique::kProc), "/proc");
   EXPECT_EQ(technique_name(Technique::kUfd), "ufd");

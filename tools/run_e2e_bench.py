@@ -2,9 +2,10 @@
 """End-to-end figure wall-clock harness.
 
 gbench_sim_primitives times simulator primitives; this tool times what the
-user actually waits for: whole figure, table and ablation binaries (fig3
-through fig11, the five tables and the seven ablations, at their
-small/default configs) from exec to exit. It emits google-benchmark compatible JSON so
+user actually waits for: whole figure, table, ablation and example binaries
+(fig3 through fig11, the five tables, the seven ablations and the six
+examples, at their small/default configs, without arguments) from exec to
+exit. It emits google-benchmark compatible JSON so
 tools/check_bench_regression.py can gate the numbers against a committed
 baseline exactly like the microbenches.
 
@@ -16,8 +17,8 @@ Two things are measured per target:
     order-of-magnitude column, on a 1-core runner it documents the
     oversubscription cost instead).
   * E2E_all/serial         — the sum of every target's serial row: the
-    wall-clock of regenerating every figure, table and ablation one
-    binary at a time.
+    wall-clock of regenerating every figure, table, ablation and example
+    one binary at a time.
 
 Independently of timing, the harness enforces EPOCH-1 at the figure level:
 for every target that fans cells across the epoch pool, the serial and
@@ -50,37 +51,42 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-# (target, extra argv, fans cells across the epoch pool?). fig10 and fig11
-# run their multi-VM fleets through TestBed::run_tenants on the epoch pool,
-# but take the worker count from --threads (default auto) rather than
-# OOH_EPOCH_THREADS, so they get timed but not the serial-vs-parallel stdout
-# compare here (the golden ctests compare them at --threads 1 and 4, with
-# their host wall-clock on stderr); fig3, fig4, fig6, fig7,
-# fig9, the tables and the ablations run their cells serially. fig4, fig7
-# and fig9 drive their workloads through touch_range, the batched access
-# path.
-TARGETS: list[tuple[str, list[str], bool]] = [
-    ("table1_ufd_proc_overhead", [], False),
-    ("table3_workload_footprints", [], False),
-    ("table4_formula_validation", [], False),
-    ("table5_basic_costs", [], False),
-    ("table6_metric_influence", [], False),
-    ("fig3_spml_breakdown", [], False),
-    ("fig4_micro_overhead", [], False),
-    ("fig5_boehm_tracker", [], True),
-    ("fig6_boehm_tracked", [], False),
-    ("fig7_criu_mw", [], False),
-    ("fig8_criu_checkpoint", [], True),
-    ("fig9_criu_tracked", [], False),
-    ("fig10_scalability_tracker", [], False),
-    ("fig11_scalability_tracked", [], False),
-    ("ablation_collect_period", [], False),
-    ("ablation_quantum", [], False),
-    ("ablation_ring_capacity", [], False),
-    ("ablation_spp_guard", [], False),
-    ("ablation_swap_writeback", [], False),
-    ("ablation_uaf_sweep", [], False),
-    ("ablation_wss", [], False),
+# (binary under the build dir, fans cells across the epoch pool?). fig3-fig9
+# and tables I, IV and VI fan their cells out through run_cells, so their
+# serial and parallel stdout is compared. fig10 and fig11 run their
+# multi-VM fleets on the epoch pool too, but take the worker count from
+# --threads (default auto) rather than OOH_EPOCH_THREADS, so they get timed
+# but not compared here (the golden ctests compare them at --threads 1 and
+# 4, with their host wall-clock on stderr). Table III, table V, the
+# ablations and the examples run serially.
+TARGETS: list[tuple[str, bool]] = [
+    ("bench/table1_ufd_proc_overhead", True),
+    ("bench/table3_workload_footprints", False),
+    ("bench/table4_formula_validation", True),
+    ("bench/table5_basic_costs", False),
+    ("bench/table6_metric_influence", True),
+    ("bench/fig3_spml_breakdown", True),
+    ("bench/fig4_micro_overhead", True),
+    ("bench/fig5_boehm_tracker", True),
+    ("bench/fig6_boehm_tracked", True),
+    ("bench/fig7_criu_mw", True),
+    ("bench/fig8_criu_checkpoint", True),
+    ("bench/fig9_criu_tracked", True),
+    ("bench/fig10_scalability_tracker", False),
+    ("bench/fig11_scalability_tracked", False),
+    ("bench/ablation_collect_period", False),
+    ("bench/ablation_quantum", False),
+    ("bench/ablation_ring_capacity", False),
+    ("bench/ablation_spp_guard", False),
+    ("bench/ablation_swap_writeback", False),
+    ("bench/ablation_uaf_sweep", False),
+    ("bench/ablation_wss", False),
+    ("examples/quickstart", False),
+    ("examples/checkpoint_restore", False),
+    ("examples/gc_demo", False),
+    ("examples/live_migration", False),
+    ("examples/secure_allocator", False),
+    ("examples/run_app", False),
 ]
 
 
@@ -93,12 +99,12 @@ class Run(NamedTuple):
     out: bytes
 
 
-def run_once(exe: Path, argv: list[str], threads: int) -> Run:
+def run_once(exe: Path, threads: int) -> Run:
     """Run the binary once, timing wall-clock and its CPU time."""
     env = dict(os.environ, OOH_EPOCH_THREADS=str(threads))
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.monotonic()
-    proc = subprocess.run([str(exe), *argv], env=env, capture_output=True)
+    proc = subprocess.run([str(exe)], env=env, capture_output=True)
     elapsed = time.monotonic() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
@@ -148,13 +154,14 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     benchmarks: list[dict] = []
-    for target, extra, fans_out in TARGETS:
-        exe = args.build_dir / "bench" / target
+    for binary, fans_out in TARGETS:
+        exe = args.build_dir / binary
+        target = exe.name
         if not exe.exists():
             raise SystemExit(f"run_e2e_bench: {exe} not built "
                              f"(cmake --build {args.build_dir} --target {target})")
 
-        serial = [run_once(exe, extra, threads=1)
+        serial = [run_once(exe, threads=1)
                   for _ in range(max(1, args.repetitions))]
         entry = bench_entry(f"E2E_{target}/serial", serial)
         benchmarks.append(entry)
@@ -167,7 +174,7 @@ def main(argv: list[str]) -> int:
         # bytes of the serial run. One verification run even when the
         # parallel timing column is skipped.
         reps = 1 if args.skip_parallel else max(1, args.repetitions)
-        par = [run_once(exe, extra, threads=args.threads) for _ in range(reps)]
+        par = [run_once(exe, threads=args.threads) for _ in range(reps)]
         if par[-1].out != serial[-1].out:
             raise SystemExit(
                 f"run_e2e_bench: {target} stdout differs between "
