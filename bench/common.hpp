@@ -7,7 +7,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cstddef>
@@ -19,7 +18,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,9 +39,6 @@ struct Args {
   /// Worker threads for every figure's cell fan-out (0 = OOH_EPOCH_THREADS,
   /// else auto-size to the host) and for figs. 10-11's VM fleets (0 = auto).
   unsigned threads = 0;
-  /// Max vCPUs per VM for the SMP sections of figs. 10-11 (0 = default
-  /// sweep 1,2,4).
-  unsigned vcpus = 0;
   /// --gran: EPT backing granularity for the figs. 10-11 gran sections
   /// (4k | 2m | 2m+split). Default 4k keeps every figure byte-identical.
   GranMode gran = GranMode::k4K;
@@ -69,8 +64,6 @@ struct Args {
         a.scale = 1;
       } else if (flag == "--threads") {
         a.threads = parse_count(argv[0], flag, value());
-      } else if (flag == "--vcpus") {
-        a.vcpus = parse_count(argv[0], flag, value());
       } else if (flag == "--gran") {
         const std::string_view v = value();
         const std::optional<GranMode> m = parse_gran_mode(v);
@@ -89,7 +82,7 @@ struct Args {
   [[noreturn]] static void usage_error(const char* prog, const std::string& why) {
     std::fprintf(stderr,
                  "%s: %s\n"
-                 "usage: %s [--full] [--threads N] [--vcpus N] "
+                 "usage: %s [--full] [--threads N] "
                  "[--gran 4k|2m|2m+split] [--adaptive]\n",
                  prog, why.c_str(), prog);
     std::exit(2);
@@ -212,25 +205,22 @@ inline MicroGrid run_micro_grid(const std::vector<lib::Technique>& techs,
   return g;
 }
 
-// ---- SMP guests: per-vCPU dirty rings, concurrent userspace drain -----------
+// ---- SMP guests: per-vCPU dirty rings ---------------------------------------
 
 /// One SMP configuration of the figs. 10-11 vCPU axis: a single VM with
 /// `vcpus` vCPUs, one pinned writer process per vCPU, a hypervisor PML
-/// session over the touch phase. `concurrent` runs one producer thread per
-/// vCPU plus one userspace drainer per dirty ring; otherwise everything is
-/// serial and the rings are only emptied at the quiescent harvest. Per-vCPU
-/// virtual time is bit-identical between the two modes by construction —
-/// only the host wall clock and the drained-entry count differ.
+/// session over the touch phase. The vCPUs run one after another on the
+/// calling thread; each has its own virtual clock, PML buffer and dirty
+/// ring, and the final harvest empties every ring.
 struct SmpDrainResult {
-  double wall_ms = 0.0;      ///< host wall clock of the touch+drain phase.
+  double wall_ms = 0.0;      ///< host wall clock of the touch+harvest phase.
   double max_vcpu_ms = 0.0;  ///< slowest vCPU's virtual time.
   double spread_pct = 0.0;   ///< (max-min)/max over the per-vCPU clocks.
-  u64 drained = 0;           ///< ring entries popped by concurrent drainers.
+  u64 drained = 0;           ///< ring entries the harvest popped, all vCPUs.
   u64 harvested = 0;         ///< union of dirty GPAs at the final harvest.
 };
 
-inline SmpDrainResult run_smp_drain(unsigned vcpus, u64 pages_per_vcpu,
-                                    int passes, bool concurrent,
+inline SmpDrainResult run_smp_drain(unsigned vcpus, u64 pages_per_vcpu, int passes,
                                     GranMode gran = GranMode::k4K) {
   lib::TestBedOptions opts =
       sized_bed_options(u64{vcpus} * pages_per_vcpu * kPageSize * 2);
@@ -246,49 +236,23 @@ inline SmpDrainResult run_smp_drain(unsigned vcpus, u64 pages_per_vcpu,
   for (unsigned cpu = 0; cpu < vcpus; ++cpu) {
     procs[cpu] = &k.create_process();  // round-robin pins proc i to vCPU i
     bases[cpu] = procs[cpu]->mmap(pages_per_vcpu * kPageSize);
-    // Serial warmup so the timed phase allocates nothing and both modes see
-    // identical frame assignments.
+    // Warmup so the timed phase allocates nothing.
     procs[cpu]->touch_range_write(bases[cpu], pages_per_vcpu * kPageSize);
   }
   hv.enable_pml_for_hyp(vm);
 
-  const auto body = [&](unsigned cpu) {
+  SmpDrainResult out;
+  const auto start = std::chrono::steady_clock::now();
+  for (unsigned cpu = 0; cpu < vcpus; ++cpu) {
     for (int pass = 0; pass < passes; ++pass) {
       procs[cpu]->touch_range_write(bases[cpu], pages_per_vcpu * kPageSize);
     }
-  };
-
-  SmpDrainResult out;
-  const auto start = std::chrono::steady_clock::now();
-  if (!concurrent) {
-    for (unsigned cpu = 0; cpu < vcpus; ++cpu) body(cpu);
-  } else {
-    std::atomic<bool> done{false};
-    std::atomic<u64> popped{0};
-    std::vector<std::thread> drainers;
-    for (unsigned cpu = 0; cpu < vcpus; ++cpu) {
-      drainers.emplace_back([&, cpu] {
-        std::vector<Gpa> local;
-        while (!done.load(std::memory_order_acquire)) {
-          popped.fetch_add(hv.drain_dirty_ring(vm, cpu, local),
-                           std::memory_order_relaxed);
-          std::this_thread::yield();
-        }
-        popped.fetch_add(hv.drain_dirty_ring(vm, cpu, local),
-                         std::memory_order_relaxed);
-      });
-    }
-    std::vector<std::thread> producers;
-    for (unsigned cpu = 0; cpu < vcpus; ++cpu) producers.emplace_back(body, cpu);
-    for (std::thread& t : producers) t.join();
-    done.store(true, std::memory_order_release);
-    for (std::thread& t : drainers) t.join();
-    out.drained = popped.load(std::memory_order_relaxed);
   }
   out.harvested = hv.harvest_hyp_dirty(vm).size();
   out.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
+  for (unsigned cpu = 0; cpu < vcpus; ++cpu) out.drained += vm.dirty_ring(cpu).popped();
   hv.disable_pml_for_hyp(vm);
 
   double min_us = 1e300, max_us = 0.0;
@@ -388,13 +352,7 @@ inline void print_adaptive_section() {
               "PML session or ring to service.\n");
 }
 
-/// The vCPU counts the SMP sections sweep: 1,2,4 by default, or 1..--vcpus
-/// capped to powers of two when the flag is given.
-inline std::vector<unsigned> vcpu_sweep(unsigned max_vcpus) {
-  std::vector<unsigned> out;
-  const unsigned cap = max_vcpus != 0 ? max_vcpus : 4;
-  for (unsigned v = 1; v <= cap; v *= 2) out.push_back(v);
-  return out;
-}
+/// The vCPU counts the SMP sections sweep.
+inline std::vector<unsigned> vcpu_sweep() { return {1, 2, 4}; }
 
 }  // namespace ooh::bench

@@ -58,29 +58,24 @@ int main(int argc, char** argv) {
 
   // vCPU axis, Tracked side: the writer processes ARE the tracked
   // workloads here — their per-vCPU virtual time must stay flat as vCPUs
-  // (and userspace drainers) are added, because dirty-ring pops charge the
-  // guest nothing (--vcpus N to widen the sweep).
-  std::printf("\nSMP guest: per-vCPU writers with concurrent userspace drain\n");
+  // are added, because dirty-ring pops charge the guest nothing.
+  std::printf("\nSMP guest: per-vCPU writers, per-vCPU dirty rings\n");
   const u64 smp_pages = 1024;  // fits the 1536-entry TLB: steady-state passes are lock-free
   const int smp_passes = args.full ? 256 : 48;
   TextTable s({"vCPUs", "virt/vCPU (ms)", "spread (%)", "drained", "harvested"});
-  TextTable sw({"vCPUs", "serial wall (ms)", "conc wall (ms)", "speedup"});
-  for (const unsigned v : bench::vcpu_sweep(args.vcpus)) {
-    const bench::SmpDrainResult ser = bench::run_smp_drain(v, smp_pages, smp_passes, false);
-    const bench::SmpDrainResult conc = bench::run_smp_drain(v, smp_pages, smp_passes, true);
+  TextTable sw({"vCPUs", "wall (ms)"});
+  for (const unsigned v : bench::vcpu_sweep()) {
+    const bench::SmpDrainResult r = bench::run_smp_drain(v, smp_pages, smp_passes);
     s.add_row(std::to_string(v),
-              {conc.max_vcpu_ms, conc.spread_pct, static_cast<double>(conc.drained),
-               static_cast<double>(conc.harvested)},
+              {r.max_vcpu_ms, r.spread_pct, static_cast<double>(r.drained),
+               static_cast<double>(r.harvested)},
               2);
-    sw.add_row(std::to_string(v),
-               {ser.wall_ms, conc.wall_ms,
-                conc.wall_ms > 0.0 ? ser.wall_ms / conc.wall_ms : 0.0},
-               2);
+    sw.add_row(std::to_string(v), {r.wall_ms}, 2);
   }
   s.print(std::cout);
   sw.print(std::cerr);
   std::printf("Shape check: per-vCPU Tracked virtual time is flat in the vCPU count —\n"
-              "the concurrent drain stays off the guest's critical path.\n");
+              "draining the dirty rings stays off the guest's critical path.\n");
   std::fprintf(stderr, "The wall-clock columns depend on host cores (%u here).\n",
                epoch::EpochPool::auto_workers());
 
@@ -95,7 +90,7 @@ int main(int argc, char** argv) {
        {bench::GranMode::k4K, bench::GranMode::k2M,
         bench::GranMode::k2MEagerSplit}) {
     const bench::SmpDrainResult r =
-        bench::run_smp_drain(2, smp_pages, smp_passes, false, m);
+        bench::run_smp_drain(2, smp_pages, smp_passes, m);
     g.add_row(bench::gran_mode_name(m), {r.max_vcpu_ms, static_cast<double>(r.harvested)}, 2);
     gw.add_row(bench::gran_mode_name(m), {r.wall_ms}, 2);
   }

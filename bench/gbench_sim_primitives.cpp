@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <thread>
 
 // The replaced operator new below is malloc-backed; GCC pairs the inlined
 // malloc with the matching operator delete (also free-backed) and warns
@@ -313,8 +312,7 @@ void BM_RadixFindWalkCacheMiss(benchmark::State& state) {
 BENCHMARK(BM_RadixFindWalkCacheMiss);
 
 void BM_DirtyRingPushPop(benchmark::State& state) {
-  // SPSC dirty-ring steady state, single-threaded: one push + one pop per
-  // iteration. allocs_per_op must read 0 — the ring is fully preallocated.
+  // Dirty-ring steady state: one push + one pop per iteration. allocs_per_op must read 0 — the ring is fully preallocated.
   hv::DirtyRing ring(4096);
   u64 v = 0;
   AllocCounter allocs(state);
@@ -328,28 +326,6 @@ void BM_DirtyRingPushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DirtyRingPushPop);
-
-void BM_DirtyRingConcurrentDrain(benchmark::State& state) {
-  // Producer-side cost of try_push while a real consumer thread drains the
-  // ring concurrently — the migration engine's concurrent-drain shape. The
-  // measured loop is the vCPU side; the drainer runs off-loop.
-  hv::DirtyRing ring(4096);
-  std::atomic<bool> stop{false};
-  std::thread drainer([&] {
-    u64 out = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      while (ring.try_pop(out)) benchmark::DoNotOptimize(out);
-      std::this_thread::yield();
-    }
-  });
-  u64 v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.try_push((v++) * kPageSize));
-  }
-  stop.store(true, std::memory_order_release);
-  drainer.join();
-}
-BENCHMARK(BM_DirtyRingConcurrentDrain);
 
 void BM_HarvestHypDirty(benchmark::State& state) {
   // Quiescent harvest of a 2-vCPU VM: 4,096 distinct GPAs scattered over

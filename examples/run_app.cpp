@@ -4,10 +4,13 @@
 //   $ ./run_app --app baby --size small --tech epml --scale 64
 //   $ ./run_app --app histogram --size large --tech proc --period-ms 5
 //   $ ./run_app --list
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "ooh/experiment.hpp"
 #include "ooh/testbed.hpp"
@@ -28,10 +31,18 @@ struct Options {
 };
 
 void usage() {
-  std::printf(
+  std::fprintf(
+      stderr,
       "usage: run_app [--app NAME] [--size small|medium|large]\n"
       "               [--tech proc|ufd|spml|epml|oracle|none]\n"
       "               [--scale N] [--period-ms MS] [--list]\n");
+}
+
+/// Parse the whole of `v` as a number; trailing characters are an error.
+template <typename T>
+bool parse_number(std::string_view v, T& out) {
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return !v.empty() && ec == std::errc{} && end == v.data() + v.size();
 }
 
 bool parse(int argc, char** argv, Options& o) {
@@ -60,11 +71,14 @@ bool parse(int argc, char** argv, Options& o) {
       else if (std::strcmp(v, "none") == 0) o.tech = std::nullopt;
       else return false;
     } else if (a == "--scale") {
-      if (const char* v = next()) o.scale = std::strtoull(v, nullptr, 10);
-      else return false;
+      const char* v = next();
+      if (v == nullptr || !parse_number(v, o.scale) || o.scale < 1) return false;
     } else if (a == "--period-ms") {
-      if (const char* v = next()) o.period_ms = std::strtod(v, nullptr);
-      else return false;
+      const char* v = next();
+      if (v == nullptr || !parse_number(v, o.period_ms) || !std::isfinite(o.period_ms) ||
+          o.period_ms < 0.0) {
+        return false;
+      }
     } else {
       return false;
     }

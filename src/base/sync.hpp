@@ -2,12 +2,10 @@
 // simulator lives behind these wrappers (invariant SYNC-1,
 // docs/invariants.md).
 //
-// In ordinary builds sync::Atomic<T>, sync::Mutex, sync::SpinGuard and
-// sync::UniqueLock compile to plain std::atomic / std::mutex /
-// std::lock_guard / std::unique_lock — every method is a one-line inline
-// forwarder, so Release codegen is identical to using the std types
-// directly (the BM_DirtyRingPushPop / BM_DirtyRingConcurrentDrain gbench
-// baselines pin this).
+// In ordinary builds sync::Atomic<T>, sync::Mutex and sync::SpinGuard
+// compile to plain std::atomic / std::mutex / std::lock_guard — every
+// method is a one-line inline forwarder, so Release codegen is identical to
+// using the std types directly.
 //
 // Under -DOOH_SCHED_CHECK=ON every load, store, RMW, lock and unlock first
 // reports itself — address, kind, declared memory_order — to a per-thread
@@ -46,7 +44,7 @@ class Hooks {
   virtual void atomic_load(const void* addr, std::memory_order order) = 0;
   virtual void atomic_store(const void* addr, std::memory_order order) = 0;
   virtual void atomic_rmw(const void* addr, std::memory_order order) = 0;
-  /// Non-atomic data that wants race checking (ring slots, spill logs):
+  /// Non-atomic data that wants race checking (e.g. a ring's slots):
   /// annotated via OOH_SYNC_PLAIN_READ / OOH_SYNC_PLAIN_WRITE.
   virtual void plain_access(const void* addr, bool is_write) = 0;
   /// Simulated mutexes. Return true when the hook handled the operation
@@ -200,9 +198,5 @@ class SpinGuard {
  private:
   Mutex& m_;
 };
-
-/// Movable/optional lock over sync::Mutex — the seam's std::unique_lock
-/// (Ept::lock_if_concurrent wants the maybe-empty form).
-using UniqueLock = std::unique_lock<Mutex>;
 
 }  // namespace ooh::sync

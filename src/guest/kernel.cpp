@@ -127,7 +127,6 @@ Gpa GuestKernel::alloc_gpa_frame(sim::ExecContext& ctx) {
     // same failure a loaded guest would produce and must degrade, not die.
     throw std::bad_alloc{};
   }
-  const sync::SpinGuard lock(gpa_mu_);
   if (!gpa_free_list_.empty()) {
     const Gpa gpa = gpa_free_list_.back();
     gpa_free_list_.pop_back();
@@ -142,7 +141,6 @@ Gpa GuestKernel::alloc_gpa_frame(sim::ExecContext& ctx) {
 }
 
 void GuestKernel::free_gpa_frame(Gpa gpa) {
-  const sync::SpinGuard lock(gpa_mu_);
   gpa_free_list_.push_back(page_floor(gpa));
 }
 

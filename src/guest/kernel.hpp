@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/sync.hpp"
 #include "base/types.hpp"
 #include "guest/process.hpp"
 #include "guest/scheduler.hpp"
@@ -119,10 +118,6 @@ class GuestKernel final : public sim::GuestIrqSink {
   // (count kTlbShootdownIpi + charge tlb_shootdown_us on the owning vCPU's
   // timeline, per remote). Callers keep charging their own kTlbFlush /
   // flush costs exactly as before, so N=1 virtual time is unchanged.
-  //
-  // Threaded SMP runs may only take the remote path while the remote vCPU
-  // threads are quiescent (serial phases); pinned processes have singleton
-  // masks, so steady-state concurrent execution never mutates a foreign TLB.
   void tlb_invalidate_page(Process& proc, Gva gva_page);
   void tlb_flush_pid(Process& proc);
 
@@ -175,8 +170,7 @@ class GuestKernel final : public sim::GuestIrqSink {
 
   // ---- guest-physical memory -----------------------------------------------
   /// Allocate a guest frame, charging faults to `ctx` (the acting vCPU's
-  /// timeline). The free list is mutex-guarded: demand faults on different
-  /// vCPUs may allocate concurrently.
+  /// timeline).
   [[nodiscard]] Gpa alloc_gpa_frame(sim::ExecContext& ctx);
   [[nodiscard]] Gpa alloc_gpa_frame() { return alloc_gpa_frame(ctx_); }
   void free_gpa_frame(Gpa gpa);
@@ -242,7 +236,6 @@ class GuestKernel final : public sim::GuestIrqSink {
   unsigned next_place_cpu_ = 0;  ///< round-robin placement cursor.
   Gpa next_gpa_frame_ = kPageSize;  // guest frame 0 reserved, like HPA 0
   std::vector<Gpa> gpa_free_list_;
-  sync::Mutex gpa_mu_;  ///< guards the frame allocator under SMP demand faults.
 };
 
 }  // namespace ooh::guest

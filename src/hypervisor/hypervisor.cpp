@@ -4,8 +4,6 @@
 #include <new>
 #include <stdexcept>
 
-#include "base/sync.hpp"
-
 namespace ooh::hv {
 
 Vm& Hypervisor::create_vm(u64 mem_bytes, std::size_t spml_ring_entries,
@@ -337,8 +335,8 @@ void Hypervisor::disable_pml_for_hyp(Vm& vm) {
 std::vector<Gpa> Hypervisor::take_ring_contents(Vm& vm) {
   // First-seen-order dedup through the VM's page bitmap: ring 0's entries
   // in event order, then ring 1's, ..., then every vCPU's spill log
-  // (ring-full or injected kDirtyRingFull) and concurrently drained log.
-  // The order is deterministic, and no virtual-time charge depends on it.
+  // (ring-full or injected kDirtyRingFull). The order is deterministic, and
+  // no virtual-time charge depends on it.
   std::vector<Gpa> out;
   PageBitmap::Unique unique(vm.harvest_bits(), out);
   for (unsigned cpu = 0; cpu < vm.vcpu_count(); ++cpu) {
@@ -348,32 +346,8 @@ std::vector<Gpa> Hypervisor::take_ring_contents(Vm& vm) {
   }
   for (unsigned cpu = 0; cpu < vm.vcpu_count(); ++cpu) {
     for (const u64 gpa : vm.dirty_ring(cpu).take_spill()) unique.add(gpa);
-    // Entries a concurrent drain already handed to userspace: fold them in
-    // so the harvest stays the authoritative union and their dirty flags
-    // get reset with everything else.
-    OOH_SYNC_PLAIN_WRITE(&vm.drained_log(cpu));
-    for (const Gpa gpa : vm.drained_log(cpu)) unique.add(gpa);
-    vm.drained_log(cpu).clear();
   }
   return out;
-}
-
-std::size_t Hypervisor::drain_dirty_ring(Vm& vm, unsigned cpu,
-                                         std::vector<Gpa>& out) {
-  DirtyRing& ring = vm.dirty_ring(cpu);
-  std::size_t popped = 0;
-  u64 gpa = 0;
-  while (ring.try_pop(gpa)) {
-    out.push_back(gpa);
-    // The drained log is drainer-private while the drain runs (SPSC: this
-    // is the ring's one consumer); quiescent harvests read it only after
-    // the drainer stopped. The annotation lets the schedule explorer prove
-    // that ordering across interleavings.
-    OOH_SYNC_PLAIN_WRITE(&vm.drained_log(cpu));
-    vm.drained_log(cpu).push_back(gpa);
-    ++popped;
-  }
-  return popped;
 }
 
 std::vector<Gpa> Hypervisor::harvest_hyp_dirty(Vm& vm) {

@@ -5,9 +5,7 @@
 // SMP: every PML session is per-vCPU (buffer, drain chain, SPML ring), and a
 // hypercall always operates on the session of the vCPU it arrived on. The
 // hypervisor's own harvest walks all vCPUs' buffers and dirty rings at a
-// quiescent point; drain_dirty_ring() is the concurrent path — userspace
-// popping one vCPU's ring while the other vCPUs (and even the producer)
-// keep running.
+// quiescent point. A VM's vCPUs all run on the thread that owns the VM.
 #pragma once
 
 #include <functional>
@@ -53,14 +51,6 @@ class Hypervisor final : public sim::VmExitHandler {
   /// run on this host again. Captures writes that landed between the last
   /// pre-copy harvest and the pause.
   [[nodiscard]] std::vector<Gpa> collect_dirty_paused(Vm& vm);
-
-  /// Concurrent userspace drain: pop everything currently visible in vCPU
-  /// `cpu`'s dirty ring into `out` while the producer keeps running. Charges
-  /// no virtual time (host-side work off the guest's critical path); spill
-  /// entries and dirty-flag re-arm are handled by the next quiescent
-  /// harvest. Returns the number of entries popped. Safe to call from a
-  /// host thread other than the vCPU's (SPSC: one drainer per ring).
-  std::size_t drain_dirty_ring(Vm& vm, unsigned cpu, std::vector<Gpa>& out);
 
   // ---- working-set-size estimation (read-logging PML extension) -------------
   /// Start WSS sampling: PML logs on accessed-flag transitions, so the
@@ -110,8 +100,8 @@ class Hypervisor final : public sim::VmExitHandler {
   void flush_all_tlbs(Vm& vm, sim::ExecContext& ctx);
   /// Quiescent ring harvest, deduplicated through Vm::harvest_bits() in
   /// first-seen order: each vCPU's ring in turn (event order), then each
-  /// vCPU's spill log and drained log. Throws std::out_of_range for an
-  /// entry at or beyond the VM's memory size.
+  /// vCPU's spill log. Throws std::out_of_range for an entry at or beyond
+  /// the VM's memory size.
   [[nodiscard]] std::vector<Gpa> take_ring_contents(Vm& vm);
 
   sim::Machine& machine_;

@@ -102,7 +102,7 @@ class Vm {
   }
 
   /// The hypervisor's per-vCPU dirty ring: the "larger buffer" of the
-  /// single-vCPU design, now harvestable concurrently with guest execution.
+  /// single-vCPU design, harvested at quiescent points.
   [[nodiscard]] DirtyRing& dirty_ring(unsigned cpu = 0) noexcept {
     return cpus_[cpu]->dirty_ring;
   }
@@ -148,14 +148,6 @@ class Vm {
   /// Tracked process size on this vCPU's SPML session, for M14 scaling.
   [[nodiscard]] u64& spml_tracked_mem_bytes(unsigned cpu = 0) noexcept {
     return cpus_[cpu]->spml_tracked_mem_bytes;
-  }
-
-  /// GPAs popped by a *concurrent* userspace drain since the last quiescent
-  /// harvest: their EPT dirty flags are still set, so the accounting oracle
-  /// (ACC-1) and the next harvest's reset both need the record. Written by
-  /// the single drainer thread, read/cleared only at quiescent points.
-  [[nodiscard]] std::vector<Gpa>& drained_log(unsigned cpu = 0) noexcept {
-    return cpus_[cpu]->drained_log;
   }
 
   /// Dedup bitmap of the quiescent harvests (ring harvest, migration's
@@ -204,7 +196,6 @@ class Vm {
     DirtyRing dirty_ring;
     RingBuffer spml_ring;
     std::vector<Gpa> spml_interval_log;
-    std::vector<Gpa> drained_log;
     Hpa pml_buffer = 0;
     u64 spml_tracked_mem_bytes = 0;
     bool ring_fault_pending = false;

@@ -12,9 +12,6 @@ TestBed::TestBed(const TestBedOptions& opts)
   for (unsigned i = 0; i < opts.tenant_vms; ++i) {
     hv::Vm& vm =
         hypervisor_->create_vm(opts.vm_mem_bytes, 1u << 20, vcpus_per_vm_);
-    // SMP guests run vCPU threads that fault and map concurrently inside one
-    // VM, so the shared EPT (and its mutable walk caches) must serialize.
-    if (vcpus_per_vm_ > 1) vm.ept().set_concurrent(true);
     vm.set_ept_huge(opts.ept_huge);
     vm.set_eager_split(opts.eager_split);
     kernels_.push_back(std::make_unique<guest::GuestKernel>(*hypervisor_, vm));

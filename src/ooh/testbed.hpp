@@ -28,8 +28,7 @@ struct TestBedOptions {
   unsigned tenant_vms = 1;
   /// vCPUs per tenant VM. 1 (the default) reproduces the paper's
   /// one-dedicated-vCPU setup bit-identically; >1 builds SMP guests with
-  /// per-vCPU dirty rings and switches each VM's EPT into concurrent mode
-  /// so intra-VM vCPU threads may fault/map simultaneously.
+  /// per-vCPU dirty rings. A VM's vCPUs all run on the thread that owns it.
   unsigned vcpus_per_vm = 1;
   CostModel cost = CostModel::paper_calibrated();
   VirtDuration sched_quantum = secs(1.0);

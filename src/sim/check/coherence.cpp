@@ -353,8 +353,7 @@ void CoherenceChecker::audit_dirty_accounting(hv::Vm& vm) {
   }
 
   // One consumer-record set across all vCPUs: in-flight buffer slots, ring
-  // pending entries, spill logs, and GPAs a concurrent drain already handed
-  // to userspace (their flags reset at the next quiescent harvest).
+  // pending entries and spill logs.
   std::unordered_set<Gpa> log;
   std::unordered_set<Gpa> buffered_all;
   for (unsigned cpu = 0; cpu < vm.vcpu_count(); ++cpu) {
@@ -375,7 +374,6 @@ void CoherenceChecker::audit_dirty_accounting(hv::Vm& vm) {
     std::unordered_set<Gpa> drained;
     ring.for_each_pending([&](u64 gpa) { drained.insert(gpa); });
     for (const u64 gpa : ring.spill_log()) drained.insert(gpa);
-    for (const Gpa gpa : vm.drained_log(cpu)) drained.insert(gpa);
     for (const Gpa gpa : buffered) {
       if (drained.count(gpa) != 0) {
         throw InvariantViolation(

@@ -16,8 +16,8 @@
 //    unlock -> lock. Plain accesses (OOH_SYNC_PLAIN_READ/WRITE annotations)
 //    are checked for HB against the last write and the reads since.
 //
-//  * Nothing here throws through the instrumented code: DirtyRing's
-//    noexcept push/pop must survive a mid-run abort. On deadlock/livelock
+//  * Nothing here throws through the instrumented code: a scenario's
+//    noexcept operations must survive a mid-run abort. On deadlock/livelock
 //    the engine records the finding, force-readies every blocked thread and
 //    free-runs the remainder round-robin — still token-serialised, so torn
 //    scenario state is never touched by two host threads at once.
@@ -43,9 +43,7 @@
 
 #include "base/sync.hpp"
 #include "base/types.hpp"
-#include "hypervisor/dirty_ring.hpp"
 #include "sim/epoch/epoch_pool.hpp"
-#include "sim/ept.hpp"
 #include "sim/phys_mem.hpp"
 
 namespace ooh::check::sched {
@@ -624,7 +622,7 @@ class Engine final : public sync::detail::Hooks, public ScenarioRun {
       if (!covers(f, addr)) continue;
       std::ostringstream os;
       os << what << " by T" << t_tid << " touches memory freed by T" << f.tid
-         << " (mid-drain teardown hazard)";
+         << " (free-before-join hazard)";
       record_finding_locked("SCHED-RACE", os.str());
       return;
     }
@@ -829,213 +827,6 @@ std::string format_schedule(const std::vector<unsigned>& schedule) {
 
 namespace {
 
-/// RING-1 audit helper: popped + still-pending + spilled must equal pushed.
-bool ring_loss_free(const hv::DirtyRing& ring, std::vector<u64> recovered,
-                    std::vector<u64> want) {
-  ring.for_each_pending([&](u64 v) { recovered.push_back(v); });
-  for (const u64 v : ring.spill_log()) recovered.push_back(v);
-  std::sort(recovered.begin(), recovered.end());
-  std::sort(want.begin(), want.end());
-  return recovered == want;
-}
-
-/// One producer, one drainer, a deliberately tiny ring: the classic SPSC
-/// push/pop race surface, exhaustively explored within the preemption bound.
-void scenario_ring_push_pop(ScenarioRun& run) {
-  constexpr u64 kPushes = 5;  // capacity 4 => the spill path is reachable
-  auto ring = std::make_shared<hv::DirtyRing>(4);
-  auto popped = std::make_shared<std::vector<u64>>();
-  std::vector<u64> want;
-  for (u64 v = 1; v <= kPushes; ++v) want.push_back(v * kPageSize);
-  run.threads({
-      [ring] {
-        for (u64 v = 1; v <= kPushes; ++v) {
-          const u64 gpa = v * kPageSize;
-          if (!ring->try_push(gpa)) ring->spill(gpa);
-        }
-      },
-      [ring, popped] {
-        u64 v = 0;
-        for (u64 i = 0; i < kPushes + 3; ++i) {
-          if (ring->try_pop(v)) popped->push_back(v);
-        }
-      },
-  });
-  run.expect(ring->bounds_ok(), "SCHED-LOST", "RING-1: cursor bounds violated");
-  run.expect(ring_loss_free(*ring, *popped, want), "SCHED-LOST",
-             "RING-1: pushed != popped + pending + spilled");
-}
-
-/// 4 vCPU producers, 4 drain threads, 4 rings (the SMP pairing): too many
-/// threads to enumerate, so this runs seed-replayable random schedules.
-void scenario_storm_4x4(ScenarioRun& run) {
-  constexpr unsigned kPairs = 4;
-  constexpr u64 kPerProducer = 3;
-  struct Shared {
-    std::vector<std::unique_ptr<hv::DirtyRing>> rings;
-    std::vector<std::vector<u64>> drained;
-  };
-  auto sh = std::make_shared<Shared>();
-  sh->drained.resize(kPairs);
-  for (unsigned i = 0; i < kPairs; ++i) {
-    sh->rings.push_back(std::make_unique<hv::DirtyRing>(2));
-  }
-  std::vector<std::function<void()>> fns;
-  for (unsigned p = 0; p < kPairs; ++p) {
-    fns.push_back([sh, p] {
-      for (u64 k = 0; k < kPerProducer; ++k) {
-        const u64 gpa = (u64{p} * 16 + k + 1) * kPageSize;
-        if (!sh->rings[p]->try_push(gpa)) sh->rings[p]->spill(gpa);
-      }
-    });
-  }
-  for (unsigned d = 0; d < kPairs; ++d) {
-    fns.push_back([sh, d] {
-      u64 v = 0;
-      for (u64 i = 0; i < kPerProducer + 2; ++i) {
-        if (sh->rings[d]->try_pop(v)) sh->drained[d].push_back(v);
-      }
-    });
-  }
-  run.threads(std::move(fns));
-  for (unsigned i = 0; i < kPairs; ++i) {
-    std::vector<u64> want;
-    for (u64 k = 0; k < kPerProducer; ++k) {
-      want.push_back((u64{i} * 16 + k + 1) * kPageSize);
-    }
-    run.expect(ring_loss_free(*sh->rings[i], sh->drained[i], want),
-               "SCHED-LOST", "RING-1: storm lost an entry");
-  }
-}
-
-/// A vCPU maps pages, dirties the ring and then unmaps one (the shootdown)
-/// while the drain thread walks the same EPT through lookups: the
-/// Ept-concurrent-mode lock is what keeps this clean.
-void scenario_drain_during_shootdown(ScenarioRun& run) {
-  struct Shared {
-    sim::Ept ept;
-    hv::DirtyRing ring{8};
-    std::vector<u64> drained;
-  };
-  auto sh = std::make_shared<Shared>();
-  sh->ept.set_concurrent(true);
-  constexpr u64 kPages = 3;
-  std::vector<u64> want;
-  for (u64 i = 0; i < kPages; ++i) want.push_back((i + 1) * kPageSize);
-  run.threads({
-      [sh] {  // vCPU: map, dirty, then shoot one mapping down
-        for (u64 i = 0; i < kPages; ++i) {
-          const u64 gpa = (i + 1) * kPageSize;
-          sh->ept.map(gpa, 0x40000000 + i * kPageSize);
-          if (!sh->ring.try_push(gpa)) sh->ring.spill(gpa);
-        }
-        sh->ept.unmap(1 * kPageSize);
-      },
-      [sh] {  // drainer: pop and re-walk each GPA through the shared EPT
-        u64 v = 0;
-        for (u64 i = 0; i < kPages + 2; ++i) {
-          if (sh->ring.try_pop(v)) {
-            sh->drained.push_back(v);
-            (void)sh->ept.lookup(v);  // may race the unmap without the lock
-          }
-        }
-      },
-  });
-  run.expect(ring_loss_free(sh->ring, sh->drained, want), "SCHED-LOST",
-             "RING-1: drain during shootdown lost an entry");
-  run.expect(sh->ept.walk_cache_coherent(), "SCHED-LOST",
-             "WALK-1: walk cache incoherent after concurrent shootdown");
-}
-
-/// Eager splitting shatters a 2 MiB leaf while the drain thread keeps
-/// walking GPAs inside the (formerly) huge region.
-void scenario_eager_split_under_drain(ScenarioRun& run) {
-  struct Shared {
-    sim::Ept ept;
-    hv::DirtyRing ring{8};
-    std::vector<u64> drained;
-    u64 children = 0;
-  };
-  auto sh = std::make_shared<Shared>();
-  sh->ept.set_concurrent(true);
-  sh->ept.map_huge(0, 0x40000000, PageGran::k2M);
-  constexpr u64 kPages = 2;
-  std::vector<u64> want;
-  for (u64 i = 0; i < kPages; ++i) want.push_back(i * kPageSize);
-  run.threads({
-      [sh] {  // hypervisor: split eagerly, then log dirties at 4 KiB
-        sh->children = sh->ept.split_huge_leaf(0, PageGran::k2M);
-        for (u64 i = 0; i < kPages; ++i) {
-          if (!sh->ring.try_push(i * kPageSize)) sh->ring.spill(i * kPageSize);
-        }
-      },
-      [sh] {  // drainer: concurrent walks across the split boundary
-        u64 v = 0;
-        for (u64 i = 0; i < kPages + 2; ++i) {
-          if (sh->ring.try_pop(v)) {
-            sh->drained.push_back(v);
-            (void)sh->ept.lookup(v);
-          }
-        }
-      },
-  });
-  run.expect(sh->children == sim::kRadixFanout, "SCHED-LOST",
-             "SPLIT-1: eager split did not produce a full set of children");
-  run.expect(ring_loss_free(sh->ring, sh->drained, want), "SCHED-LOST",
-             "RING-1: eager split lost a ring entry");
-}
-
-/// Teardown ordering: the drain thread must be provably done (stop -> join
-/// handshake modeled with release/acquire flags) before the ring goes away.
-/// annotate_free models the free; dropping the drainer_done edge is the
-/// seeded teardown mutation the self-tests prove the explorer catches.
-void scenario_mid_drain_teardown(ScenarioRun& run) {
-  struct Shared {
-    std::unique_ptr<hv::DirtyRing> ring = std::make_unique<hv::DirtyRing>(8);
-    sync::Atomic<bool> producer_done{false};
-    sync::Atomic<bool> drainer_done{false};
-    std::vector<u64> popped;
-    std::vector<u64> recovered;
-  };
-  auto sh = std::make_shared<Shared>();
-  constexpr u64 kPushes = 3;
-  std::vector<u64> want;
-  for (u64 v = 1; v <= kPushes; ++v) want.push_back(v * kPageSize);
-  run.threads({
-      [sh] {  // vCPU producer
-        for (u64 v = 1; v <= kPushes; ++v) {
-          const u64 gpa = v * kPageSize;
-          if (!sh->ring->try_push(gpa)) sh->ring->spill(gpa);
-        }
-        sh->producer_done.store(true, std::memory_order_release);
-      },
-      [sh] {  // drainer: stops once the producer is done and the ring drained
-        await([&] {
-          return sh->producer_done.load(std::memory_order_acquire);
-        });
-        u64 v = 0;
-        for (u64 i = 0; i < kPushes + 2; ++i) {
-          if (sh->ring->try_pop(v)) sh->popped.push_back(v);
-        }
-        sh->drainer_done.store(true, std::memory_order_release);
-      },
-      [sh] {  // teardown: join the drainer, harvest leftovers, free the ring
-        await([&] {
-          return sh->drainer_done.load(std::memory_order_acquire);
-        });
-        sh->ring->for_each_pending([&](u64 v) { sh->recovered.push_back(v); });
-        for (const u64 v : sh->ring->spill_log()) sh->recovered.push_back(v);
-        annotate_free(sh->ring.get(), sizeof(hv::DirtyRing));
-      },
-  });
-  std::vector<u64> got = sh->popped;
-  got.insert(got.end(), sh->recovered.begin(), sh->recovered.end());
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  run.expect(got == want, "SCHED-LOST",
-             "RING-1: teardown lost an entry between stop and free");
-}
-
 /// The epoch worker pool's cross-thread surface: two workers partition
 /// epochs through the production epoch::claim_next cursor and write each
 /// epoch's (privately owned) frame of the shared PhysicalMemory. Checked in
@@ -1089,41 +880,6 @@ void scenario_frame_first_touch(ScenarioRun& run) {
 
 std::vector<NamedScenario> make_builtin_scenarios() {
   std::vector<NamedScenario> out;
-  {
-    Options o;
-    o.preemption_bound = 2;
-    o.random_runs = 100;
-    out.push_back({"ring_push_pop", scenario_ring_push_pop, o});
-  }
-  {
-    Options o;
-    o.exhaustive = false;  // 8 threads: random schedules only
-    o.random_runs = 120;
-    o.seed = 7;
-    out.push_back({"storm_4x4", scenario_storm_4x4, o});
-  }
-  {
-    Options o;
-    o.preemption_bound = 2;
-    o.random_runs = 50;
-    o.max_interleavings = 8000;
-    out.push_back(
-        {"drain_during_shootdown", scenario_drain_during_shootdown, o});
-  }
-  {
-    Options o;
-    o.preemption_bound = 2;
-    o.random_runs = 50;
-    o.max_interleavings = 6000;
-    out.push_back(
-        {"eager_split_under_drain", scenario_eager_split_under_drain, o});
-  }
-  {
-    Options o;
-    o.preemption_bound = 2;
-    o.random_runs = 100;
-    out.push_back({"mid_drain_teardown", scenario_mid_drain_teardown, o});
-  }
   {
     Options o;
     o.preemption_bound = 2;

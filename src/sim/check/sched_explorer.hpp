@@ -1,10 +1,11 @@
-// Deterministic schedule-exploring race checker for the SMP dirty-ring
-// paths — the concurrency twin of the CoherenceChecker.
+// Deterministic schedule-exploring race checker for the state host worker
+// threads share (the epoch claim cursor, the frame table) — the concurrency
+// twin of the CoherenceChecker.
 //
 // A TSan run proves one lucky interleaving clean; this explorer proves the
 // *schedule space* clean, loom/relacy-style. A registered scenario declares
-// a handful of logical threads running the real implementation (DirtyRing
-// push/pop, Ept concurrent walks, drained-log appends). The explorer runs
+// a handful of logical threads running the real implementation
+// (epoch::claim_next, PhysicalMemory first touch). The explorer runs
 // the scenario over and over, each time forcing a different interleaving:
 // every sync-seam operation (src/base/sync.hpp under OOH_SCHED_CHECK) is a
 // scheduling point where the explorer decides which logical thread performs
@@ -32,10 +33,10 @@
 //                   relaxed store where a release is needed is caught here
 //                   even though the explorer serialises the host threads.
 //                   Freed memory (annotate_free) is a conflicting write to
-//                   the whole range, so mid-drain teardown bugs land here.
-//   SCHED-LOST      a scenario postcondition failed — e.g. the RING-1
-//                   loss-free guarantee: every pushed GPA popped, still
-//                   pending, or spilled, in *every* interleaving.
+//                   the whole range, so free-before-join bugs land here.
+//   SCHED-LOST      a scenario postcondition failed — e.g. EPOCH-1: every
+//                   epoch claimed by exactly one worker, in *every*
+//                   interleaving.
 //   SCHED-DEADLOCK  all unfinished logical threads blocked (mutex cycle or
 //                   await that can never fire).
 //   SCHED-LIVELOCK  a single run exceeded max_steps (unbounded spin).
@@ -123,7 +124,7 @@ class ScenarioRun {
 
 /// Inside a logical thread: mark [addr, addr+bytes) as freed. Conflicts
 /// with every access another thread may still make to the range unless
-/// happens-before orders them — the mid-drain-teardown check. No-op outside
+/// happens-before orders them — the free-before-join check. No-op outside
 /// an exploration.
 void annotate_free(const void* addr, std::size_t bytes);
 
@@ -158,10 +159,9 @@ struct NamedScenario {
   Options opts;
 };
 
-/// The built-in concurrency scenarios over the real SMP dirty-ring paths:
-/// ring_push_pop, storm_4x4, drain_during_shootdown,
-/// eager_split_under_drain, mid_drain_teardown, epoch_claim, plus the frame
-/// table's first-touch race, frame_first_touch.
+/// The built-in concurrency scenarios over the state worker threads share:
+/// epoch_claim (the epoch pool's claim cursor) and frame_first_touch (the
+/// frame table's first-touch race).
 [[nodiscard]] const std::vector<NamedScenario>& builtin_scenarios();
 
 /// Run one built-in scenario by name; throws std::invalid_argument on an

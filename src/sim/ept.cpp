@@ -6,8 +6,6 @@ namespace ooh::sim {
 
 void Ept::map(Gpa gpa_page, Hpa hpa_page, bool writable) {
   assert(is_page_aligned(gpa_page) && is_page_aligned(hpa_page));
-  const auto lock = lock_if_concurrent();
-  OOH_SYNC_PLAIN_WRITE(&table_);
   EptEntry& e = table_.ensure(gpa_page);
   if (!e.present) ++present_pages_;
   e = EptEntry{};
@@ -17,8 +15,6 @@ void Ept::map(Gpa gpa_page, Hpa hpa_page, bool writable) {
 }
 
 void Ept::unmap(Gpa gpa_page) {
-  const auto lock = lock_if_concurrent();
-  OOH_SYNC_PLAIN_WRITE(&table_);
   EptEntry* e = table_.find(page_floor(gpa_page));
   if (e != nullptr && e->present) {
     *e = EptEntry{};
@@ -36,8 +32,6 @@ void Ept::map_huge(Gpa gpa_base, Hpa hpa_base, PageGran gran, bool writable) {
   // detail with no behavioural analogue here).
   assert(gran != PageGran::k4K && is_gran_aligned(gpa_base, gran) &&
          is_page_aligned(hpa_base));
-  const auto lock = lock_if_concurrent();
-  OOH_SYNC_PLAIN_WRITE(&table_);
   EptEntry& e = table_.ensure_huge(gpa_base, gran);
   if (!e.present) {
     present_pages_ += gran_pages(gran);
@@ -50,8 +44,6 @@ void Ept::map_huge(Gpa gpa_base, Hpa hpa_base, PageGran gran, bool writable) {
 }
 
 void Ept::unmap_huge(Gpa gpa_base, PageGran gran) {
-  const auto lock = lock_if_concurrent();
-  OOH_SYNC_PLAIN_WRITE(&table_);
   EptEntry* e = table_.find_huge(gran_floor(gpa_base, gran), gran);
   if (e != nullptr && e->present) {
     *e = EptEntry{};
@@ -63,8 +55,6 @@ void Ept::unmap_huge(Gpa gpa_base, PageGran gran) {
 
 u64 Ept::split_huge_leaf(Gpa gpa, PageGran gran) {
   assert(gran != PageGran::k4K);
-  const auto lock = lock_if_concurrent();
-  OOH_SYNC_PLAIN_WRITE(&table_);
   const Gpa base = gran_floor(gpa, gran);
   EptEntry* e = table_.find_huge(base, gran);
   if (e == nullptr || !e->present) return 0;
@@ -89,7 +79,6 @@ u64 Ept::split_huge_leaf(Gpa gpa, PageGran gran) {
 }
 
 bool Ept::range_unmapped(Gpa base, PageGran gran) noexcept {
-  const auto lock = lock_if_concurrent();
   if (present_pages_ == 0) return true;  // first touch: nothing anywhere
   // A larger (or equal) leaf covering the region?
   for (const PageGran g : {PageGran::k1G, PageGran::k2M}) {

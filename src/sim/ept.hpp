@@ -8,17 +8,10 @@
 // (Ept::split_huge_leaf, driven by the hypervisor when dirty logging
 // starts) exists to remove.
 //
-// Concurrency: the EPT is the one table N vCPUs of an SMP guest share. In
-// the default single-threaded mode every access is lock-free (and the
-// RadixTable4 MRU walk cache stays hot). set_concurrent(true) — flipped at a
-// quiescent point before vCPU threads start — serializes every table access
-// behind one mutex, which also covers the walk cache. Returned entry
-// pointers stay valid across unlock (leaves are never freed); concurrent
-// flag updates are safe as long as vCPUs touch *distinct* entries, which
-// disjoint per-process GPA ranges guarantee.
+// The EPT is the one table the N vCPUs of an SMP guest share; they all run
+// on the thread that owns the VM, so no table access is locked.
 #pragma once
 
-#include "base/sync.hpp"
 #include "base/types.hpp"
 #include "sim/radix.hpp"
 
@@ -64,12 +57,10 @@ class Ept {
   /// Leaf covering `gpa` at any granularity (PS-bit walk order: 1G, 2M,
   /// then 4K). For a huge leaf the entry's hpa_page is the region base.
   [[nodiscard]] EptEntry* entry(Gpa gpa) noexcept {
-    const auto lock = lock_if_concurrent();
-    // A "read" still rotates the MRU walk cache, so the table access is a
-    // write for race-checking purposes: two unlocked concurrent walkers are
-    // a real bug the schedule explorer must flag.
-    OOH_SYNC_PLAIN_WRITE(&table_);
-    return find_leaf_locked(gpa);
+    const Gpa page = page_floor(gpa);
+    if (!table_.has_huge()) return table_.find(page);
+    PageGran g;
+    return table_.find_leaf(page, g);
   }
   [[nodiscard]] const EptEntry* entry(Gpa gpa) const noexcept {
     return const_cast<Ept*>(this)->entry(gpa);
@@ -77,9 +68,6 @@ class Ept {
 
   /// The nested-walk seam: leaf + granularity + per-4 KiB HPA for `gpa`.
   [[nodiscard]] Lookup lookup(Gpa gpa) noexcept {
-    const auto lock = lock_if_concurrent();
-    // Write, not read: find() rotates the MRU walk cache (see entry()).
-    OOH_SYNC_PLAIN_WRITE(&table_);
     const Gpa page = page_floor(gpa);
     if (!table_.has_huge()) {
       EptEntry* e = table_.find(page);
@@ -105,7 +93,6 @@ class Ept {
   /// single leaf flag would).
   template <typename Fn>
   void for_each_present(Fn&& fn) {
-    const auto lock = lock_if_concurrent();
     if (!table_.has_huge()) {
       table_.for_each([&](u64 addr, EptEntry& e) {
         if (e.present) fn(addr, e);
@@ -122,7 +109,6 @@ class Ept {
   /// huge leaves NOT expanded — the GRAN-1 audit and the eager-split sweep.
   template <typename Fn>
   void for_each_leaf_present(Fn&& fn) {
-    const auto lock = lock_if_concurrent();
     table_.for_each_leaf([&](u64 addr, EptEntry& e, PageGran g) {
       if (e.present) fn(addr, e, g);
     });
@@ -132,7 +118,6 @@ class Ept {
   /// ownership audits re-derive from.
   template <typename Fn>
   void for_each_mapping(Fn&& fn) {
-    const auto lock = lock_if_concurrent();
     table_.for_each_leaf([&](u64 addr, EptEntry& e, PageGran g) {
       if (!e.present) return;
       for (u64 i = 0; i < gran_pages(g); ++i) {
@@ -148,20 +133,11 @@ class Ept {
   /// (SPLIT-1).
   [[nodiscard]] u64 huge_leaves() const noexcept { return huge_present_; }
 
-  /// Enter/leave intra-VM concurrent mode. Only call at quiescent points
-  /// (no vCPU thread running); with `on`, every table access serializes
-  /// behind an internal mutex. Off (the default) is the zero-overhead
-  /// single-timeline mode — N=1 behaviour is unchanged.
-  void set_concurrent(bool on) noexcept { concurrent_ = on; }
-  [[nodiscard]] bool concurrent() const noexcept { return concurrent_; }
-
   // ---- paging-structure walk cache (see RadixTable4) -------------------------
   void invalidate_walk_cache() const noexcept {
-    const auto lock = lock_if_concurrent();
     table_.invalidate_walk_cache();
   }
   [[nodiscard]] bool walk_cache_coherent() const noexcept {
-    const auto lock = lock_if_concurrent();
     return table_.walk_cache_coherent();
   }
   /// Test-only: corrupt the walk cache so WALK-1 mutation tests can prove
@@ -169,22 +145,9 @@ class Ept {
   void debug_skew_walk_cache() noexcept { table_.debug_skew_walk_cache(); }
 
  private:
-  [[nodiscard]] EptEntry* find_leaf_locked(Gpa gpa) noexcept {
-    const Gpa page = page_floor(gpa);
-    if (!table_.has_huge()) return table_.find(page);
-    PageGran g;
-    return table_.find_leaf(page, g);
-  }
-
-  [[nodiscard]] sync::UniqueLock lock_if_concurrent() const {
-    return concurrent_ ? sync::UniqueLock(mu_) : sync::UniqueLock();
-  }
-
   RadixTable4<EptEntry> table_;
   u64 present_pages_ = 0;
   u64 huge_present_ = 0;
-  bool concurrent_ = false;
-  mutable sync::Mutex mu_;
 };
 
 }  // namespace ooh::sim

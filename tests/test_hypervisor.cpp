@@ -223,10 +223,10 @@ TEST(Hypervisor, HarvestIsDeduplicatedInFirstSeenOrder) {
   for (const u64 n : {9, 3, 9, 7}) ASSERT_TRUE(vm.dirty_ring(0).try_push(page(n)));
   for (const u64 n : {5, 3, 1, 5}) ASSERT_TRUE(vm.dirty_ring(1).try_push(page(n)));
   vm.dirty_ring(0).spill(page(4));
-  vm.drained_log(1).push_back(page(2));
+  vm.dirty_ring(1).spill(page(2));
 
-  // Ring 0 in event order, then ring 1, then the spills, then the drained
-  // logs; each page once, where it was first seen.
+  // Ring 0 in event order, then ring 1, then vCPU 0's spills, then vCPU 1's;
+  // each page once, where it was first seen.
   EXPECT_EQ(hv.harvest_hyp_dirty(vm),
             (std::vector<Gpa>{page(9), page(3), page(7), page(5), page(1), page(4),
                               page(2)}));

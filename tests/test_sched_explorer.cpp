@@ -1,26 +1,30 @@
-// Schedule-explorer tests: the real DirtyRing/Ept scenarios must come out
-// clean across every explored interleaving, and — the part that proves the
-// checker itself works — seeded concurrency bugs must be caught by ID:
+// Schedule-explorer tests: the built-in scenarios (the state worker threads
+// share) must come out clean across every explored interleaving, and — the
+// part that proves the checker itself works — seeded concurrency bugs must
+// be caught by ID:
 //
-//   * an MPSC misuse of the SPSC ring (two producers)  -> SCHED-LOST
+//   * an MPSC misuse of an SPSC ring (two producers)   -> SCHED-LOST
 //   * a ring publishing its tail with a relaxed store  -> SCHED-RACE
 //   * an ABBA lock cycle                               -> SCHED-DEADLOCK
 //   * teardown that frees the ring before the drainer
 //     is provably done                                 -> SCHED-RACE (freed)
 //
-// Each finding must carry a minimized schedule that replays to the same
-// finding. The exploration machinery only exists under -DOOH_SCHED_CHECK=ON
-// (the sched-check CI job); in ordinary builds the scenarios still run once
-// sequentially and the mutation tests skip.
+// The rings are a test-local SPSC queue templated on its tail store's
+// memory order, so the missing-release mutation and its clean twin share one
+// definition. Each finding must carry a minimized schedule that replays to
+// the same finding. The exploration machinery only exists under
+// -DOOH_SCHED_CHECK=ON (the sched-check CI job); in ordinary builds the
+// scenarios still run once sequentially and the mutation tests skip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
 
 #include "base/sync.hpp"
 #include "base/types.hpp"
-#include "hypervisor/dirty_ring.hpp"
 #include "sim/check/sched_explorer.hpp"
 
 namespace ooh {
@@ -28,20 +32,108 @@ namespace {
 
 namespace sched = check::sched;
 
-// ---- the real implementation is clean ---------------------------------------
+/// Single-producer/single-consumer ring over the sync seam: two monotonic
+/// cursors, the slots annotated as plain data. `TailStore` is the order of
+/// the producer's publishing store: release is correct, relaxed is the
+/// seeded missing-release bug.
+template <std::memory_order TailStore>
+class SpscRing {
+ public:
+  explicit SpscRing(std::size_t capacity) : mask_(capacity - 1), slots_(capacity) {}
+
+  bool try_push(u64 value) noexcept {
+    // relaxed-ok: tail_ is producer-owned; this thread is its only writer.
+    const u64 tail = tail_.load(std::memory_order_relaxed);
+    // Acquire pairs with the consumer's head_ release: the slot about to be
+    // overwritten on wrap-around is done being read.
+    if (tail - head_.load(std::memory_order_acquire) > mask_) return false;
+    OOH_SYNC_PLAIN_WRITE(&slots_[tail & mask_]);
+    slots_[tail & mask_] = value;
+    tail_.store(tail + 1, TailStore);
+    return true;
+  }
+
+  bool try_pop(u64& out) noexcept {
+    // relaxed-ok: head_ is consumer-owned; this thread is its only writer.
+    const u64 head = head_.load(std::memory_order_relaxed);
+    if (head == tail_.load(std::memory_order_acquire)) return false;
+    OOH_SYNC_PLAIN_READ(&slots_[head & mask_]);
+    out = slots_[head & mask_];
+    head_.store(head + 1, std::memory_order_release);
+    return true;
+  }
+
+  /// Entries still in the ring; read after the scenario's threads joined.
+  /// `<`, not `!=`: a misused ring's tail may fall behind its head.
+  [[nodiscard]] std::vector<u64> pending() const {
+    std::vector<u64> out;
+    const u64 tail = tail_.load(std::memory_order_acquire);
+    for (u64 i = head_.load(std::memory_order_acquire); i < tail; ++i) {
+      out.push_back(slots_[i & mask_]);
+    }
+    return out;
+  }
+
+ private:
+  std::size_t mask_;
+  std::vector<u64> slots_;
+  sync::Atomic<u64> head_{0};  ///< consumer cursor: total entries popped.
+  sync::Atomic<u64> tail_{0};  ///< producer cursor: total entries pushed.
+};
+
+using Ring = SpscRing<std::memory_order_release>;
+// relaxed-ok: the seeded missing-release mutation under test.
+using RelaxedTailRing = SpscRing<std::memory_order_relaxed>;
+
+// ---- the built-in scenarios and a correct SPSC ring are clean --------------
 
 TEST(SchedExplorer, BuiltinScenariosExistAndRunBuiltinRejectsUnknownNames) {
   const auto& scenarios = sched::builtin_scenarios();
-  ASSERT_EQ(scenarios.size(), 7u);
-  EXPECT_EQ(scenarios[0].name, "ring_push_pop");
-  EXPECT_EQ(scenarios[5].name, "epoch_claim");
-  EXPECT_EQ(scenarios[6].name, "frame_first_touch");
+  ASSERT_EQ(scenarios.size(), 2u);
+  EXPECT_EQ(scenarios[0].name, "epoch_claim");
+  EXPECT_EQ(scenarios[1].name, "frame_first_touch");
   EXPECT_THROW((void)sched::run_builtin("no_such_scenario"),
                std::invalid_argument);
 }
 
+/// One producer, one consumer, a deliberately tiny ring: the classic SPSC
+/// push/pop race surface. Every pushed value must end up popped, pending or
+/// rejected by a full ring, in every interleaving.
+void scenario_ring_push_pop(sched::ScenarioRun& run) {
+  constexpr u64 kPushes = 5;  // capacity 4 => the full-ring path is reachable
+  struct Shared {
+    Ring ring{4};
+    std::vector<u64> rejected;  ///< producer-private
+    std::vector<u64> popped;    ///< consumer-private
+  };
+  auto sh = std::make_shared<Shared>();
+  run.threads({
+      [sh] {
+        for (u64 v = 1; v <= kPushes; ++v) {
+          if (!sh->ring.try_push(v * kPageSize)) sh->rejected.push_back(v * kPageSize);
+        }
+      },
+      [sh] {
+        u64 v = 0;
+        for (u64 i = 0; i < kPushes + 3; ++i) {
+          if (sh->ring.try_pop(v)) sh->popped.push_back(v);
+        }
+      },
+  });
+  std::vector<u64> got = sh->ring.pending();
+  got.insert(got.end(), sh->popped.begin(), sh->popped.end());
+  got.insert(got.end(), sh->rejected.begin(), sh->rejected.end());
+  std::sort(got.begin(), got.end());
+  std::vector<u64> want;
+  for (u64 v = 1; v <= kPushes; ++v) want.push_back(v * kPageSize);
+  run.expect(got == want, "SCHED-LOST", "pushed != popped + pending + rejected");
+}
+
 TEST(SchedExplorer, RingPushPopCleanAcrossAllBoundedInterleavings) {
-  const sched::Result r = sched::run_builtin("ring_push_pop");
+  sched::Options opts;
+  opts.preemption_bound = 2;
+  opts.random_runs = 100;
+  const sched::Result r = sched::explore("ring_push_pop", scenario_ring_push_pop, opts);
   EXPECT_EQ(r.instrumented, sched::available());
   for (const sched::Finding& f : r.findings) {
     ADD_FAILURE() << f.id << ": " << f.message << " schedule "
@@ -73,16 +165,16 @@ TEST(SchedExplorer, AllBuiltinScenariosComeOutClean) {
 // write the same slot and publish tail+1 — one entry vanishes in the
 // interleavings where their pushes overlap.
 void mutation_two_producers(sched::ScenarioRun& run) {
-  auto ring = std::make_shared<hv::DirtyRing>(8);
+  auto ring = std::make_shared<Ring>(8);  // never full: 4 pushes
   auto popped = std::make_shared<std::vector<u64>>();
   run.threads({
       [ring] {
-        if (!ring->try_push(1 * kPageSize)) ring->spill(1 * kPageSize);
-        if (!ring->try_push(2 * kPageSize)) ring->spill(2 * kPageSize);
+        (void)ring->try_push(1 * kPageSize);
+        (void)ring->try_push(2 * kPageSize);
       },
       [ring] {
-        if (!ring->try_push(3 * kPageSize)) ring->spill(3 * kPageSize);
-        if (!ring->try_push(4 * kPageSize)) ring->spill(4 * kPageSize);
+        (void)ring->try_push(3 * kPageSize);
+        (void)ring->try_push(4 * kPageSize);
       },
       [ring, popped] {
         u64 v = 0;
@@ -91,8 +183,7 @@ void mutation_two_producers(sched::ScenarioRun& run) {
         }
       },
   });
-  std::size_t recovered = popped->size() + ring->pending() + ring->spill_size();
-  run.expect(recovered == 4, "SCHED-LOST",
+  run.expect(popped->size() + ring->pending().size() == 4, "SCHED-LOST",
              "MPSC misuse of the SPSC ring lost an entry");
 }
 
@@ -119,47 +210,14 @@ TEST(SchedExplorerMutation, TwoProducerMisuseIsFlaggedAsLostById) {
 
 // ---- seeded mutation: missing release ---------------------------------------
 
-// The DirtyRing with its publication edge deliberately weakened: the tail
-// store is relaxed, so the consumer's acquire pairs with nothing and the
-// slot read is unordered against the slot write. The explorer must flag the
-// race even though its own execution is serialized — the vector clocks
-// track the *declared* orders, not luck.
-class BuggyRelaxedRing {
- public:
-  explicit BuggyRelaxedRing(std::size_t capacity)
-      : mask_(capacity - 1), slots_(capacity) {}
-
-  bool try_push(u64 value) noexcept {
-    // relaxed-ok: tail_ is producer-owned (this mirrors DirtyRing).
-    const u64 tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) > mask_) return false;
-    OOH_SYNC_PLAIN_WRITE(&slots_[tail & mask_]);
-    slots_[tail & mask_] = value;
-    // SEEDED BUG: publication needs release; relaxed severs the edge.
-    // relaxed-ok: this is the deliberate mutation under test.
-    tail_.store(tail + 1, std::memory_order_relaxed);
-    return true;
-  }
-
-  bool try_pop(u64& out) noexcept {
-    // relaxed-ok: head_ is consumer-owned (this mirrors DirtyRing).
-    const u64 head = head_.load(std::memory_order_relaxed);
-    if (head == tail_.load(std::memory_order_acquire)) return false;
-    OOH_SYNC_PLAIN_READ(&slots_[head & mask_]);
-    out = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
- private:
-  std::size_t mask_;
-  std::vector<u64> slots_;
-  sync::Atomic<u64> head_{0};
-  sync::Atomic<u64> tail_{0};
-};
-
-void mutation_missing_release(sched::ScenarioRun& run) {
-  auto ring = std::make_shared<BuggyRelaxedRing>(4);
+// The ring with its publication edge deliberately weakened: the tail store
+// is relaxed, so the consumer's acquire pairs with nothing and the slot read
+// is unordered against the slot write. The explorer must flag the race even
+// though its own execution is serialized — the vector clocks track the
+// *declared* orders, not luck.
+template <typename R>
+void push_two_pop_four(sched::ScenarioRun& run) {
+  auto ring = std::make_shared<R>(4);
   run.threads({
       [ring] {
         (void)ring->try_push(1 * kPageSize);
@@ -170,6 +228,10 @@ void mutation_missing_release(sched::ScenarioRun& run) {
         for (int i = 0; i < 4; ++i) (void)ring->try_pop(v);
       },
   });
+}
+
+void mutation_missing_release(sched::ScenarioRun& run) {
+  push_two_pop_four<RelaxedTailRing>(run);
 }
 
 TEST(SchedExplorerMutation, MissingReleaseOnTailIsFlaggedAsRaceById) {
@@ -193,22 +255,10 @@ TEST(SchedExplorerMutation, MissingReleaseOnTailIsFlaggedAsRaceById) {
   }
 }
 
-// The twin control: the very same scenario over the real DirtyRing (correct
-// release/acquire pairs) explores clean — proving the race above comes from
-// the weakened ordering, not from the checker being trigger-happy.
-void control_correct_release(sched::ScenarioRun& run) {
-  auto ring = std::make_shared<hv::DirtyRing>(4);
-  run.threads({
-      [ring] {
-        (void)ring->try_push(1 * kPageSize);
-        (void)ring->try_push(2 * kPageSize);
-      },
-      [ring] {
-        u64 v = 0;
-        for (int i = 0; i < 4; ++i) (void)ring->try_pop(v);
-      },
-  });
-}
+// The twin control: the very same scenario over the same ring with the
+// release store explores clean — proving the race above comes from the
+// weakened ordering, not from the checker being trigger-happy.
+void control_correct_release(sched::ScenarioRun& run) { push_two_pop_four<Ring>(run); }
 
 TEST(SchedExplorerMutation, CorrectReleasePairIsNotFlagged) {
   sched::Options opts;
@@ -261,22 +311,20 @@ TEST(SchedExplorerMutation, AbbaLockCycleIsFlaggedAsDeadlockById) {
 
 // ---- seeded mutation: teardown frees the ring under the drainer -------------
 
-// The builtin mid_drain_teardown joins the drainer (drainer_done edge)
-// before freeing. This mutation waits only for the *producer*, so the free
-// is unordered against the drainer's pops — the explorer must flag the
-// freed-memory access in the interleavings where the free lands mid-drain.
+// A correct teardown joins the drainer (drainer_done edge) before freeing.
+// This mutation waits only for the *producer*, so the free is unordered
+// against the drainer's pops — the explorer must flag the freed-memory
+// access in the interleavings where the free lands mid-drain.
 void mutation_early_teardown(sched::ScenarioRun& run) {
   struct Shared {
-    std::unique_ptr<hv::DirtyRing> ring = std::make_unique<hv::DirtyRing>(8);
+    std::unique_ptr<Ring> ring = std::make_unique<Ring>(8);
     sync::Atomic<bool> producer_done{false};
     sync::Atomic<bool> drainer_done{false};
   };
   auto sh = std::make_shared<Shared>();
   run.threads({
       [sh] {
-        for (u64 v = 1; v <= 3; ++v) {
-          if (!sh->ring->try_push(v * kPageSize)) sh->ring->spill(v * kPageSize);
-        }
+        for (u64 v = 1; v <= 3; ++v) (void)sh->ring->try_push(v * kPageSize);
         sh->producer_done.store(true, std::memory_order_release);
       },
       [sh] {
@@ -289,7 +337,7 @@ void mutation_early_teardown(sched::ScenarioRun& run) {
         sched::await([&] {
           return sh->producer_done.load(std::memory_order_acquire);
         });
-        sched::annotate_free(sh->ring.get(), sizeof(hv::DirtyRing));
+        sched::annotate_free(sh->ring.get(), sizeof(Ring));
       },
   });
 }

@@ -1,17 +1,13 @@
 // SMP guest tests: multi-vCPU topology and round-robin placement, the
 // mm_cpumask TLB-shootdown protocol (charges land on the owning vCPU, pinned
-// processes pay nothing), bit-identical virtual time between serial and
-// threaded execution of one VM's vCPUs, loss-free concurrent userspace ring
-// drain under real threads (the TSan stress), the kDirtyRingFull injected
-// spill path, tracker sessions of processes on other vCPUs or migrated
-// between them, the tracker consumers timing the process's vCPU, and the RING-1 / SHOOT-1 coherence-oracle mutation checks.
+// processes pay nothing), the per-vCPU dirty-ring harvest with and without
+// the kDirtyRingFull injected spill path, tracker sessions of processes on
+// other vCPUs or migrated between them, the tracker consumers timing the
+// process's vCPU, and the RING-1 / SHOOT-1 coherence-oracle mutation checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "guest/kernel.hpp"
@@ -133,266 +129,64 @@ TEST_F(SmpShootdownTest, MigratedProcessShootsDownItsOldVcpu) {
   EXPECT_EQ(vm_.vcpu(0).tlb().lookup(p.pid(), base), nullptr);
 }
 
-// ---- serial vs threaded SMP determinism -------------------------------------
-
-struct CpuOutcome {
-  double clock_us = 0.0;
-  u64 tlb_miss = 0;
-  u64 pml_log = 0;
-  std::vector<Gpa> dirty;  ///< whole-VM harvest, sorted (shared across rows).
-};
-
-/// One 4-vCPU VM, one pinned process per vCPU, demand-faulted serially, then
-/// a hypervisor PML session over a touch phase run either serially or with
-/// one host thread per vCPU. Returns per-vCPU timelines + the harvest.
-std::vector<CpuOutcome> run_smp(unsigned threads) {
-  constexpr unsigned kCpus = 4;
-  lib::TestBedOptions opts;
-  opts.vm_mem_bytes = 128 * kMiB;
-  opts.host_mem_bytes = 1 * kGiB;
-  opts.vcpus_per_vm = kCpus;
-  lib::TestBed bed(opts);
-  hv::Vm& vm = bed.vm();
-  guest::GuestKernel& k = bed.kernel();
-
-  struct Job {
-    guest::Process* proc = nullptr;
-    Gva base = 0;
-    u64 pages = 0;
-  };
-  std::vector<Job> jobs(kCpus);
-  for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
-    Job& j = jobs[cpu];
-    j.proc = &k.create_process();
-    j.pages = 64 + cpu * 32;  // distinct per-vCPU working sets
-    j.base = j.proc->mmap(j.pages * kPageSize);
-    // Serial warmup: demand-allocate frames in a fixed order so both modes
-    // see identical GPA assignments; the timed phase then allocates nothing.
-    for (u64 i = 0; i < j.pages; ++i) j.proc->touch_write(j.base + i * kPageSize);
-  }
-
-  hv::Hypervisor& hv = bed.hypervisor();
-  hv.enable_pml_for_hyp(vm);
-  const auto body = [&](unsigned cpu) {
-    const Job& j = jobs[cpu];
-    for (int pass = 0; pass < 3; ++pass) {
-      for (u64 i = 0; i < j.pages; ++i) {
-        j.proc->touch_write(j.base + i * kPageSize);
-      }
-    }
-  };
-  if (threads <= 1) {
-    for (unsigned cpu = 0; cpu < kCpus; ++cpu) body(cpu);
-  } else {
-    std::vector<std::thread> pool;
-    for (unsigned cpu = 0; cpu < kCpus; ++cpu) pool.emplace_back(body, cpu);
-    for (std::thread& t : pool) t.join();
-  }
-
-  std::vector<Gpa> dirty = hv.harvest_hyp_dirty(vm);
-  hv.disable_pml_for_hyp(vm);
-  std::sort(dirty.begin(), dirty.end());
-  bed.audit();
-
-  std::vector<CpuOutcome> out(kCpus);
-  for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
-    out[cpu].clock_us = vm.vcpu(cpu).ctx().clock.now().count();
-    out[cpu].tlb_miss = vm.vcpu(cpu).ctx().counters.get(Event::kTlbMiss);
-    out[cpu].pml_log = vm.vcpu(cpu).ctx().counters.get(Event::kPmlLogGpa);
-    out[cpu].dirty = dirty;
-  }
-  return out;
-}
-
-TEST(SmpDeterminism, SerialAndThreadedVcpusAreBitIdentical) {
-  const std::vector<CpuOutcome> serial = run_smp(1);
-  const std::vector<CpuOutcome> threaded = run_smp(4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (unsigned cpu = 0; cpu < serial.size(); ++cpu) {
-    SCOPED_TRACE("vcpu " + std::to_string(cpu));
-    EXPECT_EQ(serial[cpu].clock_us, threaded[cpu].clock_us);
-    EXPECT_EQ(serial[cpu].tlb_miss, threaded[cpu].tlb_miss);
-    EXPECT_EQ(serial[cpu].pml_log, threaded[cpu].pml_log);
-    EXPECT_EQ(serial[cpu].dirty, threaded[cpu].dirty);
-    EXPECT_GT(serial[cpu].clock_us, 0.0);
-  }
-  // Distinct working sets must yield distinct timelines — guard against a
-  // trivially-zero comparison.
-  EXPECT_NE(serial[0].clock_us, serial[3].clock_us);
-}
-
-// ---- concurrent userspace ring drain (the TSan stress) ----------------------
-
-TEST(SmpConcurrentDrain, VcpusFaultWhileUserspaceDrainsLossFree) {
-  constexpr unsigned kCpus = 4;
-  constexpr u64 kPages = 128;
-  lib::TestBedOptions opts;
-  opts.vm_mem_bytes = 128 * kMiB;
-  opts.host_mem_bytes = 1 * kGiB;
-  opts.vcpus_per_vm = kCpus;
-  lib::TestBed bed(opts);
-  hv::Vm& vm = bed.vm();
-  guest::GuestKernel& k = bed.kernel();
-  hv::Hypervisor& hv = bed.hypervisor();
-
-  std::vector<guest::Process*> procs(kCpus);
-  std::vector<Gva> bases(kCpus);
-  for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
-    procs[cpu] = &k.create_process();
-    bases[cpu] = procs[cpu]->mmap(kPages * kPageSize);
-  }
-  hv.enable_pml_for_hyp(vm);
-
-  // One producer thread per vCPU (demand faults + re-dirtying) racing one
-  // SPSC consumer per ring; the consumers keep popping until every producer
-  // is done, then sweep the tails.
-  std::atomic<bool> done{false};
-  std::atomic<u64> popped{0};
-  std::vector<std::thread> pool;
-  for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
-    pool.emplace_back([&, cpu] {
-      for (int pass = 0; pass < 4; ++pass) {
-        for (u64 i = 0; i < kPages; ++i) {
-          procs[cpu]->touch_write(bases[cpu] + i * kPageSize);
-        }
-      }
-    });
-  }
-  std::vector<std::thread> drainers;
-  for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
-    drainers.emplace_back([&, cpu] {
-      std::vector<Gpa> local;
-      while (!done.load(std::memory_order_acquire)) {
-        popped.fetch_add(hv.drain_dirty_ring(vm, cpu, local),
-                         std::memory_order_relaxed);
-        std::this_thread::yield();
-      }
-      popped.fetch_add(hv.drain_dirty_ring(vm, cpu, local),
-                       std::memory_order_relaxed);
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  done.store(true, std::memory_order_release);
-  for (std::thread& t : drainers) t.join();
-
-  // The quiescent harvest folds the concurrently-drained entries back in
-  // (Vm::drained_log), so the union must be exactly the touched pages.
-  std::vector<Gpa> dirty = hv.harvest_hyp_dirty(vm);
-  hv.disable_pml_for_hyp(vm);
-  std::sort(dirty.begin(), dirty.end());
-  EXPECT_EQ(dirty.size(), u64{kCpus} * kPages);
-  EXPECT_EQ(std::set<Gpa>(dirty.begin(), dirty.end()).size(), dirty.size());
-  bed.audit();
-}
-
-// Teardown ordering: the drain thread must be stopped and joined before the
-// Vm (and its rings) is destroyed. This runs the full stop -> join ->
-// destroy protocol under real threads — with TSan in CI and the schedule
-// explorer's mid_drain_teardown scenario covering the interleavings — and
-// checks no entry is lost between the stop signal and the teardown harvest.
-TEST(SmpConcurrentDrain, DrainThreadStopsAndJoinsBeforeVmTeardownLossFree) {
-  constexpr unsigned kCpus = 2;
-  constexpr u64 kPages = 64;
-  std::vector<Gpa> drained_total;
-  u64 expected = 0;
-  {
-    lib::TestBedOptions opts;
-    opts.vm_mem_bytes = 64 * kMiB;
-    opts.host_mem_bytes = 1 * kGiB;
-    opts.vcpus_per_vm = kCpus;
-    lib::TestBed bed(opts);
-    hv::Vm& vm = bed.vm();
-    guest::GuestKernel& k = bed.kernel();
-    hv::Hypervisor& hv = bed.hypervisor();
-
-    std::vector<guest::Process*> procs(kCpus);
-    std::vector<Gva> bases(kCpus);
-    for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
-      procs[cpu] = &k.create_process();
-      bases[cpu] = procs[cpu]->mmap(kPages * kPageSize);
-    }
-    hv.enable_pml_for_hyp(vm);
-
-    std::atomic<bool> stop{false};
-    std::vector<std::vector<Gpa>> per_drainer(kCpus);
-    std::vector<std::thread> producers;
-    std::vector<std::thread> drainers;
-    for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
-      producers.emplace_back([&, cpu] {
-        for (u64 i = 0; i < kPages; ++i) {
-          procs[cpu]->touch_write(bases[cpu] + i * kPageSize);
-        }
-      });
-      drainers.emplace_back([&, cpu] {
-        while (!stop.load(std::memory_order_acquire)) {
-          hv.drain_dirty_ring(vm, cpu, per_drainer[cpu]);
-          std::this_thread::yield();
-        }
-        // One final sweep after the stop signal: entries pushed between the
-        // last loop pass and stop must not be stranded mid-pop.
-        hv.drain_dirty_ring(vm, cpu, per_drainer[cpu]);
-      });
-    }
-    for (std::thread& t : producers) t.join();
-    // The teardown protocol under test: signal stop, join the drainers, and
-    // only then harvest and let the Vm (rings included) be destroyed.
-    stop.store(true, std::memory_order_release);
-    for (std::thread& t : drainers) t.join();
-
-    // harvest folds the concurrently-drained entries (Vm::drained_log) back
-    // in with the ring tails, so it alone is the complete dirty set.
-    drained_total = hv.harvest_hyp_dirty(vm);
-    hv.disable_pml_for_hyp(vm);
-    expected = u64{kCpus} * kPages;
-    bed.audit();
-  }  // TestBed (Vm, rings, kernels) destroyed here — after the joins.
-  std::sort(drained_total.begin(), drained_total.end());
-  EXPECT_EQ(drained_total.size(), expected);
-  EXPECT_EQ(std::set<Gpa>(drained_total.begin(), drained_total.end()).size(),
-            drained_total.size());
-}
-
 // ---- kDirtyRingFull fault injection -----------------------------------------
 
 TEST(SmpFaultInjection, DirtyRingFullSpillsLossFreeOnEveryVcpu) {
   constexpr unsigned kCpus = 2;
   constexpr u64 kPages = 32;
-  lib::TestBedOptions opts;
-  opts.vm_mem_bytes = 64 * kMiB;
-  opts.host_mem_bytes = 1 * kGiB;
-  opts.vcpus_per_vm = kCpus;
-  opts.cost = CostModel::unit();
-  // Every ring arrival reports full: all entries take the spill path. The
-  // per-vCPU injectors run the FAULT-2 discipline (post-fault audit) in
-  // audit builds automatically.
-  opts.fault_plan.add(
-      {sim::fault::FaultPoint::kDirtyRingFull, /*first=*/0, /*every=*/1,
-       /*limit=*/0, /*arg=*/0});
-  lib::TestBed bed(opts);
-  hv::Vm& vm = bed.vm();
-  guest::GuestKernel& k = bed.kernel();
-  ASSERT_NE(bed.fault_injector(0, 0), nullptr);
-  ASSERT_NE(bed.fault_injector(0, kCpus - 1), nullptr);
+  // forced_full: every ring arrival reports full, so all entries take the
+  // spill path. The control (no fault plan) fills the rings and never
+  // spills. Either way the harvest is exactly the touched pages.
+  for (const bool forced_full : {true, false}) {
+    SCOPED_TRACE(forced_full ? "forced full" : "no fault");
+    lib::TestBedOptions opts;
+    opts.vm_mem_bytes = 64 * kMiB;
+    opts.host_mem_bytes = 1 * kGiB;
+    opts.vcpus_per_vm = kCpus;
+    opts.cost = CostModel::unit();
+    // The per-vCPU injectors run the FAULT-2 discipline (post-fault audit)
+    // in audit builds automatically.
+    if (forced_full) {
+      opts.fault_plan.add(
+          {sim::fault::FaultPoint::kDirtyRingFull, /*first=*/0, /*every=*/1,
+           /*limit=*/0, /*arg=*/0});
+    }
+    lib::TestBed bed(opts);
+    hv::Vm& vm = bed.vm();
+    guest::GuestKernel& k = bed.kernel();
+    if (forced_full) {
+      ASSERT_NE(bed.fault_injector(0, 0), nullptr);
+      ASSERT_NE(bed.fault_injector(0, kCpus - 1), nullptr);
+    }
 
-  bed.hypervisor().enable_pml_for_hyp(vm);
-  u64 expected = 0;
-  for (unsigned p = 0; p < kCpus; ++p) {  // one process per vCPU
-    guest::Process& proc = k.create_process();
-    const Gva base = proc.mmap(kPages * kPageSize);
-    for (u64 i = 0; i < kPages; ++i) proc.touch_write(base + i * kPageSize);
-    expected += kPages;
-  }
-  std::vector<Gpa> dirty = bed.hypervisor().harvest_hyp_dirty(vm);
-  bed.hypervisor().disable_pml_for_hyp(vm);
+    bed.hypervisor().enable_pml_for_hyp(vm);
+    std::vector<Gpa> touched;
+    for (unsigned p = 0; p < kCpus; ++p) {  // one process per vCPU
+      guest::Process& proc = k.create_process();
+      const Gva base = proc.mmap(kPages * kPageSize);
+      for (u64 i = 0; i < kPages; ++i) {
+        proc.touch_write(base + i * kPageSize);
+        touched.push_back(k.page_table(proc).lookup(base + i * kPageSize).gpa_page);
+      }
+    }
+    std::vector<Gpa> dirty = bed.hypervisor().harvest_hyp_dirty(vm);
+    bed.hypervisor().disable_pml_for_hyp(vm);
 
-  EXPECT_EQ(dirty.size(), expected) << "the spill path must lose nothing";
-  for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
-    EXPECT_GT(vm.vcpu(cpu).ctx().counters.get(Event::kDirtyRingFull), 0u)
-        << "vcpu " << cpu;
-    EXPECT_TRUE(vm.dirty_ring(cpu).empty())
-        << "forced-full rings route everything through the spill log";
+    std::sort(dirty.begin(), dirty.end());
+    std::sort(touched.begin(), touched.end());
+    EXPECT_EQ(dirty, touched) << "the harvest must be exactly the touched pages";
+    for (unsigned cpu = 0; cpu < kCpus; ++cpu) {
+      const hv::DirtyRing& ring = vm.dirty_ring(cpu);
+      EXPECT_EQ(vm.vcpu(cpu).ctx().counters.get(Event::kDirtyRingFull) > 0, forced_full)
+          << "vcpu " << cpu;
+      EXPECT_TRUE(ring.empty()) << "vcpu " << cpu;
+      EXPECT_EQ(ring.spill_size(), 0u) << "vcpu " << cpu;
+      // Forced-full rings route everything through the spill log; otherwise
+      // the harvest pops each vCPU's pages from its own ring.
+      EXPECT_EQ(ring.popped(), forced_full ? 0u : kPages) << "vcpu " << cpu;
+    }
+    bed.audit();
   }
-  bed.audit();
 }
 
 // ---- tracker sessions of processes off vCPU 0 ------------------------------

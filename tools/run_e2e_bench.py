@@ -148,9 +148,6 @@ def main(argv: list[str]) -> int:
                         help="timed runs per target; min wall-clock is kept")
     parser.add_argument("--threads", type=int, default=4,
                         help="epoch worker count for the parallel column")
-    parser.add_argument("--skip-parallel", action="store_true",
-                        help="measure only the serial column (still checks "
-                             "serial-vs-parallel byte-identity once)")
     args = parser.parse_args(argv)
 
     benchmarks: list[dict] = []
@@ -171,10 +168,9 @@ def main(argv: list[str]) -> int:
             continue
 
         # EPOCH-1 at the figure level: the parallel run must emit the exact
-        # bytes of the serial run. One verification run even when the
-        # parallel timing column is skipped.
-        reps = 1 if args.skip_parallel else max(1, args.repetitions)
-        par = [run_once(exe, threads=args.threads) for _ in range(reps)]
+        # bytes of the serial run.
+        par = [run_once(exe, threads=args.threads)
+               for _ in range(max(1, args.repetitions))]
         if par[-1].out != serial[-1].out:
             raise SystemExit(
                 f"run_e2e_bench: {target} stdout differs between "
@@ -182,10 +178,9 @@ def main(argv: list[str]) -> int:
                 "violated (worker count leaked into figure output)")
         print(f"  E2E_{target}: serial vs threads={args.threads} "
               "stdout byte-identical")
-        if not args.skip_parallel:
-            entry = bench_entry(f"E2E_{target}/threads:{args.threads}", par)
-            benchmarks.append(entry)
-            report(entry, par)
+        entry = bench_entry(f"E2E_{target}/threads:{args.threads}", par)
+        benchmarks.append(entry)
+        report(entry, par)
 
     serial_rows = [b for b in benchmarks if b["name"].endswith("/serial")]
     total = {
