@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,6 +30,10 @@
 #include "ooh/testbed.hpp"
 #include "ooh/trackers.hpp"
 #include "run_setup.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace ooh::bench {
 
@@ -51,6 +56,7 @@ struct Args {
   /// or malformed value, exits 2 with a usage message instead of running
   /// with a default.
   static Args parse(int argc, char** argv, u64 default_scale = 32) {
+    keep_freed_memory();
     Args a;
     a.scale = default_scale;
     for (int i = 1; i < argc; ++i) {
@@ -79,6 +85,21 @@ struct Args {
   }
 
  private:
+  /// Pin glibc's allocation policy so a figure's cells reuse each other's
+  /// memory. By default free() trims the heap top and raises the mmap
+  /// threshold as large chunks are freed, so every CRIU cell of figs. 7-9
+  /// faulted its predecessor's test bed and checkpoint image back in. Now
+  /// blocks under 4 MiB come from a heap that is never trimmed. Larger ones,
+  /// such as the 8 MiB SPML rings, stay separate mappings: calloc hands them
+  /// out zeroed without touching a page, where a reused heap chunk would be
+  /// cleared and committed in full.
+  static void keep_freed_memory() {
+#if defined(__GLIBC__)
+    mallopt(M_MMAP_THRESHOLD, 4 << 20);
+    mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());
+#endif
+  }
+
   [[noreturn]] static void usage_error(const char* prog, const std::string& why) {
     std::fprintf(stderr,
                  "%s: %s\n"

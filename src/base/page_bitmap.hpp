@@ -1,6 +1,7 @@
 // Dense one-bit-per-4-KiB-page set over a bounded address range — KVM's
 // memslot dirty_bitmap idiom — used to deduplicate dirty-page lists on the
-// harvest path (hypervisor ring harvests, SPML collection).
+// harvest path (hypervisor ring harvests, SPML collection) and as SPML's
+// set of GPAs still waiting for a reverse mapping.
 //
 // A node-based unordered_set pays an allocation per first insert and hands
 // its elements back in hash-bucket order. Here membership is one
@@ -42,6 +43,18 @@ class PageBitmap {
     const u64 bit = u64{1} << (page & 63);
     if ((word & bit) != 0) return false;
     word |= bit;
+    return true;
+  }
+
+  /// Clear the bit of the page holding `addr`; true when it was set. An
+  /// address past the allocated words (or the range) was never set.
+  bool test_and_clear(u64 addr) noexcept {
+    const u64 page = page_index(addr);
+    if ((page >> 6) >= words_.size()) return false;
+    u64& word = words_[page >> 6];
+    const u64 bit = u64{1} << (page & 63);
+    if ((word & bit) == 0) return false;
+    word &= ~bit;
     return true;
   }
 

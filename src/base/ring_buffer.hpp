@@ -24,7 +24,7 @@ class RingBuffer {
  public:
   explicit RingBuffer(std::size_t capacity)
       : buf_(static_cast<u64*>(std::calloc(capacity, sizeof(u64)))), capacity_(capacity) {
-    // A zero-capacity ring divides by zero on the first push.
+    // A zero-capacity ring could hold nothing, and calloc(0) may return null.
     assert(capacity > 0 && "RingBuffer capacity must be nonzero");
     if (!buf_) throw std::bad_alloc();
   }
@@ -36,7 +36,11 @@ class RingBuffer {
       ++dropped_;
       return false;
     }
-    buf_[(head_ + size_) % capacity_] = value;
+    // head_ and size_ are both below capacity_, so one compare wraps the
+    // tail: no division on the per-entry path.
+    std::size_t tail = head_ + size_;
+    if (tail >= capacity_) tail -= capacity_;
+    buf_[tail] = value;
     ++size_;
     return true;
   }
@@ -46,7 +50,7 @@ class RingBuffer {
     assert(size_ <= capacity_ && head_ < capacity_);
     if (size_ == 0) return false;
     out = buf_[head_];
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
     --size_;
     return true;
   }

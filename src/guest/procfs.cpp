@@ -1,7 +1,5 @@
 #include "guest/procfs.hpp"
 
-#include <algorithm>
-
 #include "guest/kernel.hpp"
 
 namespace ooh::guest {
@@ -34,7 +32,6 @@ std::vector<Gva> ProcFs::pagemap_dirty(Process& proc) {
   kernel_.page_table(proc).for_each_present([&](Gva gva, sim::Pte& pte) {
     if (pte.soft_dirty) dirty.push_back(gva);
   });
-  std::sort(dirty.begin(), dirty.end());
   return dirty;
 }
 
@@ -58,13 +55,8 @@ bool ProcFs::on_track(sim::TrackLayer /*layer*/, const sim::TrackEvent& ev) {
   return true;
 }
 
-std::vector<std::pair<Gva, Gpa>> ProcFs::pagemap_entries(Process& proc) {
-  std::vector<std::pair<Gva, Gpa>> out;
-  // for_each_mapping computes the per-4 KiB GPA even where a huge leaf or a
-  // segment run shares one Pte (pte.gpa_page would be the region base).
-  kernel_.page_table(proc).for_each_mapping(
-      [&](Gva gva, const sim::Pte&, Gpa gpa) { out.emplace_back(gva, gpa); });
-  return out;
+sim::GuestPageTable& ProcFs::page_table(Process& proc) {
+  return kernel_.page_table(proc);
 }
 
 }  // namespace ooh::guest

@@ -6,11 +6,11 @@
 //   pagemap:    userspace scans bit 55 of every PTE to collect dirty pages.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "base/types.hpp"
 #include "guest/process.hpp"
+#include "sim/page_table.hpp"
 #include "sim/page_track.hpp"
 
 namespace ooh::guest {
@@ -27,12 +27,20 @@ class ProcFs final : public sim::PageTrackNotifier {
   /// `echo 4 > /proc/PID/clear_refs` (Table V metric M15 + TLB flush).
   void clear_refs(Process& proc);
 
-  /// Scan /proc/PID/pagemap for soft-dirty pages (metric M16).
+  /// Scan /proc/PID/pagemap for soft-dirty pages (metric M16), in page-table
+  /// walk order (DirtyTracker::collect sorts every backend's output).
   [[nodiscard]] std::vector<Gva> pagemap_dirty(Process& proc);
 
-  /// All present GVA -> GPA translations, as pagemap exposes them. The cost
-  /// is charged by the caller (SPML charges it as reverse-mapping, M17).
-  [[nodiscard]] std::vector<std::pair<Gva, Gpa>> pagemap_entries(Process& proc);
+  /// Stream every present GVA -> GPA translation, as pagemap exposes them,
+  /// to fn(gva_page, gpa_page) in page-table walk order; nothing is copied.
+  /// The GPA is the 4 KiB page's own, even where a huge leaf or a segment
+  /// run shares one Pte. The cost is charged by the caller (SPML charges it
+  /// as its reverse-mapping scan, M16/M17).
+  template <typename Fn>
+  void pagemap_for_each(Process& proc, Fn&& fn) {
+    page_table(proc).for_each_mapping(
+        [&fn](Gva gva, const sim::Pte&, Gpa gpa) { fn(gva, gpa); });
+  }
 
   // ---- sim::PageTrackNotifier (kGuestWpFault) -------------------------------
   /// Soft-dirty fault: set the bit, restore write access, invalidate the
@@ -40,6 +48,10 @@ class ProcFs final : public sim::PageTrackNotifier {
   bool on_track(sim::TrackLayer layer, const sim::TrackEvent& ev) override;
 
  private:
+  /// The kernel's page table of `proc` (out of line: kernel.hpp is not
+  /// included here).
+  [[nodiscard]] sim::GuestPageTable& page_table(Process& proc);
+
   GuestKernel& kernel_;
 };
 

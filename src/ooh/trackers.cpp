@@ -64,32 +64,11 @@ void UfdTracker::shutdown() {
 
 // ---- SpmlTracker -------------------------------------------------------------
 
-SpmlTracker::~SpmlTracker() {
-  if (flush_registered_) kernel_.vm().track().unregister_flush(this);
-}
-
-bool SpmlTracker::on_track(sim::TrackLayer /*layer*/, const sim::TrackEvent& /*ev*/) {
-  return false;  // SPML only listens on the flush chain.
-}
-
-void SpmlTracker::on_track_flush(u32 pid, Gva start, Gva end) {
-  if (pid != proc_.pid()) return;
-  // The unmapped range's translations are dead; its guest frames can be
-  // recycled into other VMAs, where a cached entry would reverse-map the
-  // new GPA hit to the old address (mirrors KVM's track_flush_slot).
-  for (Gva& gva : rmap_cache_) {
-    if (gva >= start && gva < end) gva = kNoGva;
-  }
-}
-
 void SpmlTracker::init() {
   module_ = &ensure_module(kernel_, guest::OohMode::kSpml);
   module_->track(proc_);
   seen_ = PageBitmap(kernel_.vm().mem_bytes());
-  if (!flush_registered_) {
-    kernel_.vm().track().register_flush(this);
-    flush_registered_ = true;
-  }
+  missing_ = PageBitmap(kernel_.vm().mem_bytes());
 }
 
 std::vector<Gva> SpmlTracker::collect() {
@@ -109,48 +88,60 @@ std::vector<Gva> SpmlTracker::collect() {
   // through /proc (M16) plus a per-GPA lookup (M17) -- the dominant SPML
   // term (Fig. 3). Resolved addresses are cached and reused by later
   // intervals, as the paper's Boehm integration does (§VI-E footnote 2), so
-  // only GPAs never seen before pay the cost.
+  // only GPAs without a live cached translation pay the cost. A cached GVA
+  // whose page was since unmapped or swapped out, or now maps another
+  // frame, is a miss: the GPA may have been recycled into another mapping.
+  sim::GuestPageTable& pt = kernel_.page_table(proc_);
   std::vector<Gva> out;
   out.reserve(gpas.size());
   std::vector<Gpa> misses;
+  u64 top_page = 0;
   for (const Gpa gpa : gpas) {
     if (const Gva gva = cached_gva(gpa); gva != kNoGva) {
-      out.push_back(gva);
-    } else {
-      misses.push_back(gpa);
-    }
-  }
-  if (!misses.empty()) {
-    m.count(Event::kPagemapScan);
-    m.charge_us(m.cost.pagemap_scan_us(proc_.mapped_bytes()));
-    const double per_page = m.cost.reverse_map_per_page_us(proc_.mapped_bytes());
-    m.count(Event::kReverseMapLookup, misses.size());
-    for (std::size_t i = 0; i < misses.size(); ++i) m.charge_us(per_page);
-    // One pagemap walk resolves every miss; the first GVA in walk order
-    // mapping a GPA wins.
-    std::sort(misses.begin(), misses.end());
-    rmap_cache_.resize(std::max<std::size_t>(rmap_cache_.size(),
-                                             page_index(misses.back()) + 1),
-                       kNoGva);
-    for (const auto& [gva, gpa] : kernel_.procfs().pagemap_entries(proc_)) {
-      if (std::binary_search(misses.begin(), misses.end(), gpa)) {
-        Gva& slot = rmap_cache_[page_index(gpa)];
-        if (slot == kNoGva) slot = gva;
+      const sim::GuestPageTable::Lookup hit = pt.lookup(gva);
+      if (hit.pte != nullptr && hit.pte->present && hit.gpa_page == page_floor(gpa)) {
+        out.push_back(gva);
+        continue;
       }
     }
-    for (const Gpa gpa : misses) {
-      if (const Gva gva = cached_gva(gpa); gva != kNoGva) out.push_back(gva);
+    misses.push_back(gpa);
+    top_page = std::max(top_page, page_index(gpa));
+  }
+  if (misses.empty()) return out;
+
+  m.count(Event::kPagemapScan);
+  m.charge_us(m.cost.pagemap_scan_us(proc_.mapped_bytes()));
+  const double per_page = m.cost.reverse_map_per_page_us(proc_.mapped_bytes());
+  m.count(Event::kReverseMapLookup, misses.size());
+  for (std::size_t i = 0; i < misses.size(); ++i) m.charge_us(per_page);
+
+  // One streamed pagemap walk resolves every miss: each entry tests its
+  // GPA against the miss set, and a hit clears the bit, so the first GVA in
+  // walk order mapping a GPA wins. Once no miss is left the rest of the
+  // walk does nothing.
+  if (top_page >= rmap_cache_.size()) rmap_cache_.resize(top_page + 1, kNoGva);
+  for (const Gpa gpa : misses) {
+    rmap_cache_[page_index(gpa)] = kNoGva;
+    missing_.test_and_set(gpa);
+  }
+  std::size_t left = misses.size();
+  kernel_.procfs().pagemap_for_each(proc_, [&](Gva gva, Gpa gpa) {
+    if (left != 0 && missing_.test_and_clear(gpa)) {
+      rmap_cache_[page_index(gpa)] = gva;
+      --left;
     }
+  });
+  // A GPA no longer mapped by the process (unmapped after it was logged)
+  // resolves to nothing and is not reported.
+  if (left != 0) missing_.reset(misses);
+  for (const Gpa gpa : misses) {
+    if (const Gva gva = cached_gva(gpa); gva != kNoGva) out.push_back(gva);
   }
   return out;
 }
 
 void SpmlTracker::shutdown() {
   if (module_ != nullptr && module_->tracking(proc_)) module_->untrack(proc_);
-  if (flush_registered_) {
-    kernel_.vm().track().unregister_flush(this);
-    flush_registered_ = false;
-  }
 }
 
 u64 SpmlTracker::dropped() const {

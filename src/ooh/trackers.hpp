@@ -85,19 +85,11 @@ class UfdTracker final : public Backend {
 /// enable/disable_logging hypercalls; the library reverse-maps logged GPAs
 /// to GVAs by parsing the page table through /proc -- the measured
 /// bottleneck (Fig. 3).
-class SpmlTracker final : public Backend, public sim::PageTrackNotifier {
+class SpmlTracker final : public Backend {
  public:
   using Backend::Backend;
-  ~SpmlTracker() override;
   [[nodiscard]] Technique technique() const noexcept override { return Technique::kSpml; }
 
-  // ---- sim::PageTrackNotifier (flush chain only) ----------------------------
-  bool on_track(sim::TrackLayer layer, const sim::TrackEvent& ev) override;
-  /// munmap of a tracked range: drop the range's GPA -> GVA cache entries —
-  /// a recycled frame would otherwise reverse-map to the old address.
-  void on_track_flush(u32 pid, Gva start, Gva end) override;
-
-  // ---- Backend --------------------------------------------------------------
   void init() override;
   [[nodiscard]] std::vector<Gva> collect() override;
   void shutdown() override;
@@ -119,13 +111,17 @@ class SpmlTracker final : public Backend, public sim::PageTrackNotifier {
   /// GPA page -> GVA index built by reverse mapping, kNoGva where not cached.
   /// The paper's Boehm integration reuses first-cycle addresses (§VI-E
   /// footnote), so lookups only pay M16/M17 for GPAs not yet in the cache.
-  /// Grown on demand up to the highest cached GPA page; every GPA passed
-  /// seen_'s bound first, so it never outgrows the VM's memory.
+  /// An entry is trusted only while the process's page table still maps its
+  /// GVA to that GPA: munmap and swap-out free frames that a later mapping
+  /// recycles. Grown on demand up to the highest cached GPA page; every GPA
+  /// passed seen_'s bound first, so it never outgrows the VM's memory.
   std::vector<Gva> rmap_cache_;
   /// Dedup bitmap over the guest-physical space for the fetched GPAs; the
   /// tracker's own, so userspace never touches hypervisor state.
   PageBitmap seen_;
-  bool flush_registered_ = false;
+  /// The interval's GPAs still waiting for a reverse mapping; empty between
+  /// collects.
+  PageBitmap missing_;
 };
 
 /// Extended PML (§IV-D): the hardware logs GVAs straight into a guest-level

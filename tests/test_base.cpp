@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <set>
@@ -315,14 +316,62 @@ TEST(RingBuffer, OverflowDropsAndCounts) {
   EXPECT_EQ(rb.dropped(), 0u);
 }
 
+// The ring wraps by compare, not by modulo: drive it against a std::deque
+// model at capacities where the wrap lands on every slot (1, 3, and 513,
+// one past a power of two), with bursts that fill it (drops counted) and
+// drains that start anywhere, so some span the wrap point.
 TEST(RingBuffer, WrapsAroundManyTimes) {
-  RingBuffer rb(3);
-  u64 expected = 0;
-  for (u64 i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(rb.push(i));
-    u64 out = 0;
-    EXPECT_TRUE(rb.pop(out));
-    EXPECT_EQ(out, expected++);
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{3}, std::size_t{513}}) {
+    SCOPED_TRACE(capacity);
+    RingBuffer rb(capacity);
+    std::deque<u64> model;
+    u64 dropped = 0;
+    u64 next = 0;
+    u64 popped = 0;  // the ring's head slot is popped % capacity
+    u64 wrapped_drains = 0;
+    Rng rng(0x5eed + capacity);
+    for (int step = 0; step < 20000; ++step) {
+      const u64 op = rng.below(100);
+      if (op < 55) {
+        // A burst of pushes, up to twice the capacity: may overflow.
+        for (u64 n = 1 + rng.below(2 * capacity); n > 0; --n) {
+          const bool pushed = rb.push(next);
+          ASSERT_EQ(pushed, model.size() < capacity);
+          if (pushed) {
+            model.push_back(next);
+          } else {
+            ++dropped;
+          }
+          ++next;
+        }
+      } else if (op < 97) {
+        for (u64 n = 1 + rng.below(capacity + 1); n > 0; --n) {
+          u64 out = ~u64{0};
+          ASSERT_EQ(rb.pop(out), !model.empty());
+          if (model.empty()) break;
+          ASSERT_EQ(out, model.front());
+          model.pop_front();
+          ++popped;
+        }
+      } else {
+        // Oldest-first drain; count the drains whose entries run past the
+        // last slot and continue at slot 0.
+        if (popped % capacity + model.size() > capacity) ++wrapped_drains;
+        const std::vector<u64> drained = rb.drain();
+        ASSERT_EQ(drained, std::vector<u64>(model.begin(), model.end()));
+        popped += model.size();
+        model.clear();
+      }
+      ASSERT_EQ(rb.size(), model.size());
+      ASSERT_EQ(rb.full(), model.size() == capacity);
+      ASSERT_EQ(rb.empty(), model.empty());
+      ASSERT_EQ(rb.dropped(), dropped);
+    }
+    EXPECT_GT(dropped, 0u) << "the ring must have overflowed";
+    EXPECT_GT(next, 10 * capacity) << "the cursors must have wrapped many times";
+    if (capacity > 1) {
+      EXPECT_GT(wrapped_drains, 0u) << "no drain spanned the wrap point";
+    }
   }
 }
 

@@ -1,17 +1,20 @@
 // Page-track notifier chain tests: registry semantics (registration,
 // enable state, dispatch order, per-notifier counters, fault-layer
 // stop-at-first-handler), the EPT write-protection fault path incl. the
-// TLB-invalidation regression, SPML's rmap-cache flush on munmap, the
-// WpTracker backend's completeness, and migration + guest-EPML coexistence
+// TLB-invalidation regression, SPML's reverse-map cache against recycled
+// frames (munmap, swap-out, randomized churn), the WpTracker backend's completeness, and migration + guest-EPML coexistence
 // where unregistering one consumer must not perturb the other's virtual
 // time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <random>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "guest/swap.hpp"
 #include "hypervisor/hypervisor.hpp"
 #include "hypervisor/migration.hpp"
 #include "ooh/experiment.hpp"
@@ -344,7 +347,7 @@ TEST(WpTrackerTest, ReprotectsAcrossIntervalsAndCatchesDemandMappedPages) {
   k.scheduler().exit_process(proc.pid());
 }
 
-// ---- SPML rmap-cache flush on munmap (satellite fix) ------------------------
+// ---- SPML reverse-map cache vs recycled guest frames ------------------------
 
 TEST(SpmlRmapCache, MunmapDropsStaleReverseMappings) {
   // Unmapping a tracked VMA frees its guest frames; a later mapping
@@ -382,6 +385,130 @@ TEST(SpmlRmapCache, MunmapDropsStaleReverseMappings) {
         << "reverse map produced a stale (unmapped) address 0x" << std::hex << page;
   }
   tracker->shutdown();
+}
+
+// Swap-out frees a page's guest frame without unmapping its VMA. The frame
+// goes back to the LIFO free list, so the next demand fault reuses it; a
+// cache entry trusted without checking the page table would report the
+// evicted address and miss the page actually written.
+TEST(SpmlRmapCache, SwapEvictionDropsStaleReverseMappings) {
+  lib::TestBed bed;
+  auto& k = bed.kernel();
+  auto& proc = k.create_process();
+  const u64 pages = 8;
+  const Gva old_base = proc.mmap(pages * kPageSize);
+  const Gva new_base = proc.mmap(pages * kPageSize);
+
+  auto tracker = lib::make_tracker(lib::Technique::kSpml, k, proc);
+  tracker->init();
+  tracker->begin_interval();
+  k.scheduler().enter_process(proc.pid());
+  for (u64 i = 0; i < pages; ++i) proc.touch_write(old_base + i * kPageSize);
+  k.scheduler().exit_process(proc.pid());
+  (void)tracker->collect();  // caches GPA -> GVA for old_base
+
+  const guest::SwapDaemon::EvictStats st = k.swap().evict(proc, pages);
+  ASSERT_EQ(st.evicted_clean + st.evicted_dirty, pages);
+  ASSERT_EQ(k.swap().swapped_out(proc), pages);
+
+  tracker->begin_interval();
+  k.scheduler().enter_process(proc.pid());
+  for (u64 i = 0; i < pages; ++i) proc.touch_write(new_base + i * kPageSize);
+  k.scheduler().exit_process(proc.pid());
+  const std::vector<Gva> dirty = tracker->collect();
+
+  std::vector<Gva> expected;
+  for (u64 i = 0; i < pages; ++i) expected.push_back(new_base + i * kPageSize);
+  EXPECT_EQ(dirty, expected) << "a recycled frame reverse-mapped to its evicted address";
+  tracker->shutdown();
+}
+
+// Randomized whole-process churn: writes spread over several VMAs, with
+// munmap/mmap and swap eviction between intervals recycling guest frames.
+// Each interval's collect must equal the truth ledger, and the reverse-map
+// charges must follow a model of the cache: one lookup per logged GPA that
+// has no entry still mapped by the page table, one pagemap scan when there
+// is any such GPA.
+TEST(SpmlRmapCache, CollectMatchesTruthUnderChurn) {
+  for (const u64 seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](u64 n) { return std::uniform_int_distribution<u64>(0, n - 1)(rng); };
+    lib::TestBed bed;
+    auto& k = bed.kernel();
+    auto& proc = k.create_process();
+    sim::GuestPageTable& pt = k.page_table(proc);
+    const EventCounters& ev = k.ctx().counters;
+
+    struct Region {
+      Gva base;
+      u64 pages;
+    };
+    std::vector<Region> vmas;
+    const auto map_region = [&] {
+      const u64 n = 8 + pick(40);
+      vmas.push_back({proc.mmap(n * kPageSize), n});
+    };
+    for (int i = 0; i < 4; ++i) map_region();
+
+    // The cache model: GPA page -> the GVA a collect last reported for it.
+    std::unordered_map<Gpa, Gva> model;
+    const auto maps = [&](Gva gva, Gpa gpa) {
+      const sim::GuestPageTable::Lookup l = pt.lookup(gva);
+      return l.pte != nullptr && l.pte->present && l.gpa_page == gpa;
+    };
+
+    auto tracker = lib::make_tracker(lib::Technique::kSpml, k, proc);
+    tracker->init();
+    for (int interval = 0; interval < 12; ++interval) {
+      if (interval > 0) {
+        switch (pick(3)) {
+          case 0: {  // unmap one VMA, map a fresh one (frames recycle)
+            const std::size_t victim = pick(vmas.size());
+            proc.munmap(vmas[victim].base);
+            vmas.erase(vmas.begin() + static_cast<std::ptrdiff_t>(victim));
+            map_region();
+            break;
+          }
+          case 1:
+            (void)k.swap().evict(proc, 1 + pick(16));
+            break;
+          default:
+            break;
+        }
+      }
+
+      proc.truth_reset();
+      tracker->begin_interval();
+      k.scheduler().enter_process(proc.pid());
+      for (u64 w = 1 + pick(48); w > 0; --w) {
+        const Region& r = vmas[pick(vmas.size())];
+        proc.touch_write(r.base + pick(r.pages) * kPageSize);
+      }
+      k.scheduler().exit_process(proc.pid());
+
+      std::vector<Gva> truth;
+      for (const auto& item : proc.truth_dirty()) truth.push_back(item.first);
+      std::sort(truth.begin(), truth.end());
+      u64 uncached = 0;
+      for (const Gva gva : truth) {
+        const Gpa gpa = pt.lookup(gva).gpa_page;
+        const auto it = model.find(gpa);
+        if (it == model.end() || !maps(it->second, gpa)) ++uncached;
+      }
+
+      const u64 lookups = ev.get(Event::kReverseMapLookup);
+      const u64 scans = ev.get(Event::kPagemapScan);
+      const std::vector<Gva> dirty = tracker->collect();
+      EXPECT_EQ(dirty, truth) << "interval " << interval;
+      EXPECT_EQ(ev.get(Event::kReverseMapLookup) - lookups, uncached)
+          << "interval " << interval;
+      EXPECT_EQ(ev.get(Event::kPagemapScan) - scans, uncached == 0 ? 0u : 1u)
+          << "interval " << interval;
+      for (const Gva gva : dirty) model[pt.lookup(gva).gpa_page] = gva;
+    }
+    tracker->shutdown();
+  }
 }
 
 // Interval 1 writes pages A; interval 2 writes A and B. Only B's GPAs miss
