@@ -676,6 +676,34 @@ void BM_CheckpointRedumpScattered(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointRedumpScattered)->Unit(benchmark::kMicrosecond);
 
+void BM_CheckpointDumpPages(benchmark::State& state) {
+  // One ckpt_kv step's memory write: dump 841 distinct, uniformly scattered
+  // pages of a 64 MiB data-backed VMA into an image that holds every page.
+  constexpr u64 kPages = 64 * kMiB / kPageSize;
+  constexpr std::size_t kDumped = 841;
+  lib::TestBed bed;
+  auto& k = bed.kernel();
+  auto& proc = k.create_process();
+  const Gva base = proc.mmap(kPages * kPageSize, /*data_backed=*/true);
+  for (u64 p = 0; p < kPages; ++p) proc.write_u64(base + p * kPageSize, p);
+  criu::Checkpointer cp(k, lib::Technique::kOracle);
+  criu::CheckpointImage image = cp.full_checkpoint(proc);
+  std::vector<Gva> pages;
+  Rng rng(841);
+  while (pages.size() < kDumped) {
+    pages.push_back(base + rng.below(kPages) * kPageSize);
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  }
+  for (auto _ : state) {
+    cp.dump_pages(proc, pages, image);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(image.dump_ops);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kDumped));
+}
+BENCHMARK(BM_CheckpointDumpPages)->Unit(benchmark::kMicrosecond);
+
 void BM_TruthRecordScattered(benchmark::State& state) {
   // Scalar stores to random pages of a prefaulted 64 MiB VMA: mostly TLB
   // misses, each ending in one truth-ledger record.

@@ -4,20 +4,20 @@
 // lazily and never free them individually — unmap zeroes entries in place
 // (see sim/radix.hpp). That lifetime is exactly what a bump arena models:
 // nodes are created one after another, live until the whole table resets,
-// and die together. Routing node allocation through an arena buys three
+// and die together. Routing node allocation through an arena buys two
 // things:
 //
 //   1. Zero steady-state allocation: once the working set's nodes exist,
 //      ensure() never touches the global allocator again, so benchmark
 //      inner loops report allocs_per_op == 0.
-//   2. Prefaulted blocks, per the umbra `Mmap::prefault` idiom: each block
-//      is touched page-by-page at reservation time so first-populate cost
-//      is paid at a predictable point (arena growth), not scattered over
-//      the simulation as minor faults.
-//   3. Wholesale reset: RadixTable4::clear() (used when
+//   2. Wholesale reset: RadixTable4::clear() (used when
 //      GuestPageTable::convert_to_segments() retires the radix backend)
 //      drops every node by rewinding the arena instead of walking the tree
 //      deleting unique_ptrs.
+//
+// Blocks are small (64 KiB) and not prefaulted: every guest page table and
+// every EPT owns an arena, and most of them hold a handful of nodes, so a
+// large touched block per table would be resident memory no node uses.
 //
 // Only trivially-destructible types may be created here — the arena never
 // runs destructors. Reset keeps the reserved blocks so a repopulated table
@@ -31,16 +31,14 @@
 #include <type_traits>
 #include <vector>
 
-#include "base/types.hpp"
-
 namespace ooh::base {
 
 class Arena {
  public:
-  /// Block size tuned for radix nodes: a 4 KiB-entry leaf is ~4 KiB for
-  /// u64-sized entries, an interior node is 512 pointers (4 KiB); 1 MiB
-  /// holds ~256 of either, so table growth calls the allocator rarely.
-  static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+  /// Block size for radix nodes: an interior node is 512 pointers (4 KiB)
+  /// and the largest node, a leaf of 512 16-byte PTEs, is 8 KiB, so a block
+  /// holds 8–16 of them.
+  static constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
 
   Arena() = default;
   Arena(const Arena&) = delete;
@@ -50,8 +48,8 @@ class Arena {
   }
 
   /// Bump-allocate `bytes` (aligned to `align`, which must divide
-  /// kMaxAlign). Blocks are prefaulted on reservation: every page is
-  /// touched once so later node writes never minor-fault.
+  /// kMaxAlign). A node that does not fit in the current block's tail
+  /// starts the next block, so no node spans two blocks.
   [[nodiscard]] void* allocate(std::size_t bytes, std::size_t align) {
     assert(align != 0 && kMaxAlign % align == 0 && "over-aligned arena node");
     assert(bytes <= kBlockBytes && "node larger than an arena block");
@@ -100,9 +98,6 @@ class Arena {
   void grow() {
     auto* data = static_cast<std::byte*>(
         ::operator new(kBlockBytes, std::align_val_t{kMaxAlign}));
-    // Bulk prefault (umbra Mmap::prefault idiom): touch one byte per page
-    // so the whole block is resident before any node lands in it.
-    for (std::size_t i = 0; i < kBlockBytes; i += kPageSize) data[i] = std::byte{0};
     blocks_.push_back(Block{data});
     block_ = blocks_.size() - 1;
     offset_ = 0;

@@ -26,7 +26,10 @@ SwapDaemon::EvictStats SwapDaemon::evict(Process& proc, u64 target_pages) {
   // find victims.
   for (u64 i = 0; i < 2 * resident.size() && evicted < target_pages; ++i) {
     const Gva gva = resident[i % resident.size()];
-    sim::Pte* pte = pt.pte(gva);
+    // A segment shares one Pte (and its flags) across its run; the page's
+    // own frame is leaf.gpa_page, not the Pte's run base.
+    const sim::GuestPageTable::Lookup leaf = pt.lookup(gva);
+    sim::Pte* pte = leaf.pte;
     if (pte == nullptr || !pte->present) continue;
     ++stats.scanned;
     m.charge_ns(50);  // PTE inspection
@@ -47,7 +50,7 @@ SwapDaemon::EvictStats SwapDaemon::evict(Process& proc, u64 target_pages) {
       m.charge_us(m.cost.disk_write_page_us);
       if (vma != nullptr && vma->data_backed) {
         Hpa hpa = 0;
-        if (kernel_.vm().ept().translate(pte->gpa_page, hpa)) {
+        if (kernel_.vm().ept().translate(leaf.gpa_page, hpa)) {
           if (const u8* data = m.pmem.frame_data_if_present(hpa); data != nullptr) {
             slot.content.assign(data, data + kPageSize);
           }
@@ -60,7 +63,7 @@ SwapDaemon::EvictStats SwapDaemon::evict(Process& proc, u64 target_pages) {
       // *I/O on the eviction path* is what the dirty flag saves.
       if (vma != nullptr && vma->data_backed) {
         Hpa hpa = 0;
-        if (kernel_.vm().ept().translate(pte->gpa_page, hpa)) {
+        if (kernel_.vm().ept().translate(leaf.gpa_page, hpa)) {
           if (const u8* data = m.pmem.frame_data_if_present(hpa); data != nullptr) {
             slot.content.assign(data, data + kPageSize);
           }
@@ -68,7 +71,7 @@ SwapDaemon::EvictStats SwapDaemon::evict(Process& proc, u64 target_pages) {
       }
     }
     slots_[key(proc.pid(), gva)] = std::move(slot);
-    kernel_.free_gpa_frame(pte->gpa_page);
+    kernel_.free_gpa_frame(leaf.gpa_page);
     pt.unmap(gva);
     // Teardown of a mapping: cpumask-wide shootdown.
     kernel_.tlb_invalidate_page(proc, gva);
@@ -98,14 +101,16 @@ bool SwapDaemon::swap_in_if_needed(Process& proc, Gva gva_page) {
 
   const Vma* vma = proc.vma_of(gva_page);
   sim::GuestPageTable& pt = kernel_.page_table(proc);
-  pt.map(gva_page, kernel_.alloc_gpa_frame(m), vma != nullptr && vma->writable);
-  sim::Pte* pte = pt.pte(gva_page);
-  pte->soft_dirty = it->second.was_soft_dirty;
+  const Gpa gpa = kernel_.alloc_gpa_frame(m);
+  pt.map(gva_page, gpa, vma != nullptr && vma->writable);
+  // Under the segment backend the page may join the preceding run and share
+  // its Pte: set the soft-dirty bit, never clear the run's.
+  if (it->second.was_soft_dirty) pt.pte(gva_page)->soft_dirty = true;
 
   if (!it->second.content.empty()) {
-    kernel_.ensure_ept_mapped(pte->gpa_page, proc.cpu());
+    kernel_.ensure_ept_mapped(gpa, proc.cpu());
     Hpa hpa = 0;
-    if (kernel_.vm().ept().translate(pte->gpa_page, hpa)) {
+    if (kernel_.vm().ept().translate(gpa, hpa)) {
       std::copy(it->second.content.begin(), it->second.content.end(),
                 m.pmem.frame_data(hpa));
     }

@@ -215,12 +215,14 @@ void WpTracker::protect_pages(const std::vector<Gva>& pages) {
   sim::GuestPageTable& pt = kernel_.page_table(proc_);
   u64 protected_count = 0;
   for (const Gva page : pages) {
-    const sim::Pte* pte = pt.pte(page);
-    if (pte == nullptr || !pte->present) continue;
-    sim::EptEntry* e = ept.entry(pte->gpa_page);
+    // The page's own GPA: a segment or a huge leaf shares one Pte whose
+    // gpa_page is the base of its whole run.
+    const sim::GuestPageTable::Lookup leaf = pt.lookup(page);
+    if (leaf.pte == nullptr || !leaf.pte->present) continue;
+    sim::EptEntry* e = ept.entry(leaf.gpa_page);
     if (e == nullptr || !e->present || !e->writable) continue;
     e->writable = false;
-    protected_.insert(pte->gpa_page);
+    protected_.insert(leaf.gpa_page);
     ++protected_count;
   }
   m.charge_ns(m.cost.dbit_clear_ns * static_cast<double>(protected_count));

@@ -160,12 +160,6 @@ class RadixTable4 {
 
   [[nodiscard]] std::size_t leaf_count() const noexcept { return leaf_count_; }
 
-  /// Bytes reserved by the node arena (growth diagnostic; benchmarks assert
-  /// it stays flat across steady-state iterations).
-  [[nodiscard]] std::size_t arena_reserved_bytes() const noexcept {
-    return arena_.reserved_bytes();
-  }
-
   // ---- PS-bit (huge) leaves -------------------------------------------------
   // A leaf may sit one level up (2 MiB, stored beside an L1's children) or
   // two (1 GiB, beside an L2's). The walk checks huge slots top-down before

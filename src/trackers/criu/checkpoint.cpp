@@ -1,12 +1,54 @@
 #include "trackers/criu/checkpoint.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
 #include "base/clock.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace ooh::criu {
+namespace {
+
+/// Copy one page into a page-aligned image slot with 16-byte non-temporal
+/// stores: each destination line is written whole and never read in, so the
+/// copy costs one streamed read and one streamed write. `src` may have any
+/// alignment. SSE2 is part of the x86-64 baseline; other targets memcpy.
+void stream_page(u8* dst, const u8* src) noexcept {
+#if defined(__SSE2__)
+  auto* d = reinterpret_cast<__m128i*>(dst);
+  const auto* s = reinterpret_cast<const __m128i*>(src);
+  // One 64-byte line per step, its four loads issued before its stores: the
+  // write-combining buffer fills whole lines. It measured faster than a
+  // one-vector loop on perfbench's ckpt_kv.
+  for (std::size_t i = 0; i < kPageSize / sizeof(__m128i); i += 4) {
+    const __m128i v0 = _mm_loadu_si128(s + i);
+    const __m128i v1 = _mm_loadu_si128(s + i + 1);
+    const __m128i v2 = _mm_loadu_si128(s + i + 2);
+    const __m128i v3 = _mm_loadu_si128(s + i + 3);
+    _mm_stream_si128(d + i, v0);
+    _mm_stream_si128(d + i + 1, v1);
+    _mm_stream_si128(d + i + 2, v2);
+    _mm_stream_si128(d + i + 3, v3);
+  }
+#else
+  std::memcpy(dst, src, kPageSize);
+#endif
+}
+
+/// Order every streamed store before the stores that follow, so a thread
+/// that is handed the image sees its bytes.
+void stream_fence() noexcept {
+#if defined(__SSE2__)
+  _mm_sfence();
+#endif
+}
+
+}  // namespace
 
 // ---- PageStore -----------------------------------------------------------------
 
@@ -14,7 +56,7 @@ PageStore::value_type PageStore::const_iterator::operator*() const noexcept {
   const Region& r = store_->regions_[region_];
   const Gva gva = r.start + page_ * kPageSize;
   if (r.state[page_] == State::kZero) return {gva, {}};
-  return {gva, std::span<const u8>(r.bytes.get() + page_ * kPageSize, kPageSize)};
+  return {gva, std::span<const u8>(r.bytes + page_ * kPageSize, kPageSize)};
 }
 
 void PageStore::const_iterator::settle() noexcept {
@@ -94,7 +136,7 @@ PageStore::Region& PageStore::region_for(const guest::Vma& vma) {
   }
   it = regions_.insert(it, Region{vma.start, vma.end,
                                   std::vector<State>(page_index(vma.bytes()), State::kAbsent),
-                                  nullptr});
+                                  nullptr, nullptr});
   mru_ = static_cast<std::size_t>(it - regions_.begin());
   return *it;
 }
@@ -107,9 +149,15 @@ void PageStore::store(const guest::Vma& vma, Gva gva, const u8* data) {
     r.state[page] = State::kZero;
     return;
   }
-  // Uninitialised: the host commits only the pages a dump writes.
-  if (!r.bytes) r.bytes = std::make_unique_for_overwrite<u8[]>(r.end - r.start);
-  std::memcpy(r.bytes.get() + page * kPageSize, data, kPageSize);
+  if (r.bytes == nullptr) {
+    // Uninitialised: the host commits only the pages a dump writes. The
+    // extra page lets the slot base sit on a page boundary, so every slot
+    // is one host page of whole cache lines.
+    r.buffer = std::make_unique_for_overwrite<u8[]>(r.end - r.start + kPageSize);
+    const auto base = reinterpret_cast<std::uintptr_t>(r.buffer.get());
+    r.bytes = r.buffer.get() + (page_ceil(base) - base);
+  }
+  stream_page(r.bytes + page * kPageSize, data);
   r.state[page] = State::kData;
 }
 
@@ -140,14 +188,16 @@ void Checkpointer::dump_pages(guest::Process& proc, const std::vector<Gva>& page
   sim::ExecContext& m = kernel_.ctx_of(proc);
   sim::GuestPageTable& pt = kernel_.page_table(proc);
   for (const Gva gva : pages) {
-    const sim::Pte* pte = pt.pte(gva);
-    if (pte == nullptr || !pte->present) continue;  // unmapped since logging
+    // The page's own GPA: a segment or a huge leaf shares one Pte whose
+    // gpa_page is the base of its whole run.
+    const sim::GuestPageTable::Lookup leaf = pt.lookup(gva);
+    if (leaf.pte == nullptr || !leaf.pte->present) continue;  // unmapped since logging
     const guest::Vma* vma = proc.vma_of(gva);
     if (vma == nullptr) throw std::logic_error("dump_pages: present page outside every VMA");
     const u8* data = nullptr;
     if (vma->data_backed) {
       Hpa hpa = 0;
-      if (kernel_.vm().ept().translate(pte->gpa_page, hpa)) {
+      if (kernel_.vm().ept().translate(leaf.gpa_page, hpa)) {
         data = m.pmem.frame_data_if_present(hpa);
       }
     }
@@ -157,6 +207,9 @@ void Checkpointer::dump_pages(guest::Process& proc, const std::vector<Gva>& page
     m.count(Event::kDiskPageWrite);
     m.charge_us(m.cost.disk_write_page_us);
   }
+  // One fence per dump, not per page: the image is complete and visible to
+  // any thread it is handed to (the run_cells workers).
+  stream_fence();
 }
 
 CheckpointImage Checkpointer::full_checkpoint(guest::Process& proc) {

@@ -29,8 +29,11 @@ namespace ooh::criu {
 
 /// The image's pages in CRIU's own layout: one pagemap region per VMA, each
 /// a per-page state (absent, zero or data) plus, from the first data page
-/// dumped into it, one contiguous buffer of the VMA's bytes. A dump finds its
-/// slot by region and page index, with no hashing and no per-page allocation.
+/// dumped into it, one contiguous page-aligned buffer of the VMA's bytes. A
+/// dump finds its slot by region and page index, with no hashing and no
+/// per-page allocation, and writes it with non-temporal stores: nothing reads
+/// the image again until restore, so the copy does not pull the slot into
+/// the cache first.
 ///
 /// Reads like a map from page GVA to contents, iterated in ascending GVA
 /// order; a zero or metadata-only page reads as an empty span.
@@ -91,7 +94,9 @@ class PageStore {
 
   /// Store page `gva` of `vma`: a copy of the frame at `data`, or a zero page
   /// when `data` is null. A region left by a dead VMA that overlaps `vma` is
-  /// dropped first.
+  /// dropped first. The copy is weakly ordered: before another thread reads
+  /// the image, the writer fences (Checkpointer::dump_pages does, once per
+  /// dump).
   void store(const guest::Vma& vma, Gva gva, const u8* data);
   /// Drop every region whose VMA is not in `vmas`.
   void retain(const std::vector<guest::Vma>& vmas) noexcept;
@@ -100,9 +105,10 @@ class PageStore {
   enum class State : u8 { kAbsent, kZero, kData };
   struct Region {
     Gva start = 0;
-    Gva end = 0;                  ///< exclusive.
-    std::vector<State> state;     ///< per page.
-    std::unique_ptr<u8[]> bytes;  ///< end - start bytes; null until a data page.
+    Gva end = 0;                   ///< exclusive.
+    std::vector<State> state;      ///< per page.
+    std::unique_ptr<u8[]> buffer;  ///< end - start bytes plus one page of slack.
+    u8* bytes = nullptr;           ///< page-aligned slot base in buffer; null until a data page.
   };
 
   /// The region of `vma`, made (replacing dead overlapping ones) if missing.
@@ -172,6 +178,8 @@ class Checkpointer {
   [[nodiscard]] lib::Technique technique() const noexcept { return technique_; }
 
   /// Write `pages` of `proc` into `image` (content + disk cost per page).
+  /// Fences the image's streamed stores before returning, so the finished
+  /// image may be handed to another thread.
   void dump_pages(guest::Process& proc, const std::vector<Gva>& pages,
                   CheckpointImage& image);
 

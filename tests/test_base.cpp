@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <deque>
@@ -13,6 +14,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "base/arena.hpp"
 #include "base/clock.hpp"
 #include "base/cost_model.hpp"
 #include "base/counters.hpp"
@@ -433,6 +435,73 @@ TEST(PageBitmap, UniqueMatchesSetReferenceAcrossReusedRounds) {
     }
     ASSERT_EQ(out, expected) << "round " << round;
     ASSERT_TRUE(bits.none()) << "round " << round << " left bits behind";
+  }
+}
+
+// ---- arena ----------------------------------------------------------------------
+
+/// Shaped like a radix interior node: 512 pointer-sized slots.
+struct ArenaNode {
+  std::array<u64, 512> slots;
+};
+
+TEST(Arena, NodesReadZeroAfterReset) {
+  base::Arena arena;
+  std::vector<ArenaNode*> first;
+  for (int i = 0; i < 40; ++i) {
+    ArenaNode* n = arena.create<ArenaNode>();
+    n->slots.fill(~u64{0});
+    first.push_back(n);
+  }
+  arena.reset();
+  for (int i = 0; i < 40; ++i) {
+    const ArenaNode* n = arena.create<ArenaNode>();
+    EXPECT_EQ(n, first[static_cast<std::size_t>(i)]) << "node " << i;
+    EXPECT_TRUE(std::ranges::all_of(n->slots, [](u64 v) { return v == 0; }))
+        << "recycled node " << i << " kept stale bytes";
+  }
+}
+
+TEST(Arena, NoNodeSpansTwoBlocks) {
+  // 3000 bytes does not divide the block size, so some node must move to the
+  // next block instead of straddling the boundary.
+  struct Odd {
+    std::array<u8, 3000> bytes;
+  };
+  constexpr std::size_t kBlock = base::Arena::kBlockBytes;
+  base::Arena arena;
+  const std::byte* block_base = nullptr;
+  std::size_t block = ~std::size_t{0};
+  std::size_t blocks = 0;
+  for (int i = 0; i < 100; ++i) {
+    const auto* n = reinterpret_cast<const std::byte*>(arena.create<Odd>());
+    const std::size_t used = arena.used_bytes();
+    if ((used - 1) / kBlock != block) {
+      block = (used - 1) / kBlock;
+      block_base = n;
+      ++blocks;
+      EXPECT_EQ(used - sizeof(Odd), block * kBlock) << "node " << i << " must open its block";
+    }
+    EXPECT_GE(n, block_base);
+    EXPECT_LE(n + sizeof(Odd), block_base + kBlock) << "node " << i << " spans two blocks";
+  }
+  EXPECT_GT(blocks, 1u);
+  EXPECT_EQ(arena.reserved_bytes(), blocks * kBlock);
+}
+
+TEST(Arena, ResetReusesBlocksWithoutAllocating) {
+  base::Arena arena;
+  std::vector<ArenaNode*> first;
+  for (int i = 0; i < 48; ++i) first.push_back(arena.create<ArenaNode>());
+  const std::size_t reserved = arena.reserved_bytes();
+  EXPECT_EQ(reserved, 3 * base::Arena::kBlockBytes);
+  for (int round = 0; round < 3; ++round) {
+    arena.reset();
+    EXPECT_EQ(arena.used_bytes(), 0u);
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(arena.create<ArenaNode>(), first[i]) << "round " << round << " node " << i;
+    }
+    EXPECT_EQ(arena.reserved_bytes(), reserved) << "reset must not grow the arena";
   }
 }
 

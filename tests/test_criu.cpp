@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "base/rng.hpp"
 #include "ooh/testbed.hpp"
+#include "sim/page_table.hpp"
 #include "trackers/criu/checkpoint.hpp"
 
 namespace ooh::criu {
@@ -394,6 +396,90 @@ TEST(CriuIncremental, RestoresAfterTheProcessUnmapsAVma) {
   }
 }
 
+// ---- pages that share one leaf -------------------------------------------------
+
+// kAll leaves out seg (a superset tracker): its page table is segment-backed,
+// and a segment's one Pte carries the GPA of its run's first page. Each
+// dumped page must still read its own frame.
+TEST(CriuIncremental, SegmentBackedStepDumpsEachPagesOwnBytes) {
+  lib::TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  const u64 pages = 16;
+  const Gva base = proc.mmap(pages * kPageSize, /*data_backed=*/true);
+  for (u64 i = 0; i < pages; ++i) proc.write_u64(base + i * kPageSize, i + 1);
+
+  IncrementalSession session(k, Technique::kSeg, proc);
+  ASSERT_EQ(k.page_table(proc).backend(), sim::TranslationBackend::kSegment);
+  ASSERT_LT(k.page_table(proc).segment_table()->segment_count(), pages)
+      << "the pages must share segments for this test to mean anything";
+  (void)session.step([&](guest::Process& p) {
+    for (u64 i = 0; i < pages; ++i) p.write_u64(base + i * kPageSize + 8, 0xC0DE + i);
+  });
+
+  guest::Process& restored = k.create_process();
+  restore(restored, session.image());
+  u64 wrong_image = 0;
+  u64 wrong_restore = 0;
+  for (u64 i = 0; i < pages; ++i) {
+    const Gva page = base + i * kPageSize;
+    if (image_page(session.image(), page) != read_page(proc, page)) ++wrong_image;
+    if (read_page(restored, page) != read_page(proc, page)) ++wrong_restore;
+  }
+  EXPECT_EQ(wrong_image, 0u) << "image pages that hold another page's bytes";
+  EXPECT_EQ(wrong_restore, 0u) << "restored pages that differ from the live ones";
+}
+
+// A guest 2 MiB leaf is one Pte for 512 pages, whose gpa_page is the
+// region's base.
+TEST(Criu, FullCheckpointReadsEachPageOfAGuestHugeLeaf) {
+  lib::TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  const Gva base = kGiB;    // 2 MiB-aligned, clear of the mmap area
+  const Gpa gpa = 4 * kGiB;  // far above the kernel's bump-allocated frames
+  const u64 pages = gran_pages(PageGran::k2M);
+  proc.mmap_fixed(base, gran_size(PageGran::k2M), /*data_backed=*/true);
+  k.page_table(proc).map_huge(base, gpa, PageGran::k2M, /*writable=*/true);
+  for (u64 i = 0; i < pages; ++i) k.ensure_ept_mapped(gpa + i * kPageSize);
+  for (u64 i = 0; i < pages; ++i) proc.write_u64(base + i * kPageSize + 8 * (i % 64), i + 1);
+
+  Checkpointer cp(k, Technique::kOracle);
+  const CheckpointImage image = cp.full_checkpoint(proc);
+  ASSERT_EQ(image.pages.size(), pages);
+  u64 wrong = 0;
+  for (u64 i = 0; i < pages; ++i) {
+    const Gva page = base + i * kPageSize;
+    if (image_page(image, page) != read_page(proc, page)) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0u) << "image pages that hold another page's bytes";
+}
+
+// dump_pages streams each page into its slot: the image must equal the live
+// bytes of every page it dumped, whatever the order of the list.
+TEST(Criu, DumpPagesImageEqualsLiveBytes) {
+  lib::TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  const u64 pages = 64;
+  const Gva base = proc.mmap(pages * kPageSize, /*data_backed=*/true);
+  Rng rng(31);
+  for (u64 i = 0; i < pages; ++i) {
+    for (u64 off = 0; off < kPageSize; off += 512) proc.write_u64(base + i * kPageSize + off, rng.next());
+  }
+  std::vector<Gva> scattered;
+  for (u64 i = 0; i < pages; i += 3) scattered.push_back(base + ((i * 37) % pages) * kPageSize);
+
+  Checkpointer cp(k, Technique::kOracle);
+  CheckpointImage image;
+  image.record_layout(proc);
+  cp.dump_pages(proc, scattered, image);
+  EXPECT_EQ(image.dump_ops, scattered.size());
+  for (const Gva page : scattered) {
+    EXPECT_EQ(image_page(image, page), read_page(proc, page)) << "page " << (page - base) / kPageSize;
+  }
+}
+
 // ---- the image's page store ----------------------------------------------------
 
 guest::Vma make_vma(Gva start, u64 pages, bool data_backed) {
@@ -468,6 +554,31 @@ TEST(CriuPageStore, RedumpKeepsTheSlotAddress) {
   const std::span<const u8> got = store.at(vma.start + 5 * kPageSize);
   EXPECT_EQ(got.data(), slot);
   EXPECT_TRUE(std::ranges::equal(got, second));
+}
+
+// Slots are page-aligned whatever the source's alignment, so the streamed
+// copy writes whole cache lines; the bytes match the source, also after a
+// re-dump into the same slot.
+TEST(CriuPageStore, DataSlotsArePageAlignedAndMatchUnalignedSources) {
+  const guest::Vma vma = make_vma(0x1000'0000, 8, true);
+  PageStore store;
+  std::vector<u8> buffer(3 * kPageSize);
+  const auto addr = reinterpret_cast<std::uintptr_t>(buffer.data());
+  u8* aligned = buffer.data() + (page_ceil(addr) - addr);
+  const std::array<std::size_t, 3> offsets = {0, 8, 16};
+  for (const u8 round : {u8{1}, u8{2}}) {
+    for (std::size_t k = 0; k < offsets.size(); ++k) {
+      u8* src = aligned + offsets[k];
+      for (std::size_t j = 0; j < kPageSize; ++j) src[j] = static_cast<u8>(j * 7 + k + round);
+      const Gva gva = vma.start + k * kPageSize;
+      store.store(vma, gva, src);
+      const std::span<const u8> slot = store.at(gva);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(slot.data()) % kPageSize, 0u)
+          << "slot " << k << " is not page-aligned";
+      EXPECT_TRUE(std::ranges::equal(slot, std::span<const u8>(src, kPageSize)))
+          << "source offset " << offsets[k] << ", round " << int{round};
+    }
+  }
 }
 
 TEST(CriuPageStore, SizeCountsPresentPages) {

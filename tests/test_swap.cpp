@@ -222,6 +222,30 @@ TEST_F(SwapTest, RecycledFramesNeverLeakStaleBytes) {
   EXPECT_EQ(proc_.read_u64(secret), 0x5EC2E7ull);
 }
 
+// Under the segment backend one Pte covers a run and its gpa_page is the
+// run's first page. A second-chance sweep picks a victim inside the run:
+// eviction must save and free that page's own frame, and swap-in must fill
+// the page's new frame even when the page rejoins the preceding run.
+TEST_F(SwapTest, SegmentBackedPagesSwapTheirOwnBytes) {
+  constexpr u64 kPages = 8;
+  const Gva base = proc_.mmap(kPages * kPageSize, /*data_backed=*/true);
+  for (u64 i = 0; i < kPages; ++i) proc_.write_u64(base + i * kPageSize + 24, 0xC000 + i);
+  auto seg = lib::make_tracker(lib::Technique::kSeg, kernel_, proc_);
+  seg->init();
+  seg->shutdown();
+  sim::GuestPageTable& pt = kernel_.page_table(proc_);
+  ASSERT_EQ(pt.backend(), sim::TranslationBackend::kSegment);
+  ASSERT_EQ(pt.segment_table()->segment_count(), 1u);
+
+  // The run's shared accessed bit spares page 0; page 1 is the victim.
+  ASSERT_TRUE(pt.pte(base)->accessed);
+  ASSERT_EQ(kernel_.swap().evict(proc_, 1).evicted_dirty, 1u);
+  ASSERT_EQ(pt.lookup(base + kPageSize).pte, nullptr) << "page 1 was not the victim";
+  for (u64 i = 0; i < kPages; ++i) {
+    EXPECT_EQ(proc_.read_u64(base + i * kPageSize + 24), 0xC000 + i) << "page " << i;
+  }
+}
+
 TEST_F(SwapTest, EvictNothingOnEmptyProcess) {
   const SwapDaemon::EvictStats st = kernel_.swap().evict(proc_, 10);
   EXPECT_EQ(st.scanned, 0u);

@@ -286,6 +286,37 @@ TEST(TrackerScope, SpmlSurvivorKeepsLoggingWhenAnotherSessionOnItsVcpuEnds) {
   bed.audit();
 }
 
+// A seg session leaves the page table segment-backed, where one Pte covers a
+// whole run and its gpa_page is the run's first page. A later wp session
+// must write-protect every page's own GPA, or writes to all but a run's
+// first page go unseen.
+TEST(TrackerScope, WpAfterSegProtectsEveryPageOfASegment) {
+  TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  constexpr u64 kPages = 16;
+  constexpr u64 kBytes = kPages * kPageSize;
+  const Gva base = proc.mmap(kBytes);
+  proc.touch_range_write(base, kBytes);
+
+  auto seg = make_tracker(Technique::kSeg, k, proc);
+  seg->init();
+  seg->shutdown();
+  ASSERT_EQ(k.page_table(proc).backend(), sim::TranslationBackend::kSegment);
+  ASSERT_LT(k.page_table(proc).segment_table()->segment_count(), kPages);
+
+  auto wp = make_tracker(Technique::kWp, k, proc);
+  wp->init();
+  wp->begin_interval();
+  k.scheduler().enter_process(proc.pid());
+  proc.touch_range_write(base, kBytes);
+  k.scheduler().exit_process(proc.pid());
+  std::vector<Gva> every;
+  for (u64 i = 0; i < kPages; ++i) every.push_back(base + i * kPageSize);
+  EXPECT_EQ(wp->collect(), every);
+  wp->shutdown();
+}
+
 TEST(TrackerNames, AreStable) {
   EXPECT_EQ(technique_name(Technique::kProc), "/proc");
   EXPECT_EQ(technique_name(Technique::kUfd), "ufd");

@@ -12,7 +12,7 @@ Two kinds of input share the gate:
     bench/BENCH_PR9.json) — compared on cpu_time, the right metric for a
     single-threaded primitive.
   * tools/run_e2e_bench.py end-to-end figure JSON (baseline
-    bench/BENCH_E2E_PR15.json) — rows named E2E_* are compared on
+    bench/BENCH_E2E.json) — rows named E2E_* are compared on
     real_time, because whole-figure wall-clock (including the
     epoch-parallel fan-out, where cpu_time exceeds wall time by design)
     is the user-facing quantity.
@@ -58,7 +58,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, required=True,
                         help="committed baseline JSON (bench/BENCH_PR9.json "
-                             "or bench/BENCH_E2E_PR15.json)")
+                             "or bench/BENCH_E2E.json)")
     parser.add_argument("--current", type=Path, required=True,
                         help="JSON from the run under test")
     parser.add_argument("--max-ratio", type=float, default=2.0,
