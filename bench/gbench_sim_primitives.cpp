@@ -29,6 +29,7 @@
 #include "base/arena.hpp"
 #include "base/clock.hpp"
 #include "base/cost_model.hpp"
+#include "base/page_bitmap.hpp"
 #include "base/ring_buffer.hpp"
 #include "base/rng.hpp"
 #include "ooh/adaptive/policy.hpp"
@@ -386,6 +387,29 @@ void BM_RingBufferPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_RingBufferPushPop)->Unit(benchmark::kMicrosecond);
 
+void BM_CollectOrdered(benchmark::State& state) {
+  // DirtyTracker::collect's ordering step on migrate_scan's shape: 2,082
+  // distinct pages in hash-like order from a 4,096-page writer region. The
+  // copy of the input is part of each iteration.
+  constexpr u64 kSpanPages = 4096;
+  constexpr u64 kPages = 2082;
+  Rng rng(0xc011ec7);
+  std::vector<u64> input(kSpanPages);
+  for (u64 i = 0; i < kSpanPages; ++i) input[i] = 0x7f0000000000 + i * kPageSize;
+  for (u64 i = 0; i < kPages; ++i) std::swap(input[i], input[i + rng.below(kSpanPages - i)]);
+  input.resize(kPages);
+  std::vector<u64> pages;
+  std::vector<u64> words;
+  for (auto _ : state) {
+    pages.assign(input.begin(), input.end());
+    sort_unique_pages(pages, words);
+    benchmark::DoNotOptimize(pages.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kPages));
+}
+BENCHMARK(BM_CollectOrdered)->Unit(benchmark::kMicrosecond);
+
 // ---- TestBed benches: setup vs steady state ---------------------------------
 // Convention for every benchmark below that owns a TestBed: ALL setup (bed
 // construction, process creation, mmap, prefault, tracker init) happens
@@ -393,6 +417,50 @@ BENCHMARK(BM_RingBufferPushPop)->Unit(benchmark::kMicrosecond);
 // steady-state operation under test. Per-iteration re-preparation, where a
 // bench needs it, goes through PauseTiming/ResumeTiming. Do not fold setup
 // into the timed loop; the committed baselines assume these semantics.
+
+void BM_PmlDrainToRings(benchmark::State& state) {
+  // One full PML buffer (512 distinct 4 KiB GPAs) drained to both kPmlDrain
+  // consumers at once: the hypervisor's dirty ring (a migration's logging
+  // session) and the guest's SPML ring, as when SPML runs beside migration.
+  // Refilling the buffer and emptying the rings is untimed.
+  lib::TestBedOptions o;
+  o.vm_mem_bytes = 64 * kMiB;
+  o.host_mem_bytes = 256 * kMiB;
+  lib::TestBed bed(o);
+  hv::Vm& vm = bed.vm();
+  sim::Vcpu& vcpu = vm.vcpu();
+  bed.hypervisor().enable_pml_for_hyp(vm);
+  if (vcpu.hypercall(sim::Hypercall::kOohInitPml, o.vm_mem_bytes) != 0 ||
+      vcpu.hypercall(sim::Hypercall::kOohEnableLogging) != 0) {
+    state.SkipWithError("SPML session did not start");
+    return;
+  }
+  const u64 vm_pages = o.vm_mem_bytes / kPageSize;
+  std::vector<u64> gpas(vm_pages);
+  for (u64 i = 0; i < vm_pages; ++i) gpas[i] = i * kPageSize;
+  Rng rng(0xd2a1);
+  for (u64 i = 0; i < kPmlBufferEntries; ++i) {
+    std::swap(gpas[i], gpas[i + rng.below(vm_pages - i)]);
+  }
+  sim::ExecContext& ctx = vcpu.ctx();
+  const Hpa buf = vm.pml_buffer();
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (u64 slot = 0; slot < kPmlBufferEntries; ++slot) {
+      ctx.pmem.write_u64(buf + slot * 8, gpas[slot]);
+    }
+    vcpu.vmcs().write(sim::VmcsField::kPmlIndex, 0xFFFF);  // wrapped: all 512 slots
+    vm.dirty_ring().clear();
+    vm.spml_ring().clear();
+    vm.spml_interval_log().clear();
+    state.ResumeTiming();
+    bed.hypervisor().on_pml_full(vcpu);
+  }
+  benchmark::DoNotOptimize(vm.spml_ring().size());
+  benchmark::DoNotOptimize(vm.dirty_ring().pending());
+  state.SetItemsProcessed(state.iterations() * kPmlBufferEntries);
+}
+BENCHMARK(BM_PmlDrainToRings)->Unit(benchmark::kMicrosecond);
 
 void BM_GuestProcessTouchWrite(benchmark::State& state) {
   lib::TestBed bed;

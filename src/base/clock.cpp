@@ -61,16 +61,26 @@ VirtualClock::PairRun VirtualClock::add_pairs_on_grid(double& x, double a, doubl
   PairRun run;
   const u64 stop = deadline > 0.0 ? std::bit_cast<u64>(deadline)
                                   : (deadline <= 0.0 ? 0 : ~u64{0});
+  const u64 a_bits = std::bit_cast<u64>(a);
+  const u64 b_bits = std::bit_cast<u64>(b);
   u64 v = std::bit_cast<u64>(x);
   while (run.done < n) {
     const u64 exp = std::max<u64>(v >> kMantissaBits, 1);
-    const u64 ra = grid_steps(a, exp);
-    const u64 rb = grid_steps(b, exp);
+    if (memo_.exp != exp || memo_.a_bits != a_bits || memo_.b_bits != b_bits) {
+      memo_ = {a_bits, b_bits, exp, grid_steps(a, exp), grid_steps(b, exp)};
+    }
+    const u64 ra = memo_.ra;
+    const u64 rb = memo_.rb;
     if (exp < kMaxExp && ra != kNoStep && rb != kNoStep) {
       const u64 step = ra + rb;
       const u64 left = n - run.done;
       const u64 room = ((exp + 1) << kMantissaBits) - 1 - v;  // ulps left in the binade
-      const u64 fit = step == 0 ? left : std::min(left, room / step);
+      // The whole run when it stays in the binade; divide only when it would
+      // leave it (or left * step would overflow).
+      u64 span = 0;
+      const u64 fit = !__builtin_mul_overflow(left, step, &span) && span <= room
+                          ? left
+                          : room / step;
       if (fit > 0) {
         // Pair j (1-based) reaches the deadline iff v + (j-1)*step + ra >= stop.
         const u64 first_hit = v + ra;

@@ -131,7 +131,7 @@ class VirtualClock {
 
   /// Apply up to `n` pairs `x += a; x += b` to `x`, stopping right after the
   /// `x += a` that brings it to or past `deadline`.
-  static PairRun add_pairs(double& x, double a, double b, u64 n, double deadline) noexcept {
+  PairRun add_pairs(double& x, double a, double b, u64 n, double deadline) noexcept {
     if (n >= kClosedFormMinPairs) return add_pairs_on_grid(x, a, b, n, deadline);
     PairRun run;
     double v = x;
@@ -150,11 +150,23 @@ class VirtualClock {
 
   /// add_pairs() in a few integer operations per binade instead of 2n
   /// additions, bit-identical to the loop (clock.cpp explains why).
-  static PairRun add_pairs_on_grid(double& x, double a, double b, u64 n,
-                                   double deadline) noexcept;
+  PairRun add_pairs_on_grid(double& x, double a, double b, u64 n, double deadline) noexcept;
+
+  /// The last grid_steps() pair add_pairs_on_grid computed: the addends'
+  /// bit patterns and the binade's biased exponent (0, which no binade has,
+  /// marks it empty), and the steps of each addend there. Successive
+  /// segments of one access run repeat the same key.
+  struct GridMemo {
+    u64 a_bits = 0;
+    u64 b_bits = 0;
+    u64 exp = 0;
+    u64 ra = 0;
+    u64 rb = 0;
+  };
 
   VirtDuration now_{0};
   std::vector<VirtDuration*> open_buckets_;
+  GridMemo memo_;
 };
 
 }  // namespace ooh

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -124,5 +125,39 @@ class PageBitmap::Unique {
   PageBitmap& bits_;
   std::vector<u64>& out_;
 };
+
+/// Sort `pages` ascending and drop duplicates, as std::sort + std::unique
+/// would. When every entry is page-aligned and [min, max] spans at most
+/// about two words of bits per page, one bit per page in `words` (a buffer
+/// the caller reuses) orders them in O(pages + words), and a word scan reads
+/// them back; a sparser span, or an unaligned entry, sorts.
+inline void sort_unique_pages(std::vector<u64>& pages, std::vector<u64>& words) {
+  if (pages.size() < 2) return;
+  u64 lo = pages.front();
+  u64 hi = lo;
+  u64 offsets = 0;
+  for (const u64 p : pages) {
+    lo = std::min(lo, p);
+    hi = std::max(hi, p);
+    offsets |= p;
+  }
+  const u64 span_words = ((hi - lo) >> kPageShift) / 64 + 1;
+  if (page_offset(offsets) != 0 || span_words > 2 * pages.size()) {
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+    return;
+  }
+  words.assign(span_words, 0);
+  for (const u64 p : pages) {
+    const u64 bit = (p - lo) >> kPageShift;
+    words[bit >> 6] |= u64{1} << (bit & 63);
+  }
+  pages.clear();
+  for (u64 w = 0; w < span_words; ++w) {
+    for (u64 word = words[w]; word != 0; word &= word - 1) {
+      pages.push_back(lo + ((w * 64 + static_cast<u64>(std::countr_zero(word))) << kPageShift));
+    }
+  }
+}
 
 }  // namespace ooh

@@ -9,11 +9,14 @@
 // so completeness tests can distinguish "missed" from "not dirtied".
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "base/types.hpp"
@@ -55,12 +58,45 @@ class RingBuffer {
     return true;
   }
 
+  /// Append `values` in order: the entries that fit are stored, the rest
+  /// are dropped and counted, exactly as a push() per entry would.
+  void append(std::span<const u64> values) noexcept {
+    assert(size_ <= capacity_ && head_ < capacity_);
+    const std::size_t n = std::min(values.size(), capacity_ - size_);
+    dropped_ += values.size() - n;
+    if (n == 0) return;
+    std::size_t tail = head_ + size_;
+    if (tail >= capacity_) tail -= capacity_;
+    const std::size_t first = std::min(n, capacity_ - tail);
+    std::memcpy(buf_.get() + tail, values.data(), first * sizeof(u64));
+    std::memcpy(buf_.get(), values.data() + first, (n - first) * sizeof(u64));
+    size_ += n;
+  }
+
+  /// Move every entry into `dst`, oldest first, and leave this ring empty.
+  /// `dst` ends with the contents and drop count a pop()/push() loop would
+  /// give it. Returns the number of entries taken from this ring. Like
+  /// drain(), this restarts the emptied ring at slot 0, so a ring emptied
+  /// every interval reuses the same few cache lines and pages instead of
+  /// walking its whole (lazily committed) capacity.
+  std::size_t move_to(RingBuffer& dst) noexcept {
+    assert(&dst != this);
+    const std::size_t n = size_;
+    const std::size_t first = std::min(n, capacity_ - head_);
+    dst.append({buf_.get() + head_, first});
+    dst.append({buf_.get(), n - first});
+    clear();
+    return n;
+  }
+
   /// Drain everything (oldest first) into a vector.
   [[nodiscard]] std::vector<u64> drain() {
     std::vector<u64> out;
     out.reserve(size_);
-    u64 v = 0;
-    while (pop(v)) out.push_back(v);
+    const std::size_t first = std::min(size_, capacity_ - head_);
+    out.insert(out.end(), buf_.get() + head_, buf_.get() + head_ + first);
+    out.insert(out.end(), buf_.get(), buf_.get() + (size_ - first));
+    clear();
     return out;
   }
 

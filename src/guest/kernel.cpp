@@ -306,7 +306,12 @@ void GuestKernel::handle_not_present(Process& proc, Gva gva, bool /*is_write*/) 
     ensure_ept_mapped(pte->gpa_page, proc.cpu());
     Hpa hpa = 0;
     if (vm_.ept().translate(pte->gpa_page, hpa)) {
-      std::memset(ctx.pmem.frame_data(hpa), 0, kPageSize);
+      // A frame materialised now comes zeroed; one that already holds data
+      // is cleared. Either way it ends materialised: CRIU's dump tells data
+      // pages from never-written ones by that.
+      const bool had_data = ctx.pmem.frame_data_if_present(hpa) != nullptr;
+      u8* data = ctx.pmem.frame_data(hpa);
+      if (had_data) std::memset(data, 0, kPageSize);
     }
   }
   // Linux marks freshly mapped pages soft-dirty so /proc does not miss them.

@@ -185,12 +185,8 @@ void OohModule::on_schedule_out(u32 pid) {
     // (M14); the module then moves the GPAs into this process's private ring
     // (the per-process isolation fix of §V).
     vcpu.hypercall(sim::Hypercall::kOohDisableLogging, t.proc->mapped_bytes());
-    RingBuffer& shared = kernel_.vm().spml_ring(cpu);
-    u64 v = 0;
-    while (shared.pop(v)) {
-      t.ring->push(v);
-      m.charge_ns(m.cost.drain_entry_ns);
-    }
+    const std::size_t moved = kernel_.vm().spml_ring(cpu).move_to(*t.ring);
+    for (std::size_t i = 0; i < moved; ++i) m.charge_ns(m.cost.drain_entry_ns);
   } else {
     epml_drain_guest_buffer(t, cpu);
     vcpu.guest_vmwrite(sim::VmcsField::kGuestPmlEnable, 0);
@@ -299,12 +295,8 @@ std::vector<u64> OohModule::fetch(Process& proc) {
     for (u64 left = t.armed_cpus; left != 0; left &= left - 1) {
       const auto c = static_cast<unsigned>(std::countr_zero(left));
       kernel_.vm().vcpu(c).hypercall(sim::Hypercall::kOohIntervalReset);
-      RingBuffer& shared = kernel_.vm().spml_ring(c);
-      u64 v = 0;
-      while (shared.pop(v)) {
-        t.ring->push(v);
-        m.charge_ns(m.cost.drain_entry_ns);
-      }
+      const std::size_t moved = kernel_.vm().spml_ring(c).move_to(*t.ring);
+      for (std::size_t i = 0; i < moved; ++i) m.charge_ns(m.cost.drain_entry_ns);
     }
   }
 

@@ -1,6 +1,7 @@
 #include "hypervisor/hypervisor.hpp"
 
 #include <cassert>
+#include <cstring>
 #include <new>
 #include <stdexcept>
 
@@ -80,28 +81,33 @@ void Hypervisor::drain_pml_buffer(Vm& vm, unsigned cpu) {
   if (count == 0) return;
 
   // Slot 511 holds the oldest entry (the index counts down); walk newest-
-  // last so consumers see logging order.
+  // last so consumers see logging order. Each entry is charged as it is
+  // read; the consumers run after the loop, which is exact because no
+  // kPmlDrain consumer charges virtual time (page_track.hpp).
+  //
+  // Coexistence routing (paper §IV-C item 3), generalized: every enabled
+  // kPmlDrain consumer gets every GPA. Dirty flags stay set until the
+  // consumer's interval boundary (collect/harvest), so an already-logged
+  // page does not re-log on every later write -- matching how Xen
+  // harvests PML. A gran-tagged entry (huge EPT leaf, no eager split)
+  // expands here to every 4 KiB page it covers, so rings and consumers
+  // stay page-granular — the drain is where PML's leaf-size imprecision
+  // becomes visible as a dirty-page superset. A 4 KiB entry (gran code 0)
+  // is its own GPA.
+  const u8* slots = ctx.pmem.frame_data_if_present(vm.pml_buffer(cpu));
+  std::vector<Gpa>& pages = vm.drain_pages(cpu);
+  pages.clear();
   const u64 first_slot = kPmlBufferEntries - count;
   for (u64 slot = kPmlBufferEntries; slot-- > first_slot;) {
-    const u64 entry = ctx.pmem.read_u64(vm.pml_buffer(cpu) + slot * 8);
-    const Gpa base = pml_entry_base(entry);
-    const PageGran gran = pml_entry_gran(entry);
+    u64 entry = 0;
+    if (slots != nullptr) std::memcpy(&entry, slots + slot * 8, sizeof entry);
     ctx.charge_ns(ctx.cost.drain_entry_ns);
-    // Coexistence routing (paper §IV-C item 3), generalized: every enabled
-    // kPmlDrain consumer gets the GPA. Dirty flags stay set until the
-    // consumer's interval boundary (collect/harvest), so an already-logged
-    // page does not re-log on every later write -- matching how Xen
-    // harvests PML. A gran-tagged entry (huge EPT leaf, no eager split)
-    // expands here to every 4 KiB page it covers, so rings and consumers
-    // stay page-granular — the drain is where PML's leaf-size imprecision
-    // becomes visible as a dirty-page superset. 4 KiB entries (gran code 0)
-    // take this loop exactly once with base == entry, as before.
-    for (u64 i = 0; i < gran_pages(gran); ++i) {
-      vm.track(cpu).dispatch(sim::TrackLayer::kPmlDrain,
-                             {&vcpu, /*pid=*/0, /*gva_page=*/0,
-                              base + i * kPageSize});
+    const Gpa base = pml_entry_base(entry);
+    for (u64 i = 0; i < gran_pages(pml_entry_gran(entry)); ++i) {
+      pages.push_back(base + i * kPageSize);
     }
   }
+  vm.track(cpu).dispatch_drain(vcpu, pages);
   vmcs.write(sim::VmcsField::kPmlIndex, kPmlIndexStart);
   // A kDirtyRingFull fault fired mid-drain settles here, with the buffer
   // index reset and the diverted entry safely in the spill log (FAULT-2).

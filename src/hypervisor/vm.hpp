@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "base/page_bitmap.hpp"
@@ -38,6 +39,7 @@ class HypDirtyLogConsumer final : public sim::PageTrackNotifier {
  public:
   explicit HypDirtyLogConsumer(Vm& vm) noexcept : vm_(vm) {}
   bool on_track(sim::TrackLayer layer, const sim::TrackEvent& ev) override;
+  void on_drain(sim::Vcpu& vcpu, std::span<const Gpa> gpas) override;
 
  private:
   Vm& vm_;
@@ -53,6 +55,7 @@ class SpmlRingConsumer final : public sim::PageTrackNotifier {
  public:
   explicit SpmlRingConsumer(Vm& vm) noexcept : vm_(vm) {}
   bool on_track(sim::TrackLayer layer, const sim::TrackEvent& ev) override;
+  void on_drain(sim::Vcpu& vcpu, std::span<const Gpa> gpas) override;
 
  private:
   Vm& vm_;
@@ -178,6 +181,12 @@ class Vm {
     return eager_split_active_;
   }
 
+  /// Reusable buffer of vCPU `cpu`'s PML drain: the drained entries,
+  /// expanded to 4 KiB GPAs, that one kPmlDrain dispatch hands over.
+  [[nodiscard]] std::vector<Gpa>& drain_pages(unsigned cpu) noexcept {
+    return cpus_[cpu]->drain_pages;
+  }
+
   // -- kDirtyRingFull fault plumbing ------------------------------------------
   // A ring-full fault fired by the drain consumer settles only once the
   // in-flight PML drain resets its index; the drain loop polls this flag to
@@ -196,6 +205,7 @@ class Vm {
     DirtyRing dirty_ring;
     RingBuffer spml_ring;
     std::vector<Gpa> spml_interval_log;
+    std::vector<Gpa> drain_pages;
     Hpa pml_buffer = 0;
     u64 spml_tracked_mem_bytes = 0;
     bool ring_fault_pending = false;

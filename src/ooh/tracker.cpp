@@ -1,9 +1,9 @@
 #include "ooh/tracker.hpp"
 
-#include <algorithm>
 #include <new>
 
 #include "base/clock.hpp"
+#include "base/page_bitmap.hpp"
 #include "hypervisor/hypervisor.hpp"
 #include "ooh/adaptive/policy.hpp"
 #include "ooh/adaptive/wss_estimator.hpp"
@@ -131,8 +131,7 @@ std::vector<Gva> DirtyTracker::collect() {
   {
     VirtualClock::Scope s(ctx.clock, phases_.collect);
     pages = backend_->collect();
-    std::sort(pages.begin(), pages.end());
-    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+    sort_unique_pages(pages, order_words_);
   }
   ++phases_.intervals;
   phases_.collected_pages += pages.size();

@@ -125,6 +125,7 @@ class DirtyTracker {
   std::unique_ptr<ControlPlane> plane_;
   std::vector<Technique> history_;
   u64 dropped_retired_ = 0;  ///< dropped() of backends handed off.
+  std::vector<u64> order_words_;  ///< collect()'s ordering bits (sort_unique_pages).
   bool degraded_ = false;
 };
 

@@ -76,7 +76,7 @@ std::vector<Gva> SpmlTracker::collect() {
   const std::vector<u64> fetched = module_->fetch(proc_);  // charges the RB copy
 
   // Deduplicate in first-seen order: a page drained more than once re-logs
-  // within the interval. DirtyTracker::collect sorts the GVAs afterwards.
+  // within the interval. DirtyTracker::collect orders the GVAs afterwards.
   std::vector<Gpa> gpas;
   gpas.reserve(fetched.size());
   {

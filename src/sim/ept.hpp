@@ -56,9 +56,12 @@ class Ept {
 
   /// Leaf covering `gpa` at any granularity (PS-bit walk order: 1G, 2M,
   /// then 4K). For a huge leaf the entry's hpa_page is the region base.
+  /// Here and in lookup() and for_each_present(), a table with no present
+  /// huge leaf takes the 4 KiB-only path: huge slabs outlive the leaves an
+  /// eager split removed, but without a present leaf they shadow nothing.
   [[nodiscard]] EptEntry* entry(Gpa gpa) noexcept {
     const Gpa page = page_floor(gpa);
-    if (!table_.has_huge()) return table_.find(page);
+    if (huge_present_ == 0) return table_.find(page);
     PageGran g;
     return table_.find_leaf(page, g);
   }
@@ -69,7 +72,7 @@ class Ept {
   /// The nested-walk seam: leaf + granularity + per-4 KiB HPA for `gpa`.
   [[nodiscard]] Lookup lookup(Gpa gpa) noexcept {
     const Gpa page = page_floor(gpa);
-    if (!table_.has_huge()) {
+    if (huge_present_ == 0) {
       EptEntry* e = table_.find(page);
       if (e == nullptr) return {};
       return {e, PageGran::k4K, e->hpa_page};
@@ -93,7 +96,7 @@ class Ept {
   /// single leaf flag would).
   template <typename Fn>
   void for_each_present(Fn&& fn) {
-    if (!table_.has_huge()) {
+    if (huge_present_ == 0) {
       table_.for_each([&](u64 addr, EptEntry& e) {
         if (e.present) fn(addr, e);
       });

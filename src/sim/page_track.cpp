@@ -97,6 +97,22 @@ bool WriteTrackRegistry::dispatch(TrackLayer layer, const TrackEvent& ev) {
   return handled;
 }
 
+void WriteTrackRegistry::dispatch_drain(Vcpu& vcpu, std::span<const Gpa> gpas) {
+  Chain& c = chains_[static_cast<std::size_t>(TrackLayer::kPmlDrain)];
+  c.dispatched += gpas.size();
+  for (std::size_t i = 0; i < c.regs.size();) {
+    if (!c.regs[i].enabled) {
+      ++i;
+      continue;
+    }
+    PageTrackNotifier* n = c.regs[i].notifier;
+    c.regs[i].delivered += gpas.size();
+    n->on_drain(vcpu, gpas);
+    // As in dispatch(): advance only if slot i still holds this notifier.
+    if (i < c.regs.size() && c.regs[i].notifier == n) ++i;
+  }
+}
+
 void WriteTrackRegistry::register_flush(PageTrackNotifier* n) {
   if (n == nullptr) throw std::invalid_argument("null page-track flush notifier");
   if (std::find(flush_chain_.begin(), flush_chain_.end(), n) != flush_chain_.end()) {

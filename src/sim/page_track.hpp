@@ -16,11 +16,13 @@
 //                   KVM-page_track-style write-protection trigger point.
 //   kGuestWpFault   a write hit a non-writable / uffd-wp guest PTE — the
 //                   guest kernel's soft-dirty and userfaultfd trigger point.
-//   kPmlDrain       a GPA drained from the hypervisor-level PML buffer is
-//                   routed to its consumers (migration bitmap, SPML ring,
-//                   ...) — the generalization of the paper's two-flag
+//   kPmlDrain       the GPAs drained from the hypervisor-level PML buffer
+//                   are routed to their consumers (migration bitmap, SPML
+//                   ring, ...) — the generalization of the paper's two-flag
 //                   enabled_by_guest/enabled_by_hyp coexistence logic
-//                   (§IV-C item 3) to N consumers.
+//                   (§IV-C item 3) to N consumers. A drained buffer is one
+//                   dispatch (dispatch_drain): each consumer receives the
+//                   whole span of GPAs, in logging order.
 //
 // Consumers register a PageTrackNotifier on the layers they care about.
 // Dispatch order is registration order (deterministic, so virtual-time
@@ -35,6 +37,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -83,6 +86,18 @@ class PageTrackNotifier {
   /// logging layers always run the whole chain and ignore the result.
   virtual bool on_track(TrackLayer layer, const TrackEvent& ev) = 0;
 
+  /// The GPAs of one drained PML buffer (kPmlDrain), page-granular and in
+  /// logging order. The default hands each to on_track as its own event;
+  /// a consumer that moves GPAs in bulk overrides this. kPmlDrain consumers
+  /// charge no virtual time: the drain charges its per-entry cost before
+  /// the dispatch, and the result equals per-GPA dispatch only because no
+  /// consumer adds a charge between two GPAs.
+  virtual void on_drain(Vcpu& vcpu, std::span<const Gpa> gpas) {
+    for (const Gpa gpa : gpas) {
+      (void)on_track(TrackLayer::kPmlDrain, {&vcpu, /*pid=*/0, /*gva_page=*/0, gpa});
+    }
+  }
+
   /// An address range of `pid` is being torn down (munmap): drop any
   /// derived state (caches, pending logs) covering [start, end).
   /// Mirrors KVM's track_flush_slot.
@@ -113,6 +128,14 @@ class WriteTrackRegistry {
   /// Returns true iff some notifier handled it; fault layers stop at the
   /// first handler, logging layers always run the full chain.
   bool dispatch(TrackLayer layer, const TrackEvent& ev);
+
+  /// Dispatch one drained PML buffer on kPmlDrain: each enabled notifier
+  /// gets the whole span through on_drain, in registration order. Counts
+  /// as gpas.size() events on the layer and for each notifier it reaches,
+  /// exactly as a dispatch() per GPA would. A registration change made
+  /// inside on_drain applies to the notifiers after it in the chain: those
+  /// before it have already received the whole span.
+  void dispatch_drain(Vcpu& vcpu, std::span<const Gpa> gpas);
 
   /// Flush chain: registration independent of the event layers.
   void register_flush(PageTrackNotifier* n);

@@ -176,6 +176,7 @@ TEST(VirtualClock, AdvancePairsMatchesAdvanceLoop) {
 // deadlines at or before now, exactly on a reached value, and +inf, with up
 // to three open buckets of unrelated magnitudes.
 TEST(VirtualClock, AdvancePairsBitExactOnUlpGrid) {
+  constexpr u64 kClosedFormRun = 16;  ///< VirtualClock's shortest closed-form run.
   Rng rng(0x0015'6e1d);
   const double inf = std::numeric_limits<double>::infinity();
   const auto bits = [](double v) { return std::bit_cast<u64>(v); };
@@ -288,6 +289,39 @@ TEST(VirtualClock, AdvancePairsBitExactOnUlpGrid) {
   // The generator really exercised deadline stops, including exact hits.
   EXPECT_GT(reached_cases, kCases / 4);
   EXPECT_GT(exact_deadlines, kCases / 10);
+
+  // One clock over many runs: the grid steps it memoises carry from run to
+  // run, so alternate two addend pairs, with an open bucket of another
+  // magnitude, from starts just below a power of two so that runs cross
+  // binades. Every run must still land where the loop does.
+  int crossings = 0;
+  for (int round = 0; round < 300; ++round) {
+    const double p = std::ldexp(1.0, -10 + static_cast<int>(rng.below(40)));
+    const double start = p - static_cast<double>(1 + rng.below(1 << 20)) * ulp(p / 2);
+    const VirtDuration pairs[2][2] = {{VirtDuration{addend(start)}, VirtDuration{addend(start)}},
+                                      {VirtDuration{addend(start)}, VirtDuration{addend(start)}}};
+    VirtualClock loop, batched;
+    loop.advance(VirtDuration{start});
+    batched.advance(VirtDuration{start});
+    const double bucket_start = start_value();
+    VirtDuration l_bucket{bucket_start}, b_bucket{bucket_start};
+    const VirtualClock::Scope ls(loop, l_bucket), bs(batched, b_bucket);
+    for (int r = 0; r < 40; ++r) {
+      const VirtDuration first = pairs[r % 2][0], second = pairs[r % 2][1];
+      const u64 n = kClosedFormRun + rng.below(512);
+      const u64 exp_before = bits(loop.now().count()) >> 52;
+      for (u64 i = 0; i < n; ++i) loop.advance(first), loop.advance(second);
+      const VirtualClock::PairRun got = batched.advance_pairs(first, second, n, VirtDuration{inf});
+      SCOPED_TRACE(::testing::Message() << "round " << round << " run " << r << std::hexfloat
+                                        << ": start " << start << " first " << first.count()
+                                        << " second " << second.count() << " n " << n);
+      ASSERT_EQ(got.done, n);
+      ASSERT_EQ(bits(batched.now().count()), bits(loop.now().count()));
+      ASSERT_EQ(bits(b_bucket.count()), bits(l_bucket.count()));
+      crossings += (bits(loop.now().count()) >> 52) != exp_before ? 1 : 0;
+    }
+  }
+  EXPECT_GT(crossings, 300);
 }
 
 // ---- ring buffer ---------------------------------------------------------------
@@ -361,7 +395,7 @@ TEST(RingBuffer, WrapsAroundManyTimes) {
         if (popped % capacity + model.size() > capacity) ++wrapped_drains;
         const std::vector<u64> drained = rb.drain();
         ASSERT_EQ(drained, std::vector<u64>(model.begin(), model.end()));
-        popped += model.size();
+        popped = 0;  // the emptied ring restarts at slot 0
         model.clear();
       }
       ASSERT_EQ(rb.size(), model.size());
@@ -377,7 +411,88 @@ TEST(RingBuffer, WrapsAroundManyTimes) {
   }
 }
 
+// move_to must leave both rings as a pop()/push() loop would: the same
+// contents in the same order and the same drop count on the destination,
+// and an empty source. Random fills and partial pops put both cursors
+// anywhere, so the copies split at either ring's wrap point, and bursts
+// overflow the destination.
+TEST(RingBuffer, MoveToMatchesPopPushLoop) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
+    SCOPED_TRACE(capacity);
+    RingBuffer src(capacity), dst(capacity + capacity / 2 + 1);
+    RingBuffer ref_src(src.capacity()), ref_dst(dst.capacity());
+    Rng rng(0x30e + capacity);
+    u64 next = 0;
+    u64 moves_with_drops = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const u64 op = rng.below(100);
+      if (op < 40) {
+        for (u64 n = rng.below(capacity + 2); n > 0; --n, ++next) {
+          src.push(next);
+          ref_src.push(next);
+        }
+      } else if (op < 60) {
+        for (u64 n = rng.below(dst.capacity() + 1); n > 0; --n, ++next) {
+          dst.push(next);
+          ref_dst.push(next);
+        }
+      } else if (op < 80) {
+        for (u64 n = rng.below(dst.capacity() + 1); n > 0; --n) {
+          u64 a = 0, b = 0;
+          ASSERT_EQ(dst.pop(a), ref_dst.pop(b));
+          ASSERT_EQ(a, b);
+        }
+      } else if (op < 99) {
+        const u64 drops_before = ref_dst.dropped();
+        const std::size_t want = ref_src.size();
+        u64 v = 0;
+        while (ref_src.pop(v)) ref_dst.push(v);
+        ASSERT_EQ(src.move_to(dst), want);
+        ASSERT_TRUE(src.empty());
+        moves_with_drops += ref_dst.dropped() != drops_before ? 1 : 0;
+      } else {
+        ASSERT_EQ(dst.drain(), ref_dst.drain());
+      }
+      ASSERT_EQ(src.size(), ref_src.size());
+      ASSERT_EQ(dst.size(), ref_dst.size());
+      ASSERT_EQ(dst.dropped(), ref_dst.dropped());
+    }
+    ASSERT_EQ(dst.drain(), ref_dst.drain());
+    EXPECT_GT(moves_with_drops, 0u) << "no move overflowed the destination";
+  }
+}
+
 // ---- page bitmap ---------------------------------------------------------------
+
+// sort_unique_pages equals std::sort + std::unique on dense spans (the word
+// path), sparse spans and unaligned entries (the sort path), duplicates, and
+// the empty and one-page inputs, with one word buffer reused throughout.
+TEST(PageBitmap, SortUniquePagesMatchesSortUnique) {
+  Rng rng(0x50e7);
+  std::vector<u64> words;
+  const auto check = [&](std::vector<u64> pages) {
+    std::vector<u64> want = pages;
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    sort_unique_pages(pages, words);
+    ASSERT_EQ(pages, want);
+  };
+  check({});
+  check({7 * kPageSize});
+  check({5 * kPageSize, 5 * kPageSize, 5 * kPageSize});
+  check({0, 63 * kPageSize, 64 * kPageSize, 127 * kPageSize, 128 * kPageSize, 0});
+  check({kPageSize + 8, kPageSize, 3});           // unaligned entries sort
+  check({kGiB, 0, 5 * kGiB - kPageSize, 4 * kGiB});  // sparse: sort
+  for (int round = 0; round < 500; ++round) {
+    const u64 n = 1 + rng.below(3000);
+    const u64 span = 1 + rng.below(rng.below(2) == 0 ? 2 * n : 400 * n);  // dense or sparse
+    const u64 base = rng.below(1 << 20) * kPageSize;
+    std::vector<u64> pages(n);
+    for (u64& p : pages) p = base + rng.below(span) * kPageSize;
+    check(pages);
+  }
+}
+
 
 TEST(PageBitmap, TestAndSetWithinRangeThrowsBeyond) {
   PageBitmap bits(8 * kPageSize + 100);  // a partial last page

@@ -17,6 +17,7 @@
 
 #include "base/rng.hpp"
 #include "guest/procfs.hpp"
+#include "hypervisor/migration.hpp"
 #include "ooh/experiment.hpp"
 #include "ooh/testbed.hpp"
 #include "ooh/trackers.hpp"
@@ -688,6 +689,98 @@ TEST(VirtualTimePinning, ScalarAccessMixWp) {
                     {{0x40f14781fab38a08ull, 0x40f108ec51eabbcfull},
                      {0xa0eda8f5819c4f12ull, 0x9e6bb276f52a79acull}, 760730, 24067,
                      0xfecd516a9bb3be34ull, 160, 363424, 0x91339d2cc9bda423ull});
+}
+
+// An SPML session beside a pre-copy migration on a 2-vCPU guest with huge,
+// eagerly split EPT backing: the two kPmlDrain consumers share vCPU 0's PML
+// buffer (paper §IV-C) while vCPU 1 scans inside the TLB's reach. Each
+// vCPU's clock and counters, the migration report and the collected pages
+// are pinned to constants captured before the drain moved GPAs in bulk.
+TEST(VirtualTimePinning, SpmlSessionBesideMigration) {
+  lib::TestBedOptions o;
+  o.vcpus_per_vm = 2;
+  o.vm_mem_bytes = 64 * kMiB;
+  o.host_mem_bytes = 256 * kMiB;
+  o.ept_huge = true;
+  o.eager_split = true;
+  lib::TestBed bed(o);
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& writer = k.create_process();  // vCPU 0
+  guest::Process& reader = k.create_process();  // vCPU 1
+  ASSERT_EQ(writer.cpu(), 0u);
+  ASSERT_EQ(reader.cpu(), 1u);
+  constexpr u64 kReaderBytes = 4 * kMiB;
+  constexpr u64 kWriterPages = 1024;
+  const Gva rbase = reader.mmap(kReaderBytes);
+  const Gva wbase = writer.mmap(kWriterPages * kPageSize);
+  reader.touch_range_write(rbase, kReaderBytes);
+  writer.touch_range_write(wbase, kWriterPages * kPageSize);
+  ASSERT_GT(bed.vm().ept().huge_leaves(), 0u);
+
+  auto tracker = lib::make_tracker(lib::Technique::kSpml, k, writer);
+  tracker->init();
+  tracker->begin_interval();
+  k.scheduler(0).enter_process(writer.pid());
+  writer.touch_range_write(wbase, kWriterPages * kPageSize);
+  k.scheduler(0).exit_process(writer.pid());
+  (void)tracker->collect();
+  tracker->begin_interval();
+  writer.truth_reset();
+
+  // A seeded hot set, hottest first; each round writes the hotter half.
+  std::vector<u64> hot(kWriterPages);
+  for (u64 i = 0; i < kWriterPages; ++i) hot[i] = i;
+  Rng rng(0x5b11);
+  for (u64 i = 0; i < kWriterPages; ++i) std::swap(hot[i], hot[i + rng.below(kWriterPages - i)]);
+  unsigned round = 0;
+  hv::MigrationEngine engine(bed.hypervisor());
+  const hv::MigrationReport rep = engine.migrate(bed.vm(), [&] {
+    k.scheduler(1).enter_process(reader.pid());
+    reader.touch_range_read(rbase, 3 * kMiB, 64);
+    k.scheduler(1).exit_process(reader.pid());
+    k.scheduler(0).enter_process(writer.pid());
+    const u64 n = std::max<u64>(700 >> std::min(round, 63u), 1);
+    for (u64 i = 0; i < n; ++i) writer.touch_write(wbase + hot[i] * kPageSize);
+    k.scheduler(0).exit_process(writer.pid());
+    ++round;
+  });
+  const std::vector<Gva> collected = tracker->collect();
+  tracker->begin_interval();
+  ASSERT_TRUE(std::is_sorted(collected.begin(), collected.end()));
+  for (const auto& [page, seq] : writer.truth_dirty()) {
+    EXPECT_TRUE(std::binary_search(collected.begin(), collected.end(), page));
+  }
+  EXPECT_TRUE(rep.converged);
+  EXPECT_EQ(tracker->dropped(), 0u);
+
+  u64 got[12] = {};
+  for (unsigned cpu = 0; cpu < 2; ++cpu) {
+    const sim::ExecContext& ctx = bed.vm().vcpu(cpu).ctx();
+    got[cpu] = std::bit_cast<u64>(ctx.clock.now().count());
+    u64 h = 0xcbf29ce484222325ull;
+    for (std::size_t e = 0; e < kEventCount; ++e) h = mix_hash(h, ctx.counters.get(Event(e)));
+    got[2 + cpu] = h;
+  }
+  got[4] = rep.rounds;
+  got[5] = rep.pages_sent;
+  got[6] = rep.initial_pages;
+  got[7] = rep.stop_copy_pages;
+  got[8] = std::bit_cast<u64>(rep.total_time.count());
+  got[9] = std::bit_cast<u64>(rep.downtime.count());
+  got[10] = collected.size();
+  got[11] = 0xcbf29ce484222325ull;
+  for (const Gva page : collected) got[11] = mix_hash(got[11], page);
+
+  const u64 want[12] = {0x40ec179f972a0f5aull, 0x40daa08c28f57f81ull,  // clocks
+                        0x7e7ae3e43898a0bbull, 0x3eb88c9c82805b64ull,  // counters
+                        5, 3915, 2560, 43,  // rounds, sent, initial, stop-copy
+                        0x40cfe24b52407594ull, 0x4065800000000000ull,  // total, downtime
+                        700, 0x9e41facd7b2e4e55ull};                   // collected
+  for (std::size_t i = 0; i < std::size(want); ++i) EXPECT_EQ(got[i], want[i]) << "field " << i;
+  if (::testing::Test::HasFailure()) {
+    for (const u64 v : got) std::printf("0x%016llxull, ", static_cast<unsigned long long>(v));
+    std::printf("\n");
+  }
 }
 
 // ---- scheduler quantum-after-service fix ------------------------------------

@@ -161,6 +161,74 @@ TEST(MultiGranEpt, SplitHugeLeafPreservesTranslationAndFlags) {
   EXPECT_EQ(c2m.hpa_page, 8 * kGiB + 3 * 2 * kMiB + 5 * kPageSize);
 }
 
+// entry(), lookup() and for_each_present() skip the huge slabs while no huge
+// leaf is present, though a split leaves its slab allocated. Map a leaf,
+// split it, map another in a fresh 2 MiB region, then unmap that one: at
+// every stage each query must match a model of the mapped leaves.
+TEST(MultiGranEpt, QueriesMatchLeafModelAfterSplitAndRemap) {
+  sim::Ept ept;
+  const Gpa a = 4 * kMiB, b = 10 * kMiB;
+  const Hpa run_a = 64 * kMiB, run_b = 128 * kMiB;
+  struct Leaf {
+    Gpa base;
+    PageGran gran;
+    Hpa hpa;
+  };
+  std::vector<Leaf> model;
+  const auto check = [&](const char* stage) {
+    SCOPED_TRACE(stage);
+    std::map<Gpa, Hpa> want;  // every mapped 4 KiB page -> its HPA
+    for (const Leaf& l : model) {
+      for (u64 i = 0; i < gran_pages(l.gran); ++i) want[l.base + i * kPageSize] = l.hpa + i * kPageSize;
+    }
+    for (Gpa page = 0; page < 16 * kMiB; page += kPageSize) {
+      const auto it = want.find(page);
+      const sim::Ept::Lookup lu = ept.lookup(page + 123);
+      const sim::EptEntry* e = ept.entry(page);
+      const bool mapped = lu.entry != nullptr && lu.entry->present;
+      ASSERT_EQ(mapped, it != want.end()) << "page " << page;
+      ASSERT_EQ(e != nullptr && e->present, mapped) << "page " << page;
+      if (!mapped) continue;
+      ASSERT_EQ(e, lu.entry);
+      ASSERT_EQ(lu.hpa_page, it->second) << "page " << page;
+      const auto leaf = std::find_if(model.begin(), model.end(), [&](const Leaf& l) {
+        return page >= l.base && page < l.base + gran_size(l.gran);
+      });
+      ASSERT_EQ(lu.gran, leaf->gran) << "page " << page;
+    }
+    std::map<Gpa, Hpa> seen;
+    ept.for_each_present([&](Gpa page, sim::EptEntry& e) {
+      const sim::Ept::Lookup lu = ept.lookup(page);
+      EXPECT_EQ(&e, lu.entry);
+      seen[page] = lu.hpa_page;
+    });
+    EXPECT_EQ(seen, want);
+    u64 huge = 0;
+    for (const Leaf& l : model) huge += l.gran != PageGran::k4K ? 1 : 0;
+    EXPECT_EQ(ept.huge_leaves(), huge);
+  };
+
+  ept.map_huge(a, run_a, PageGran::k2M, true);
+  model.push_back({a, PageGran::k2M, run_a});
+  check("one 2 MiB leaf");
+
+  ASSERT_EQ(ept.split_huge_leaf(a, PageGran::k2M), gran_pages(PageGran::k2M));
+  model.clear();
+  for (u64 i = 0; i < gran_pages(PageGran::k2M); ++i) {
+    model.push_back({a + i * kPageSize, PageGran::k4K, run_a + i * kPageSize});
+  }
+  check("split: no huge leaf, slab kept");  // SPLIT-1's state
+  EXPECT_EQ(ept.huge_leaves(), 0u);
+
+  ept.map_huge(b, run_b, PageGran::k2M, true);
+  model.push_back({b, PageGran::k2M, run_b});
+  check("4 KiB leaves beside a new 2 MiB leaf");
+
+  ept.unmap_huge(b, PageGran::k2M);
+  model.pop_back();
+  check("the new leaf unmapped again");
+}
+
 // ---- gran-tagged TLB through the MMU ---------------------------------------
 
 struct HugeMmuFixture {

@@ -4,12 +4,13 @@
 // TLB-invalidation regression, SPML's reverse-map cache against recycled
 // frames (munmap, swap-out, randomized churn), the WpTracker backend's completeness, and migration + guest-EPML coexistence
 // where unregistering one consumer must not perturb the other's virtual
-// time.
+// time, and kPmlDrain's one dispatch per drained buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <random>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -661,6 +662,111 @@ TEST(Coexistence, MigrationAndEpmlBothCompleteAndIndependent) {
   EXPECT_EQ(with.interval2, without.interval2);
   EXPECT_EQ(with.collect_us, without.collect_us);
   EXPECT_EQ(with.arm_us, without.arm_us);
+}
+
+// ---- one kPmlDrain dispatch per drained buffer ------------------------------
+
+/// A consumer that takes drained buffers whole, recording each span.
+struct SpanRecorder final : sim::PageTrackNotifier {
+  bool on_track(TrackLayer, const TrackEvent& ev) override {
+    gpas.push_back(ev.gpa_page);
+    return true;
+  }
+  void on_drain(sim::Vcpu&, std::span<const Gpa> span) override {
+    ++spans;
+    gpas.insert(gpas.end(), span.begin(), span.end());
+    if (on_deliver) on_deliver();
+  }
+  std::vector<Gpa> gpas;
+  u64 spans = 0;
+  std::function<void()> on_deliver;
+};
+
+TEST(PageTrack, DrainSpanMatchesPerGpaDispatch) {
+  lib::TestBed bed;
+  sim::Vcpu& vcpu = bed.vm().vcpu();
+  const std::vector<Gpa> drained = {0x5000, 0x1000, 0x9000, 0x1000, 0x3000};
+
+  // The same chain twice: one registry takes the buffer as one span, the
+  // other one dispatch() per GPA. `plain` only implements on_track.
+  WriteTrackRegistry bulk, per_gpa;
+  SpanRecorder b_span, p_span;
+  Recorder b_plain, p_plain, b_off, p_off;
+  std::vector<int> order;
+  b_span.on_deliver = [&] { order.push_back(0); };
+  b_plain.on_deliver = [&] { order.push_back(1); };
+  for (WriteTrackRegistry* reg : {&bulk, &per_gpa}) {
+    const bool is_bulk = reg == &bulk;
+    reg->register_notifier(TrackLayer::kPmlDrain, is_bulk ? &b_off : &p_off, false);
+    reg->register_notifier(TrackLayer::kPmlDrain, is_bulk ? &b_span : &p_span);
+    reg->register_notifier(TrackLayer::kPmlDrain, is_bulk ? &b_plain : &p_plain);
+  }
+  bulk.dispatch_drain(vcpu, drained);
+  for (const Gpa gpa : drained) per_gpa.dispatch(TrackLayer::kPmlDrain, {&vcpu, 0, 0, gpa});
+
+  // Each consumer sees every GPA in logging order, consumers in
+  // registration order: the span consumer's whole buffer, then the
+  // on_track-only consumer one event per GPA.
+  EXPECT_EQ(b_span.gpas, drained);
+  EXPECT_EQ(b_span.spans, 1u);
+  EXPECT_EQ(p_span.gpas, drained);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 1, 1, 1, 1}));
+  ASSERT_EQ(b_plain.deliveries.size(), drained.size());
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    EXPECT_EQ(b_plain.deliveries[i].layer, TrackLayer::kPmlDrain);
+    EXPECT_EQ(b_plain.deliveries[i].ev.vcpu, &vcpu);
+    EXPECT_EQ(b_plain.deliveries[i].ev.gpa_page, drained[i]);
+    EXPECT_EQ(b_plain.deliveries[i].ev.gpa_page, p_plain.deliveries[i].ev.gpa_page);
+  }
+  // Counters advance by the span length, as per-GPA dispatch advances them
+  // (REG-3); the disabled consumer receives and counts nothing.
+  EXPECT_EQ(bulk.events_dispatched(TrackLayer::kPmlDrain), drained.size());
+  EXPECT_EQ(per_gpa.events_dispatched(TrackLayer::kPmlDrain), drained.size());
+  for (const auto& [b, p] : {std::pair<const sim::PageTrackNotifier*, const sim::PageTrackNotifier*>{
+                                 &b_span, &p_span},
+                             {&b_plain, &p_plain},
+                             {&b_off, &p_off}}) {
+    EXPECT_EQ(bulk.events_delivered(TrackLayer::kPmlDrain, b),
+              per_gpa.events_delivered(TrackLayer::kPmlDrain, p));
+  }
+  EXPECT_EQ(bulk.events_delivered(TrackLayer::kPmlDrain, &b_off), 0u);
+  EXPECT_TRUE(b_off.deliveries.empty());
+  // An empty buffer is no event.
+  bulk.dispatch_drain(vcpu, {});
+  EXPECT_EQ(bulk.events_dispatched(TrackLayer::kPmlDrain), drained.size());
+}
+
+TEST(PageTrack, DrainExpandsA2MiBEntryTo512Pages) {
+  lib::TestBedOptions opts;
+  opts.vm_mem_bytes = 64 * kMiB;
+  opts.host_mem_bytes = 256 * kMiB;
+  opts.ept_huge = true;
+  opts.eager_split = false;  // keep the huge leaf: its PML entry is 2 MiB-tagged
+  lib::TestBed bed(opts);
+  auto& k = bed.kernel();
+  auto& proc = k.create_process();
+  const Gva base = proc.mmap(4 * kMiB);
+  proc.touch_range_write(base, 4 * kMiB);
+  const Gpa gpa = k.page_table(proc).pte(base + 7 * kPageSize)->gpa_page;
+  ASSERT_EQ(bed.vm().ept().lookup(gpa).gran, PageGran::k2M);
+
+  hv::Vm& vm = bed.vm();
+  bed.hypervisor().enable_pml_for_hyp(vm);
+  SpanRecorder rec;
+  vm.track().register_notifier(TrackLayer::kPmlDrain, &rec);
+  const u64 dispatched = vm.track().events_dispatched(TrackLayer::kPmlDrain);
+  proc.touch_write(base + 7 * kPageSize);
+  const std::vector<Gpa> harvested = bed.hypervisor().harvest_hyp_dirty(vm);
+
+  const Gpa leaf = gran_floor(gpa, PageGran::k2M);
+  ASSERT_EQ(rec.gpas.size(), gran_pages(PageGran::k2M));
+  EXPECT_EQ(rec.spans, 1u);
+  for (u64 i = 0; i < rec.gpas.size(); ++i) EXPECT_EQ(rec.gpas[i], leaf + i * kPageSize);
+  EXPECT_EQ(vm.track().events_dispatched(TrackLayer::kPmlDrain) - dispatched,
+            gran_pages(PageGran::k2M));
+  EXPECT_EQ(harvested, rec.gpas);  // the dirty ring got the same pages
+  vm.track().unregister_notifier(TrackLayer::kPmlDrain, &rec);
+  bed.hypervisor().disable_pml_for_hyp(vm);
 }
 
 // ---- hardware circuits are permanent chain members --------------------------

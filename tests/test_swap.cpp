@@ -222,6 +222,39 @@ TEST_F(SwapTest, RecycledFramesNeverLeakStaleBytes) {
   EXPECT_EQ(proc_.read_u64(secret), 0x5EC2E7ull);
 }
 
+// A demand fault zeroes a recycled frame that still holds the evicted
+// page's bytes, and materialises a never-written one: CRIU's dump tells
+// data pages from never-written ones by whether the frame exists.
+TEST_F(SwapTest, DemandFaultZeroesRecycledFrameAndMaterialisesFresh) {
+  const Gva secret = proc_.mmap(kPageSize, /*data_backed=*/true);
+  for (u64 off = 0; off < kPageSize; off += 8) proc_.write_u64(secret + off, 0xA5A5'0000 + off);
+  const Gpa old_gpa = kernel_.page_table(proc_).pte(secret)->gpa_page;
+  kernel_.page_table(proc_).for_each_present(
+      [](Gva, sim::Pte& pte) { pte.accessed = false; });
+  bed_.vm().vcpu().tlb().flush_pid(proc_.pid());
+  ASSERT_GE(kernel_.swap().evict(proc_, 1).scanned, 1u);
+
+  const auto frame_of = [&](Gva gva) {
+    Hpa hpa = 0;
+    EXPECT_TRUE(bed_.vm().ept().translate(kernel_.page_table(proc_).pte(gva)->gpa_page, hpa));
+    return bed_.kernel().ctx().pmem.frame_data_if_present(page_floor(hpa));
+  };
+  const Gva fresh = proc_.mmap(kPageSize, /*data_backed=*/true);
+  proc_.touch_read(fresh);
+  ASSERT_EQ(kernel_.page_table(proc_).pte(fresh)->gpa_page, old_gpa)
+      << "the fault did not recycle the evicted page's guest frame";
+  const u8* bytes = frame_of(fresh);
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_TRUE(std::all_of(bytes, bytes + kPageSize, [](u8 b) { return b == 0; }));
+
+  // A guest frame never used before: materialised, and zero.
+  const Gva other = proc_.mmap(kPageSize, /*data_backed=*/true);
+  proc_.touch_read(other);
+  const u8* blank = frame_of(other);
+  ASSERT_NE(blank, nullptr);
+  EXPECT_TRUE(std::all_of(blank, blank + kPageSize, [](u8 b) { return b == 0; }));
+}
+
 // Under the segment backend one Pte covers a run and its gpa_page is the
 // run's first page. A second-chance sweep picks a victim inside the run:
 // eviction must save and free that page's own frame, and swap-in must fill
