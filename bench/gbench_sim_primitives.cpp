@@ -180,7 +180,7 @@ void BM_MmuWalk2MLeaves(benchmark::State& state) {
   const Gva gva_base = 64 * kMiB;
   const Gpa gpa_base = 512 * kMiB;
   f.pt.map_huge(gva_base, gpa_base, PageGran::k2M, /*writable=*/true);
-  const Hpa run = f.machine.pmem.alloc_frames_contiguous(gran_pages(PageGran::k2M));
+  const Hpa run = f.vm.pmem().alloc_frames_contiguous(gran_pages(PageGran::k2M));
   f.vm.ept().map_huge(gpa_base, run, PageGran::k2M, /*writable=*/true);
   u64 i = 0;
   AllocCounter allocs(state);

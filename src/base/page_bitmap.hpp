@@ -47,6 +47,12 @@ class PageBitmap {
     return true;
   }
 
+  /// True when the bit of the page holding `addr` is set.
+  [[nodiscard]] bool test(u64 addr) const noexcept {
+    const u64 page = page_index(addr);
+    return (page >> 6) < words_.size() && (words_[page >> 6] >> (page & 63) & 1) != 0;
+  }
+
   /// Clear the bit of the page holding `addr`; true when it was set. An
   /// address past the allocated words (or the range) was never set.
   bool test_and_clear(u64 addr) noexcept {

@@ -32,7 +32,7 @@ void Hypervisor::ensure_pml_buffer(Vm& vm, unsigned cpu) {
       // 4KiB PML buffer cannot be allocated (KVM's vmx_create_vcpu path).
       throw std::bad_alloc{};
     }
-    vm.pml_buffer(cpu) = machine_.pmem.alloc_frame();
+    vm.pml_buffer(cpu) = vm.pmem().alloc_frame();
     vm.vcpu(cpu).vmcs().write(sim::VmcsField::kPmlAddress, vm.pml_buffer(cpu));
     vm.vcpu(cpu).vmcs().write(sim::VmcsField::kPmlIndex, kPmlIndexStart);
   }
@@ -149,13 +149,21 @@ void Hypervisor::on_ept_violation(sim::Vcpu& vcpu, Gpa gpa, bool /*is_write*/) {
     const Gpa base = gran_floor(gpa, PageGran::k2M);
     if (base + gran_size(PageGran::k2M) <= vm.mem_bytes() &&
         vm.ept().range_unmapped(base, PageGran::k2M)) {
-      const Hpa run =
-          machine_.pmem.alloc_frames_contiguous(gran_pages(PageGran::k2M));
-      vm.ept().map_huge(base, run, PageGran::k2M, /*writable=*/true);
-      return;
+      // When the window's bump region cannot fit a fresh run (freed frames
+      // are recycled one by one, never as runs), back the page with a
+      // single frame, as THP falls back when no huge page is free.
+      Hpa run = 0;  // frame 0 is never carved, so 0 means "no run"
+      try {
+        run = vm.pmem().alloc_frames_contiguous(gran_pages(PageGran::k2M));
+      } catch (const std::bad_alloc&) {
+      }
+      if (run != 0) {
+        vm.ept().map_huge(base, run, PageGran::k2M, /*writable=*/true);
+        return;
+      }
     }
   }
-  const Hpa frame = machine_.pmem.alloc_frame();
+  const Hpa frame = vm.pmem().alloc_frame();
   vm.ept().map(page_floor(gpa), frame, /*writable=*/true);
 }
 

@@ -25,8 +25,9 @@ class Hypervisor final : public sim::VmExitHandler {
   explicit Hypervisor(sim::Machine& machine) : machine_(machine) {}
 
   /// Create a VM with `mem_bytes` of guest-physical space and `vcpus`
-  /// virtual CPUs. Host frames are demand-allocated on EPT violations, as
-  /// on a real overcommitted host.
+  /// virtual CPUs, carving its host-frame partition from the machine (call
+  /// on the setup thread). Host frames are demand-allocated from that
+  /// partition on EPT violations.
   Vm& create_vm(u64 mem_bytes, std::size_t spml_ring_entries = 1u << 20,
                 unsigned vcpus = 1);
 

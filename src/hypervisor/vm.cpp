@@ -1,5 +1,7 @@
 #include "hypervisor/vm.hpp"
 
+#include <algorithm>
+
 #include "sim/exec_context.hpp"
 #include "sim/machine.hpp"
 
@@ -7,11 +9,19 @@ namespace ooh::hv {
 
 Vm::Vm(sim::Machine& machine, u32 id, u64 mem_bytes, std::size_t spml_ring_entries,
        unsigned vcpus)
-    : id_(id), mem_bytes_(mem_bytes), harvest_bits_(mem_bytes) {
+    : id_(id),
+      mem_bytes_(mem_bytes),
+      // The window: one frame per guest page plus one PML buffer per vCPU,
+      // or what the host has left. A GPA maps at most one frame at a time
+      // and freed frames are recycled; only a huge-leaf run needs fresh
+      // bump frames, and the backfill falls back to 4 KiB when none are
+      // left (Hypervisor::on_ept_violation).
+      pmem_(machine.carve(pages_for_bytes(mem_bytes) + std::max(vcpus, 1u))),
+      harvest_bits_(mem_bytes) {
   cpus_.reserve(vcpus == 0 ? 1 : vcpus);
   for (unsigned cpu = 0; cpu < (vcpus == 0 ? 1 : vcpus); ++cpu) {
     cpus_.push_back(std::make_unique<CpuState>(spml_ring_entries));
-    cpus_.back()->vcpu = std::make_unique<sim::Vcpu>(machine, id, cpu);
+    cpus_.back()->vcpu = std::make_unique<sim::Vcpu>(machine.cost, pmem_, id, cpu);
   }
 }
 

@@ -10,6 +10,10 @@
 // drain always operates on the session of the vCPU it arrived on, exactly
 // like KVM's per-vCPU dirty rings. The EPT, SPP table and guest physical
 // address space stay VM-global.
+//
+// The VM also owns its host-frame partition (the memslot analogue): a
+// fixed window of host frames carved from the Machine at creation, from
+// which every EPT backing frame and PML buffer of this VM is allocated.
 #pragma once
 
 #include <memory>
@@ -21,6 +25,7 @@
 #include "base/types.hpp"
 #include "hypervisor/dirty_ring.hpp"
 #include "sim/ept.hpp"
+#include "sim/machine.hpp"
 #include "sim/page_track.hpp"
 #include "sim/spp.hpp"
 #include "sim/vcpu.hpp"
@@ -72,6 +77,8 @@ class Vm {
   [[nodiscard]] u32 id() const noexcept { return id_; }
   [[nodiscard]] u64 mem_bytes() const noexcept { return mem_bytes_; }
   [[nodiscard]] sim::Ept& ept() noexcept { return ept_; }
+  /// This VM's host-frame partition.
+  [[nodiscard]] sim::PhysicalMemory& pmem() noexcept { return pmem_; }
 
   [[nodiscard]] unsigned vcpu_count() const noexcept {
     return static_cast<unsigned>(cpus_.size());
@@ -213,6 +220,7 @@ class Vm {
 
   u32 id_;
   u64 mem_bytes_;
+  sim::PhysicalMemory pmem_;  // before cpus_: every vCPU context refers to it
   sim::Ept ept_;
   PageBitmap harvest_bits_;
   bool ept_huge_ = false;

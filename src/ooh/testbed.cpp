@@ -56,16 +56,17 @@ void TestBed::audit() {
 
 void TestBed::run_tenants(const std::function<void(unsigned)>& body, unsigned threads) {
   // Each worker claims whole VM indices, so one timeline runs start-to-finish
-  // on a single thread. Tenants share no mutable state except the machine's
-  // sharded frame allocator, which is why this needs no further
-  // synchronisation.
+  // on a single thread, and it touches only its own VM (partition included)
+  // and that VM's audit state: the workers need no synchronisation.
   epoch::Options opt;
   opt.threads = threads;
   epoch::EpochPool::run_indexed(
-      tenant_count(), [&](std::size_t i) { body(static_cast<unsigned>(i)); }, opt);
-  // Global passes (frame-ownership exclusivity) walk every VM's EPT, so
-  // they only run once the workers have joined.
-  audit();
+      tenant_count(),
+      [&](std::size_t i) {
+        body(static_cast<unsigned>(i));
+        if (check::kCoherenceAuditsEnabled) checker_->audit_vm(kernels_[i]->vm().id());
+      },
+      opt);
 }
 
 }  // namespace ooh::lib

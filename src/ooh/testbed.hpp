@@ -2,10 +2,11 @@
 // kernel -- the paper's experimental environment (§VI-A: one dedicated vCPU
 // per VM, 5GB of guest memory, 1..5 tenant VMs for the scalability study).
 //
-// Tenant timelines are independent by construction (per-vCPU ExecContext,
-// no shared mutable state except the thread-safe frame allocator), so
-// run_tenants() can execute them on the epoch worker pool and still produce
-// bit-identical per-VM virtual-time results to a serial run.
+// Tenant timelines are independent by construction: each vCPU owns its
+// ExecContext and each VM owns its host-frame partition, carved from the
+// machine when the bed is built. So run_tenants() can execute them on the
+// epoch worker pool and still produce bit-identical per-VM results, HPAs
+// included, to a serial run.
 #pragma once
 
 #include <functional>
@@ -79,11 +80,12 @@ class TestBed {
 
   /// The machine-state coherence oracle, wired over every tenant. In audit
   /// builds (check::kCoherenceAuditsEnabled) it also runs automatically at
-  /// collection intervals, migration rounds and after run_tenants().
+  /// collection intervals, migration rounds and at the end of each tenant's
+  /// run_tenants() body, on that tenant's thread.
   [[nodiscard]] check::CoherenceChecker& checker() noexcept { return *checker_; }
 
-  /// Full coherence audit of the machine: every tenant VM plus the global
-  /// frame-ownership pass. No-op unless this is an audit build — callable
+  /// Full coherence audit of every tenant VM, host-frame partitions
+  /// included. No-op unless this is an audit build — callable
   /// unconditionally from figure drivers without perturbing Release runs.
   void audit();
 

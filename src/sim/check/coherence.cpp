@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "base/page_bitmap.hpp"
 #include "guest/kernel.hpp"
 #include "guest/process.hpp"
 #include "hypervisor/hypervisor.hpp"
@@ -49,12 +50,24 @@ std::vector<u64> read_in_flight(const char* index_id, Layer layer, u32 vm_id,
 }  // namespace
 
 void CoherenceChecker::attach_kernel(u32 vm_index, guest::GuestKernel& kernel) {
-  if (kernels_.size() <= vm_index) kernels_.resize(vm_index + 1, nullptr);
-  kernels_[vm_index] = &kernel;
+  VmState& st = state(vm_index);
+  st.kernel = &kernel;
+  st.clocks.resize(hypervisor_.vm(vm_index).vcpu_count(), VirtDuration{0});
+}
+
+CoherenceChecker::VmState& CoherenceChecker::state(u32 vm_index) {
+  if (vms_.size() <= vm_index) vms_.resize(vm_index + 1);
+  return vms_[vm_index];
 }
 
 guest::GuestKernel* CoherenceChecker::kernel_of(u32 vm_index) const noexcept {
-  return vm_index < kernels_.size() ? kernels_[vm_index] : nullptr;
+  return vm_index < vms_.size() ? vms_[vm_index].kernel : nullptr;
+}
+
+u64 CoherenceChecker::audits_run() const noexcept {
+  u64 n = 0;
+  for (const VmState& st : vms_) n += st.audits;
+  return n;
 }
 
 void CoherenceChecker::audit_vm(u32 vm_index) {
@@ -70,21 +83,14 @@ void CoherenceChecker::audit_vm(u32 vm_index) {
   audit_registry(vm);
   audit_policy_handoff(vm);
   audit_clock(vm);
-  // relaxed-ok: statistics counter only.
-  audits_run_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void CoherenceChecker::audit_machine() {
-  audit_frames();
-  // relaxed-ok: statistics counter only.
-  audits_run_.fetch_add(1, std::memory_order_relaxed);
+  audit_frames(vm);
+  ++state(vm_index).audits;
 }
 
 void CoherenceChecker::audit_all() {
   for (std::size_t i = 0; i < hypervisor_.vm_count(); ++i) {
     audit_vm(static_cast<u32>(i));
   }
-  audit_machine();
 }
 
 // ---- TLB-* ------------------------------------------------------------------
@@ -255,15 +261,14 @@ void CoherenceChecker::audit_pml_buffers(hv::Vm& vm) {
                              "VMCS PML_ADDRESS " + hex(buf));
   }
   if (buf != 0) {
-    if (!is_page_aligned(buf) ||
-        page_index(buf) >= machine_.pmem.total_frames()) {
+    if (!is_page_aligned(buf) || !vm.pmem().owns(page_index(buf))) {
       throw InvariantViolation("PML-4", Layer::kPmlBuffer, vm.id(), kNoAddr,
                                kNoAddr,
-                               "a page-aligned PML buffer frame within host RAM",
+                               "a page-aligned PML buffer frame in the VM's partition",
                                "buffer HPA " + hex(buf));
     }
     const std::vector<u64> entries =
-        read_in_flight("PML-1", Layer::kPmlBuffer, vm.id(), machine_.pmem, buf,
+        read_in_flight("PML-1", Layer::kPmlBuffer, vm.id(), vm.pmem(), buf,
                        vmcs.read(sim::VmcsField::kPmlIndex));
     std::unordered_set<u64> seen;
     for (const u64 e : entries) {
@@ -319,7 +324,7 @@ void CoherenceChecker::audit_pml_buffers(hv::Vm& vm) {
         "buffer HPA " + hex(gbuf));
   }
   const std::vector<u64> gentries =
-      read_in_flight("EPML-1", Layer::kEpmlBuffer, vm.id(), machine_.pmem, gbuf,
+      read_in_flight("EPML-1", Layer::kEpmlBuffer, vm.id(), vm.pmem(), gbuf,
                      shadow->read(sim::VmcsField::kGuestPmlIndex));
   for (const u64 e : gentries) {
     // Guest-level entries are gran-tagged GVAs (same encoding as the
@@ -359,7 +364,7 @@ void CoherenceChecker::audit_dirty_accounting(hv::Vm& vm) {
   for (unsigned cpu = 0; cpu < vm.vcpu_count(); ++cpu) {
     const sim::Vmcs& vmcs = vm.vcpu(cpu).vmcs();
     const std::vector<u64> entries =
-        read_in_flight("PML-1", Layer::kPmlBuffer, vm.id(), machine_.pmem,
+        read_in_flight("PML-1", Layer::kPmlBuffer, vm.id(), vm.pmem(),
                        vm.pml_buffer(cpu), vmcs.read(sim::VmcsField::kPmlIndex));
     // Expand gran-tagged in-flight entries to every 4K page they cover:
     // the drain side does the same expansion, so the accounting closes
@@ -645,11 +650,7 @@ void CoherenceChecker::audit_policy_handoff(hv::Vm& vm) {
 // ---- CLK-* ------------------------------------------------------------------
 
 void CoherenceChecker::audit_clock(hv::Vm& vm) {
-  sync::SpinGuard lock(clock_mu_);
-  if (clock_snapshots_.size() <= vm.id()) {
-    clock_snapshots_.resize(vm.id() + 1);
-  }
-  std::vector<VirtDuration>& snaps = clock_snapshots_[vm.id()];
+  std::vector<VirtDuration>& snaps = state(vm.id()).clocks;
   if (snaps.size() < vm.vcpu_count()) {
     snaps.resize(vm.vcpu_count(), VirtDuration{0});
   }
@@ -670,53 +671,56 @@ void CoherenceChecker::audit_clock(hv::Vm& vm) {
 
 // ---- FRAME-* ----------------------------------------------------------------
 
-void CoherenceChecker::audit_frames() {
-  // frame number -> (owning VM, GPA mapping it; kNoAddr for a PML buffer)
-  std::unordered_map<u64, std::pair<u32, Gpa>> owner;
-  const u64 total = machine_.pmem.total_frames();
-  const auto claim = [&](u32 vm_id, Gpa gpa, Hpa hpa, const char* what) {
-    if (hpa == 0 || !is_page_aligned(hpa) || page_index(hpa) >= total) {
+void CoherenceChecker::audit_frames(hv::Vm& vm) {
+  // One bit per frame of the VM's partition, set as EPT mappings and PML
+  // buffers claim it.
+  const sim::PhysicalMemory& pmem = vm.pmem();
+  const u64 first = pmem.first_frame();
+  const u64 host = machine_.host_frames();
+  PageBitmap claimed((pmem.end_frame() - first) * kPageSize);
+  u64 claims = 0;
+  const auto claim = [&](Gpa gpa, Hpa hpa, const char* what) {
+    const u64 fn = page_index(hpa);
+    if (hpa == 0 || !is_page_aligned(hpa) || fn >= host) {
       throw InvariantViolation(
-          "FRAME-3", Layer::kFrameAllocator, vm_id, kNoAddr, gpa,
+          "FRAME-3", Layer::kFrameAllocator, vm.id(), kNoAddr, gpa,
           std::string(what) + " naming a page-aligned frame in (0, " +
-              hex(total * kPageSize) + ")",
+              hex(host * kPageSize) + ")",
           "HPA " + hex(hpa));
     }
-    const auto [it, fresh] = owner.try_emplace(page_index(hpa), vm_id, gpa);
-    if (!fresh) {
+    if (!pmem.owns(fn)) {
       throw InvariantViolation(
-          "FRAME-1", Layer::kFrameAllocator, vm_id, kNoAddr, gpa,
-          "exclusive frame ownership (frame " + hex(hpa) +
-              " already owned by vm " + std::to_string(it->second.first) +
-              (it->second.second == kNoAddr
-                   ? std::string(" as a PML buffer")
-                   : " at gpa " + hex(it->second.second)) +
-              ")",
+          "FRAME-1", Layer::kFrameAllocator, vm.id(), kNoAddr, gpa,
+          "exclusive frame ownership (every claimed frame in the VM's partition [" +
+              hex(first * kPageSize) + ", " + hex(pmem.end_frame() * kPageSize) +
+              "))",
+          std::string("this ") + what + " names frame " + hex(hpa) +
+              " of another partition");
+    }
+    if (!claimed.test_and_set((fn - first) * kPageSize)) {
+      throw InvariantViolation(
+          "FRAME-1", Layer::kFrameAllocator, vm.id(), kNoAddr, gpa,
+          "exclusive frame ownership (frame " + hex(hpa) + " claimed once)",
           std::string("also claimed by this ") + what);
     }
+    ++claims;
   };
-  for (std::size_t i = 0; i < hypervisor_.vm_count(); ++i) {
-    hv::Vm& vm = hypervisor_.vm(i);
-    // Per-4K view: a huge leaf claims each frame of its contiguous HPA run
-    // individually, so exclusivity and the used-frames reconciliation stay
-    // page-granular.
-    vm.ept().for_each_mapping(
-        [&](Gpa gpa, const sim::EptEntry&, Hpa hpa, PageGran) {
-          claim(vm.id(), gpa, hpa, "EPT mapping");
-        });
-    for (unsigned cpu = 0; cpu < vm.vcpu_count(); ++cpu) {
-      if (vm.pml_buffer(cpu) != 0) {
-        claim(vm.id(), kNoAddr, vm.pml_buffer(cpu), "PML buffer");
-      }
-    }
+  // Per-4K view: a huge leaf claims each frame of its contiguous HPA run
+  // individually, so exclusivity and the used-frames reconciliation stay
+  // page-granular.
+  vm.ept().for_each_mapping([&](Gpa gpa, const sim::EptEntry&, Hpa hpa, PageGran) {
+    claim(gpa, hpa, "EPT mapping");
+  });
+  for (unsigned cpu = 0; cpu < vm.vcpu_count(); ++cpu) {
+    if (vm.pml_buffer(cpu) != 0) claim(kNoAddr, vm.pml_buffer(cpu), "PML buffer");
   }
-  const u64 used = machine_.pmem.used_frames();
-  if (owner.size() != used) {
+  const u64 used = pmem.used_frames();
+  if (claims != used) {
     const char* direction =
-        used > owner.size() ? " (leaked frames)" : " (double-accounted frames)";
+        used > claims ? " (leaked frames)" : " (double-accounted frames)";
     throw InvariantViolation(
-        "FRAME-2", Layer::kFrameAllocator, 0, kNoAddr, kNoAddr,
-        "allocator used_frames == " + std::to_string(owner.size()) +
+        "FRAME-2", Layer::kFrameAllocator, vm.id(), kNoAddr, kNoAddr,
+        "partition used_frames == " + std::to_string(claims) +
             " frames accounted for by EPT mappings + PML buffers",
         std::to_string(used) + " frames allocated" + direction);
   }
@@ -724,10 +728,10 @@ void CoherenceChecker::audit_frames() {
   // claimed by an owner above; contents nothing claims are orphaned bytes
   // nothing can legitimately reach (a stale write path, or a free that kept
   // the frame's backing).
-  for (const u64 fn : machine_.pmem.backed_frame_table()) {
-    if (owner.contains(fn)) continue;
+  for (const u64 fn : pmem.backed_frame_table()) {
+    if (claimed.test((fn - first) * kPageSize)) continue;
     throw InvariantViolation(
-        "FRAME-4", Layer::kFrameAllocator, 0, kNoAddr, kNoAddr,
+        "FRAME-4", Layer::kFrameAllocator, vm.id(), kNoAddr, kNoAddr,
         "backed frame " + hex(fn << kPageShift) +
             " owned by an EPT mapping or PML buffer",
         "contents materialised but unclaimed");

@@ -32,9 +32,10 @@
 //            no PS-bit leaves: every dirty flag set during the session is
 //            4 KiB-precise, so the accounting ACC-* closes stays page-
 //            granular across the split.
-//   FRAME-*  host frame ownership exclusive per VM; the allocator's used
-//            count equals the frames accounted for by EPT mappings and PML
-//            buffers (leak/double-free detection).
+//   FRAME-*  per host-frame partition: every frame a VM's EPT or PML
+//            buffers name lies in that VM's own partition and is claimed
+//            once; the partition's used count equals its claimed frames
+//            (leak/double-free detection); no unclaimed frame holds contents.
 //   RING-*   per-vCPU dirty rings: popped <= pushed, pushed - popped <=
 //            capacity, pending/spill entries page-aligned and in bounds.
 //   SHOOT-1  cached translations live only on vCPUs in the owning process's
@@ -59,7 +60,6 @@
 
 #include <vector>
 
-#include "base/sync.hpp"
 #include "base/types.hpp"
 #include "base/vtime.hpp"
 #include "sim/check/invariant.hpp"
@@ -95,28 +95,21 @@ class CoherenceChecker {
   CoherenceChecker& operator=(const CoherenceChecker&) = delete;
 
   /// Register the guest kernel running in VM `vm_index` so per-process page
-  /// tables join the audit scope. VMs without an attached kernel still get
-  /// their TLB/EPT/PML/registry state audited.
+  /// tables join the audit scope, and size that VM's audit state. VMs
+  /// without an attached kernel still get their TLB/EPT/PML/frame/registry
+  /// state audited.
   void attach_kernel(u32 vm_index, guest::GuestKernel& kernel);
 
-  /// Audit one VM's cross-layer state. Touches only that VM (plus the
-  /// thread-safe frame-allocator counters), so concurrent audits of
-  /// *different* VMs from tenant worker threads are safe.
+  /// Audit one VM's cross-layer state, its host-frame partition included.
+  /// Touches only that VM and its own audit state, so concurrent audits of
+  /// *different* attached VMs from tenant worker threads share nothing.
   void audit_vm(u32 vm_index);
 
-  /// Audit machine-global state: frame-ownership exclusivity across VMs and
-  /// allocator leak accounting. Single-threaded use only (walks every EPT).
-  void audit_machine();
-
-  /// audit_vm for every VM, then audit_machine. Single-threaded use only.
+  /// audit_vm for every VM. Single-threaded use only.
   void audit_all();
 
-  /// Total audit passes run (self-test instrumentation).
-  [[nodiscard]] u64 audits_run() const noexcept {
-    // relaxed-ok: self-test statistics counter; no state is published
-    // through it.
-    return audits_run_.load(std::memory_order_relaxed);
-  }
+  /// Total audit passes run, summed over VMs (self-test instrumentation).
+  [[nodiscard]] u64 audits_run() const noexcept;
 
   // Individual invariant families, public so the mutation self-test can
   // target one at a time. All throw InvariantViolation on disagreement.
@@ -131,19 +124,25 @@ class CoherenceChecker {
   void audit_registry(hv::Vm& vm);
   void audit_policy_handoff(hv::Vm& vm);
   void audit_clock(hv::Vm& vm);
-  void audit_frames();
+  void audit_frames(hv::Vm& vm);
 
  private:
+  /// What the checker keeps per VM; only audits of that VM touch it.
+  struct VmState {
+    guest::GuestKernel* kernel = nullptr;
+    std::vector<VirtDuration> clocks;  // last-seen virtual time per vCPU
+    u64 audits = 0;
+  };
+
+  /// VM `vm_index`'s state, growing the table for a VM never attached.
+  /// attach_kernel sizes it for every attached VM up front, so audits of
+  /// attached VMs on worker threads never grow it.
+  [[nodiscard]] VmState& state(u32 vm_index);
   [[nodiscard]] guest::GuestKernel* kernel_of(u32 vm_index) const noexcept;
 
   sim::Machine& machine_;
   hv::Hypervisor& hypervisor_;
-  std::vector<guest::GuestKernel*> kernels_;  // indexed by VM id
-  // Last-seen virtual time per VM and vCPU, for the monotonicity audit.
-  // Guarded: the vectors may grow lazily while tenants audit concurrently.
-  mutable sync::Mutex clock_mu_;
-  std::vector<std::vector<VirtDuration>> clock_snapshots_;
-  sync::Atomic<u64> audits_run_{0};
+  std::vector<VmState> vms_;  // indexed by VM id
 };
 
 }  // namespace ooh::check

@@ -1,7 +1,9 @@
 #include "sim/epoch/epoch_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 namespace ooh::epoch {
@@ -41,14 +43,17 @@ void EpochPool::run_indexed(std::size_t n, const std::function<void(std::size_t)
     return;
   }
 
-  sync::Atomic<u64> cursor{0};
-  sync::Mutex err_mu;
+  std::atomic<std::size_t> cursor{0};
+  std::mutex err_mu;
   std::exception_ptr first_error;
   std::size_t first_error_index = n;
 
   const auto worker = [&] {
     for (;;) {
-      const std::size_t i = claim_next(cursor, n);
+      // relaxed-ok: the cursor only partitions indices between workers; each
+      // epoch's inputs are immutable before run() and its result slot is
+      // written by exactly one claimant, published by the joining thread.
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       if (opt.stagger_seed != 0) {
         const u64 yields = stagger_for(opt.stagger_seed, i);
@@ -60,7 +65,7 @@ void EpochPool::run_indexed(std::size_t n, const std::function<void(std::size_t)
         // Lowest-index error wins so the rethrown exception is the one the
         // serial loop would have hit first — error paths stay deterministic
         // too. Workers keep draining; epochs are independent by contract.
-        sync::SpinGuard lock(err_mu);
+        const std::lock_guard lock(err_mu);
         if (i < first_error_index) {
           first_error_index = i;
           first_error = std::current_exception();

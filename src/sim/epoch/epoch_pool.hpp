@@ -1,10 +1,10 @@
 // EpochPool: a deterministic-by-construction worker pool for epochs.
 //
-// Workers claim epoch indices from a shared cursor (the PR 1 ExecContext
-// sharding idiom) and write each result into its submission-order slot, so
-// the merged output is a pure function of the epoch bodies — real-time
-// completion order, worker count, and OS scheduling cannot leak into it
-// (invariant EPOCH-1, pinned by the serial-vs-2/4/8-thread tests).
+// Workers claim epoch indices from a shared cursor and write each result
+// into its submission-order slot, so the merged output is a pure function
+// of the epoch bodies — real-time completion order, worker count, and OS
+// scheduling cannot leak into it (invariant EPOCH-1, pinned by the
+// serial-vs-2/4/8-thread tests).
 //
 // It is the simulator's one worker pool: figure cell fan-out (run_cells)
 // and tenant fleets (TestBed::run_tenants) both run on it.
@@ -12,31 +12,17 @@
 // threads <= 1 (or a single epoch) short-circuits to a plain serial loop on
 // the calling thread: the N=1 path spawns nothing and touches no atomics.
 //
-// The cross-thread state (claim cursor, error slot) lives behind the
-// sync.hpp seam so instrumented builds let the SchedExplorer drive the
-// claim protocol through every interleaving (scenario "epoch_claim" in
-// sched_explorer.cpp).
+// The claim cursor (a std::atomic) and the first-error slot (behind one
+// std::mutex) are the only state the workers share; TSan checks them.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "base/sync.hpp"
 #include "base/types.hpp"
 
 namespace ooh::epoch {
-
-/// One claim step of the pool protocol: atomically take the next unclaimed
-/// epoch index, or n if all are claimed. Factored out so the sched-check
-/// scenario exercises the exact production claim path.
-[[nodiscard]] inline std::size_t claim_next(sync::Atomic<u64>& cursor, std::size_t n) {
-  // relaxed-ok: the cursor only partitions indices between workers; each
-  // epoch's inputs are immutable before run() and its result slot is
-  // written by exactly one claimant, published by the joining thread.
-  const u64 i = cursor.fetch_add(1, std::memory_order_relaxed);
-  return i < n ? static_cast<std::size_t>(i) : n;
-}
 
 /// Pool options (namespace scope so default arguments may instantiate it
 /// inside EpochPool's own definition).

@@ -1,13 +1,14 @@
 // Per-vCPU execution context: the mutable state one virtual CPU timeline
 // owns exclusively — its virtual clock, event counters and TLB — plus
-// references to the machine-wide read-only cost model and the (thread-safe)
-// frame allocator.
+// references to the machine's read-only cost model and to the host-frame
+// partition of the VM the vCPU belongs to.
 //
 // The paper's scalability argument (Figs. 10-11) is that PML state is
 // per-vCPU with no cross-VM coupling; this type is that argument in code.
-// Because no two contexts share mutable state, independent tenant-VM
+// Each Vcpu owns its context by value, and a VM's vCPUs all run on the one
+// thread that owns the VM and its partition. So independent tenant-VM
 // timelines may run on different host threads and still produce bit-
-// identical virtual-time results to a serial run.
+// identical results, host-physical addresses included, to a serial run.
 #pragma once
 
 #include "base/clock.hpp"
@@ -21,13 +22,11 @@ namespace ooh::sim {
 
 class ExecContext {
  public:
-  ExecContext(u32 id, const CostModel& cost_model, PhysicalMemory& phys)
-      : cost(cost_model), pmem(phys), id_(id) {}
+  ExecContext(const CostModel& cost_model, PhysicalMemory& phys)
+      : cost(cost_model), pmem(phys) {}
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
-
-  [[nodiscard]] u32 id() const noexcept { return id_; }
 
   void charge_us(double us) { clock.advance(usecs(us)); }
   void charge_ns(double ns) { clock.advance(nsecs(ns)); }
@@ -71,9 +70,6 @@ class ExecContext {
   const CostModel& cost;
   PhysicalMemory& pmem;
   fault::FaultInjector* faults = nullptr;  ///< owned by the TestBed; null = no faults.
-
- private:
-  u32 id_;
 };
 
 }  // namespace ooh::sim

@@ -1,21 +1,16 @@
-// The physical machine: the state all vCPUs *share*. One Machine hosts one
-// hypervisor and any number of VMs.
+// The physical machine: the cost model and the host RAM that VMs are carved
+// from. One Machine hosts one hypervisor and any number of VMs.
 //
-// After the execution-context split, the Machine carries only read-only or
-// thread-safe members: the cost model (immutable after construction) and
-// host RAM (sharded frame allocator, lock-free frame table). Everything a
-// single vCPU timeline mutates — virtual clock, event counters, TLB — lives
-// in the per-vCPU ExecContext the Machine creates and owns. Machine-wide views
-// (total event counts, latest virtual time) are aggregations over contexts.
+// The Machine holds no state a running VM mutates. At VM creation the
+// hypervisor carves a fixed host-frame window from it (carve(), on the setup
+// thread); the VM owns that window as its PhysicalMemory partition, and each
+// vCPU owns its ExecContext (virtual clock, event counters, TLB). So tenant
+// VMs share nothing mutable and may run on different host threads.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <algorithm>
 
 #include "base/cost_model.hpp"
-#include "base/counters.hpp"
-#include "base/sync.hpp"
-#include "sim/exec_context.hpp"
 #include "sim/phys_mem.hpp"
 
 namespace ooh::sim {
@@ -23,57 +18,30 @@ namespace ooh::sim {
 class Machine {
  public:
   explicit Machine(u64 host_mem_bytes, CostModel cost_model = CostModel::paper_calibrated())
-      : cost(cost_model), pmem(host_mem_bytes) {}
+      : cost(cost_model), host_frames_(pages_for_bytes(host_mem_bytes)) {}
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
-  /// Mint the execution context for a new vCPU. Called at VM setup; the
-  /// Machine keeps ownership so machine-wide aggregation stays possible.
-  ExecContext& create_context() {
-    sync::SpinGuard lock(ctx_mu_);
-    contexts_.push_back(std::make_unique<ExecContext>(
-        static_cast<u32>(contexts_.size()), cost, pmem));
-    return *contexts_.back();
+  /// Carve the next `frames` host frames into a partition, or as many as
+  /// the host has left. Windows are handed out in call order, so each VM's
+  /// HPAs depend only on the order VMs were created in.
+  [[nodiscard]] PhysicalMemory carve(u64 frames) {
+    const u64 left = host_frames_ > next_frame_ ? host_frames_ - next_frame_ : 0;
+    const u64 first = next_frame_;
+    next_frame_ += std::min(frames, left);
+    return PhysicalMemory(first, next_frame_ - first);
   }
 
-  [[nodiscard]] std::size_t context_count() const {
-    sync::SpinGuard lock(ctx_mu_);
-    return contexts_.size();
-  }
-
-  [[nodiscard]] ExecContext& context(std::size_t i) {
-    sync::SpinGuard lock(ctx_mu_);
-    return *contexts_.at(i);
-  }
-
-  /// Machine-wide event totals: the per-vCPU counters merged. Only
-  /// meaningful while no context is concurrently mutating its counters
-  /// (i.e. between parallel runs, not during one).
-  [[nodiscard]] EventCounters total_counters() const {
-    sync::SpinGuard lock(ctx_mu_);
-    EventCounters total;
-    for (const auto& ctx : contexts_) total.merge(ctx->counters);
-    return total;
-  }
-
-  /// The most-advanced per-vCPU virtual clock — "how long the experiment
-  /// took" when timelines run independently.
-  [[nodiscard]] VirtDuration max_clock() const {
-    sync::SpinGuard lock(ctx_mu_);
-    VirtDuration latest{0};
-    for (const auto& ctx : contexts_) {
-      if (ctx->clock.now() > latest) latest = ctx->clock.now();
-    }
-    return latest;
-  }
+  /// Host RAM in frames, frame 0 included.
+  [[nodiscard]] u64 host_frames() const noexcept { return host_frames_; }
 
   const CostModel cost;
-  PhysicalMemory pmem;
 
  private:
-  mutable sync::Mutex ctx_mu_;
-  std::vector<std::unique_ptr<ExecContext>> contexts_;
+  u64 host_frames_;
+  // Frame 0 is never carved: HPA 0 means "not configured" in VMCS fields.
+  u64 next_frame_ = 1;
 };
 
 }  // namespace ooh::sim

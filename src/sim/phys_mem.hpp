@@ -1,31 +1,28 @@
-// Host physical memory: frame allocator plus lazily materialised contents.
+// Host physical memory, one partition at a time: the frame allocator of one
+// VM's fixed host-frame window plus that window's lazily materialised
+// contents.
 //
-// Frames are identified by HPA. Page *contents* are only materialised when
-// something actually stores data (PML hardware writes, data-backed workloads,
-// CRIU image verification); metadata-only workloads touch translations
-// without allocating backing bytes, which keeps GB-scale sweeps cheap.
+// Each VM owns the partition [first_frame, first_frame + frames) that its
+// hypervisor carved from the Machine at creation (the memslot analogue), and
+// only the thread that runs the VM touches it. So the allocator is a plain
+// bump pointer plus one free list, with no locks or atomics, and a VM's HPA
+// sequence depends on nothing but its own allocations: the same at any
+// worker count.
 //
-// This is the one mutable structure shared between concurrently running
-// per-vCPU timelines, so it is thread-safe:
-//   * Contents live in a dense two-level frame table indexed by frame
-//     number: a directory of chunk pointers, each chunk an array of
-//     kChunkFrames frame-pointer slots. Chunks and frames are allocated on
-//     first touch and published by CAS (acq_rel); readers take acquire
-//     loads. Content accessors take no lock and do no hashing. For the
-//     default 64 GiB host the directory is 32 KiB, plus 32 KiB of slots per
-//     touched 16 MiB of frames.
-//   * The recycled-frame free lists are sharded by frame number, each shard
-//     behind its own mutex; the bump pointer is a lock-free CAS.
-// Frame *contents* need no lock — no two VMs ever share a frame, so
-// cross-thread access to the same frame's bytes does not happen by
-// construction (a frame changes hands only through the free lists).
+// Frames are identified by absolute HPA. Page *contents* are only
+// materialised when something actually stores data (PML hardware writes,
+// data-backed workloads, CRIU image verification); metadata-only workloads
+// touch translations without allocating backing bytes, which keeps GB-scale
+// sweeps cheap. Contents live in a two-level table: a directory of chunk
+// pointers, each chunk holding kChunkFrames frame pointers, both filled on
+// first touch. For a 5 GiB window the directory is 2.5 KiB, plus 32 KiB of
+// slots per touched 16 MiB of frames.
 #pragma once
 
 #include <array>
 #include <memory>
 #include <vector>
 
-#include "base/sync.hpp"
 #include "base/types.hpp"
 
 namespace ooh::sim {
@@ -36,41 +33,49 @@ class PhysicalMemory {
   /// Frame-table slots per lazily allocated chunk: 16 MiB of host memory.
   static constexpr u64 kChunkFrames = 16 * kMiB / kPageSize;
 
+  /// The partition of host frames [first_frame, first_frame + frames).
+  PhysicalMemory(u64 first_frame, u64 frames);
+  /// A whole host of `bytes` as one partition. Frame 0 stays reserved (HPA 0
+  /// doubles as "not configured" in VMCS fields, as firmware does on real
+  /// machines), so the partition is frames [1, bytes / kPageSize).
   explicit PhysicalMemory(u64 bytes);
-  ~PhysicalMemory();
 
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
   /// Allocate one free frame; throws std::bad_alloc when exhausted.
   [[nodiscard]] Hpa alloc_frame();
+  /// Return a frame to the free list. Throws std::logic_error for a frame
+  /// this partition never handed out (another VM's frame, or one past host
+  /// RAM), so a stray HPA cannot enter the free list.
   void free_frame(Hpa frame);
 
   /// Allocate `count` physically contiguous frames (a huge-leaf backing
   /// run) from the bump pointer; returns the first frame's HPA. Contiguous
-  /// runs never come from the recycled free lists — fragmentation there is
+  /// runs never come from the recycled free list — fragmentation there is
   /// exactly why real kernels struggle to build huge pages late. Throws
   /// std::bad_alloc when the bump region cannot fit the run. The run may be
   /// freed frame-by-frame with free_frame() (after an eager split breaks
   /// the leaf into 4 KiB mappings).
   [[nodiscard]] Hpa alloc_frames_contiguous(u64 count);
 
-  [[nodiscard]] u64 total_frames() const noexcept { return total_frames_; }
-  [[nodiscard]] u64 used_frames() const noexcept {
-    // relaxed-ok: a monotonic statistics counter — readers tolerate a stale
-    // snapshot and no other state is published through it.
-    return used_frames_.load(std::memory_order_relaxed);
+  /// First frame number of the partition and one past its last.
+  [[nodiscard]] u64 first_frame() const noexcept { return first_frame_; }
+  [[nodiscard]] u64 end_frame() const noexcept { return end_frame_; }
+  /// True when frame number `fn` lies in this partition.
+  [[nodiscard]] bool owns(u64 fn) const noexcept {
+    return fn >= first_frame_ && fn < end_frame_;
   }
+
+  [[nodiscard]] u64 used_frames() const noexcept { return used_frames_; }
   [[nodiscard]] u64 backed_frames() const { return backed_frame_table().size(); }
-  /// Frame-table chunks installed so far (never shrinks).
-  [[nodiscard]] u64 installed_chunks() const;
 
   /// Mutable view of a frame's 4KiB contents, materialising them (zeroed)
   /// on demand. The pointer stays valid until the frame is freed. Throws
-  /// std::out_of_range for a frame at or past total_frames().
+  /// std::out_of_range for a frame outside the partition.
   [[nodiscard]] u8* frame_data(Hpa frame);
   /// Read-only view; nullptr when the frame was never written (all-zero)
-  /// or lies past total_frames().
+  /// or lies outside the partition.
   [[nodiscard]] const u8* frame_data_if_present(Hpa frame) const;
 
   // Word accessors used by the PML circuit to write log entries into RAM.
@@ -78,40 +83,20 @@ class PhysicalMemory {
   [[nodiscard]] u64 read_u64(Hpa addr) const;
   void write_u64(Hpa addr, u64 value);
 
-  /// Quiescent-point listing of every backed frame number, in frame order.
-  /// The FRAME-4 ownership audit walks this to reconcile materialised
-  /// contents against claims.
+  /// Listing of every backed frame number, in frame order. The FRAME-4
+  /// ownership audit walks this to reconcile materialised contents against
+  /// claims.
   [[nodiscard]] std::vector<u64> backed_frame_table() const;
 
  private:
-  static constexpr std::size_t kShards = 16;
+  using Chunk = std::array<std::unique_ptr<Frame>, kChunkFrames>;
 
-  using Slot = sync::Atomic<Frame*>;
-  struct Chunk {
-    std::array<Slot, kChunkFrames> slots;  // value-initialised: all null
-  };
-
-  struct Shard {
-    sync::Mutex mu;
-    std::vector<u64> free_list;  // recycled frame numbers
-  };
-
-  /// Slot of frame `fn`, installing its chunk on first touch.
-  [[nodiscard]] Slot& slot(u64 fn);
-  /// Slot of frame `fn`; nullptr when out of range or its chunk is absent.
-  [[nodiscard]] Slot* slot_if_present(u64 fn) const;
-
-  u64 total_frames_;
-  sync::Atomic<u64> used_frames_{0};
-  sync::Atomic<u64> next_frame_{0};  // bump pointer, in frame numbers
-  // Free-list search start rotor (contention spreading). Per-machine, not
-  // global, so each machine's HPA sequence depends only on its own
-  // allocations — deterministic even while parallel cells build machines
-  // side by side.
-  sync::Atomic<u64> alloc_rotor_{0};
-  std::array<Shard, kShards> shards_;
-  u64 chunk_count_;
-  std::unique_ptr<sync::Atomic<Chunk*>[]> chunks_;  // the frame-table directory
+  u64 first_frame_;
+  u64 end_frame_;
+  u64 next_frame_;  // bump pointer, in frame numbers
+  u64 used_frames_ = 0;
+  std::vector<u64> free_list_;  // recycled frame numbers
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // the frame-table directory
 };
 
 }  // namespace ooh::sim

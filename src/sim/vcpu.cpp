@@ -3,12 +3,11 @@
 #include <stdexcept>
 
 #include "sim/ept.hpp"
-#include "sim/machine.hpp"
 
 namespace ooh::sim {
 
-Vcpu::Vcpu(Machine& machine, u32 vm_id, u32 cpu_index)
-    : ctx_(machine.create_context()), id_(vm_id), cpu_index_(cpu_index) {
+Vcpu::Vcpu(const CostModel& cost, PhysicalMemory& pmem, u32 vm_id, u32 cpu_index)
+    : ctx_(cost, pmem), id_(vm_id), cpu_index_(cpu_index) {
   // The hardware logging circuits are permanent chain members, first in
   // dispatch order; each checks its own VMCS arming per event, so an
   // unconfigured circuit is a no-op exactly like the un-enabled hardware.

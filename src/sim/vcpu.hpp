@@ -1,9 +1,8 @@
 // Virtual CPU: VMX mode, VMCS pointers, and the instruction-level
 // operations the OoH designs use (vmread/vmwrite from guest mode, vmcall).
 //
-// Each vCPU runs on its own ExecContext (clock, counters, TLB), minted by
-// the Machine at construction; nothing a vCPU charges or counts touches
-// another vCPU's timeline.
+// Each vCPU owns its ExecContext (clock, counters, TLB); nothing a vCPU
+// charges or counts touches another vCPU's timeline.
 #pragma once
 
 #include <memory>
@@ -18,16 +17,16 @@
 
 namespace ooh::sim {
 
-class Machine;
 class Ept;
 
 enum class CpuMode { kVmxRoot, kVmxNonRoot };
 
 class Vcpu {
  public:
-  /// `vm_id` names the owning VM (the hypervisor routes exits by it);
-  /// `cpu_index` is this vCPU's seat inside that VM (0 = the BSP).
-  Vcpu(Machine& machine, u32 vm_id, u32 cpu_index = 0);
+  /// `pmem` is the owning VM's host-frame partition; `vm_id` names that VM
+  /// (the hypervisor routes exits by it); `cpu_index` is this vCPU's seat
+  /// inside it (0 = the BSP).
+  Vcpu(const CostModel& cost, PhysicalMemory& pmem, u32 vm_id, u32 cpu_index = 0);
 
   /// Identifier of the owning VM (historically "the vCPU id" when every VM
   /// had exactly one vCPU; kept as the exit-routing key).
@@ -114,7 +113,7 @@ class Vcpu {
  private:
   void begin_exit(Event reason);
 
-  ExecContext& ctx_;
+  ExecContext ctx_;
   u32 id_;
   u32 cpu_index_;
   CpuMode mode_ = CpuMode::kVmxNonRoot;

@@ -254,7 +254,7 @@ AdaptiveRunResult run_phase_changing(unsigned cold_intervals,
   bed.audit();  // includes the POL-1 orphaned-protection pass
   r.final_us = bed.ctx().clock.now().count();
   r.events = bed.ctx().counters;
-  r.used_frames = bed.machine().pmem.used_frames();
+  r.used_frames = bed.vm().pmem().used_frames();
   r.truth_seq = proc.truth_seq();
   return r;
 }

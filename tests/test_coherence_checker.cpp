@@ -68,7 +68,8 @@ TEST_F(CoherenceMutationTest, CleanMachinePassesEveryAudit) {
   EXPECT_NO_THROW(checker_.audit_all());
   hv_.disable_pml_for_hyp(vm_);
   EXPECT_NO_THROW(checker_.audit_all());
-  EXPECT_GE(checker_.audits_run(), 6u);
+  // One pass per VM per audit_all; the frame audit runs inside it.
+  EXPECT_EQ(checker_.audits_run(), 3u);
 }
 
 TEST_F(CoherenceMutationTest, CleanMigrationPassesEveryAudit) {
@@ -185,22 +186,22 @@ TEST_F(CoherenceMutationTest, DetectsPmlIndexOutOfBounds) {
 TEST_F(CoherenceMutationTest, DetectsMisalignedPmlEntry) {
   hv_.enable_pml_for_hyp(vm_);
   vm_.vcpu().vmcs().write(sim::VmcsField::kPmlIndex, 510);
-  machine_.pmem.write_u64(vm_.pml_buffer() + 511 * 8, 0x1234);  // not 4K-aligned
+  vm_.pmem().write_u64(vm_.pml_buffer() + 511 * 8, 0x1234);  // not 4K-aligned
   expect_violation([&] { checker_.audit_pml_buffers(vm_); }, "PML-2");
 }
 
 TEST_F(CoherenceMutationTest, DetectsOutOfRangePmlEntry) {
   hv_.enable_pml_for_hyp(vm_);
   vm_.vcpu().vmcs().write(sim::VmcsField::kPmlIndex, 510);
-  machine_.pmem.write_u64(vm_.pml_buffer() + 511 * 8, vm_.mem_bytes() + kPageSize);
+  vm_.pmem().write_u64(vm_.pml_buffer() + 511 * 8, vm_.mem_bytes() + kPageSize);
   expect_violation([&] { checker_.audit_pml_buffers(vm_); }, "PML-2");
 }
 
 TEST_F(CoherenceMutationTest, DetectsDuplicatePmlEntries) {
   hv_.enable_pml_for_hyp(vm_);
   vm_.vcpu().vmcs().write(sim::VmcsField::kPmlIndex, 509);
-  machine_.pmem.write_u64(vm_.pml_buffer() + 510 * 8, 0x5000);
-  machine_.pmem.write_u64(vm_.pml_buffer() + 511 * 8, 0x5000);
+  vm_.pmem().write_u64(vm_.pml_buffer() + 510 * 8, 0x5000);
+  vm_.pmem().write_u64(vm_.pml_buffer() + 511 * 8, 0x5000);
   expect_violation([&] { checker_.audit_pml_buffers(vm_); }, "PML-3");
 }
 
@@ -233,7 +234,7 @@ TEST_F(CoherenceMutationTest, DetectsMisalignedGuestPmlEntry) {
   sim::Vmcs& shadow = vm_.vcpu().create_shadow_vmcs();
   shadow.write(sim::VmcsField::kGuestPmlAddress, buf_hpa);
   shadow.write(sim::VmcsField::kGuestPmlIndex, 510);
-  machine_.pmem.write_u64(buf_hpa + 511 * 8, 0x13);  // not a page-aligned GVA
+  vm_.pmem().write_u64(buf_hpa + 511 * 8, 0x13);  // not a page-aligned GVA
   expect_violation([&] { checker_.audit_pml_buffers(vm_); }, "EPML-2");
 }
 
@@ -257,7 +258,7 @@ TEST_F(CoherenceMutationTest, DetectsDoubleAccountedGpa) {
   // dirty ring: one write accounted twice.
   vm_.dirty_ring().spill(gpa);
   vm_.vcpu().vmcs().write(sim::VmcsField::kPmlIndex, 510);
-  machine_.pmem.write_u64(vm_.pml_buffer() + 511 * 8, gpa);
+  vm_.pmem().write_u64(vm_.pml_buffer() + 511 * 8, gpa);
   expect_violation([&] { checker_.audit_dirty_accounting(vm_); }, "ACC-2");
 }
 
@@ -387,30 +388,31 @@ TEST_F(CoherenceMutationTest, DetectsFrameOwnedByTwoVms) {
   const Hpa stolen = vm_.ept().entry(gpa)->hpa_page;
   hv::Vm& intruder = hv_.create_vm(16 * kMiB);
   intruder.ept().map(0x8000, stolen);
-  expect_violation([&] { checker_.audit_frames(); }, "FRAME-1");
+  EXPECT_NO_THROW(checker_.audit_frames(vm_));
+  expect_violation([&] { checker_.audit_frames(intruder); }, "FRAME-1");
 }
 
 TEST_F(CoherenceMutationTest, DetectsLeakedFrame) {
   auto [proc, base] = dirty_pages(2);
   (void)proc;
   (void)base;
-  const Hpa leaked = machine_.pmem.alloc_frame();  // never mapped anywhere
+  const Hpa leaked = vm_.pmem().alloc_frame();  // never mapped anywhere
   EXPECT_NE(leaked, 0u);
-  expect_violation([&] { checker_.audit_frames(); }, "FRAME-2");
+  expect_violation([&] { checker_.audit_frames(vm_); }, "FRAME-2");
 }
 
 TEST_F(CoherenceMutationTest, DetectsEptEntryNamingBogusFrame) {
-  vm_.ept().map(0x8000, machine_.pmem.total_frames() * kPageSize + kPageSize);
-  expect_violation([&] { checker_.audit_frames(); }, "FRAME-3");
+  vm_.ept().map(0x8000, machine_.host_frames() * kPageSize + kPageSize);
+  expect_violation([&] { checker_.audit_frames(vm_); }, "FRAME-3");
 }
 
 TEST_F(CoherenceMutationTest, DetectsOrphanedBackedFrame) {
   dirty_pages(2);
-  EXPECT_NO_THROW(checker_.audit_frames());
+  EXPECT_NO_THROW(checker_.audit_frames(vm_));
   // Materialise contents for a frame no EPT mapping or PML buffer owns.
-  const Hpa orphan = (machine_.pmem.total_frames() - 1) * kPageSize;
-  (void)machine_.pmem.frame_data(orphan);
-  expect_violation([&] { checker_.audit_frames(); }, "FRAME-4");
+  const Hpa orphan = (vm_.pmem().end_frame() - 1) * kPageSize;
+  (void)vm_.pmem().frame_data(orphan);
+  expect_violation([&] { checker_.audit_frames(vm_); }, "FRAME-4");
 }
 
 // ---- auto-wiring ------------------------------------------------------------

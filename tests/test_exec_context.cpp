@@ -1,9 +1,10 @@
-// Execution-context tests: per-vCPU counters merge into machine-wide
-// totals, the sharded frame allocator is safe under concurrent tenants,
-// serial and parallel TestBed runs produce bit-identical per-VM virtual
-// timelines (the refactor's core invariant), a failing fleet rethrows the
-// lowest-index tenant's error, and the scheduler delivers a
-// quantum tick whose deadline expired inside a periodic service window.
+// Execution-context tests: per-vCPU counters merge per event and clocks are
+// independent per vCPU, serial and parallel TestBed runs produce
+// bit-identical per-VM virtual timelines and host-frame layouts (the
+// refactor's core invariant), a tenant that exhausts its host-frame window
+// leaves its neighbour untouched, a failing fleet rethrows the lowest-index
+// tenant's error, and the scheduler delivers a quantum tick whose deadline
+// expired inside a periodic service window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,10 +14,12 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/rng.hpp"
 #include "guest/procfs.hpp"
+#include "hypervisor/hypervisor.hpp"
 #include "hypervisor/migration.hpp"
 #include "ooh/experiment.hpp"
 #include "ooh/testbed.hpp"
@@ -29,23 +32,6 @@
 
 namespace ooh {
 namespace {
-
-TEST(ExecContext, CountersMergeIntoMachineTotals) {
-  sim::Machine m(64 * kMiB, CostModel::unit());
-  sim::ExecContext& a = m.create_context();
-  sim::ExecContext& b = m.create_context();
-  a.count(Event::kVmExit, 3);
-  a.count(Event::kTlbMiss, 7);
-  b.count(Event::kVmExit, 5);
-  b.count(Event::kHypercall, 11);
-
-  const EventCounters total = m.total_counters();
-  EXPECT_EQ(total.get(Event::kVmExit), 8u);
-  EXPECT_EQ(total.get(Event::kTlbMiss), 7u);
-  EXPECT_EQ(total.get(Event::kHypercall), 11u);
-  EXPECT_EQ(total.get(Event::kPmlLogGpa), 0u);
-  EXPECT_EQ(m.context_count(), 2u);
-}
 
 TEST(ExecContext, MergeIsPlainPerEventAddition) {
   EventCounters x, y;
@@ -60,64 +46,19 @@ TEST(ExecContext, MergeIsPlainPerEventAddition) {
 
 TEST(ExecContext, ClocksAreIndependentPerContext) {
   sim::Machine m(64 * kMiB, CostModel::unit());
-  sim::ExecContext& a = m.create_context();
-  sim::ExecContext& b = m.create_context();
+  hv::Hypervisor hv(m);
+  hv::Vm& vm = hv.create_vm(16 * kMiB, 1u << 10, /*vcpus=*/2);
+  sim::ExecContext& a = vm.vcpu(0).ctx();
+  sim::ExecContext& b = vm.vcpu(1).ctx();
   a.charge_us(10.0);
   b.charge_us(3.0);
+  a.count(Event::kVmExit, 3);
   EXPECT_DOUBLE_EQ(a.clock.now().count(), 10.0);
   EXPECT_DOUBLE_EQ(b.clock.now().count(), 3.0);
-  EXPECT_DOUBLE_EQ(m.max_clock().count(), 10.0);
-}
-
-TEST(PhysicalMemoryParallel, ConcurrentAllocFreeStaysConsistent) {
-  sim::PhysicalMemory pmem(64 * kMiB);  // 16k frames, four table chunks
-  constexpr unsigned kThreads = 8;
-  constexpr unsigned kPerThread = 512;
-  constexpr u64 kChunk = sim::PhysicalMemory::kChunkFrames;
-  // Reserve frames 1 .. 2*kChunk-1 untouched, so every thread's first touch
-  // below lands in the same, still-uninstalled chunk 1: the chunk CAS race.
-  const Hpa reserved = pmem.alloc_frames_contiguous(2 * kChunk - 1);
-  ASSERT_EQ(page_index(reserved), 1u);
-  ASSERT_EQ(pmem.installed_chunks(), 0u);
-  const auto race_frame = [&](unsigned t) { return (kChunk + 1 + 3 * t) << kPageShift; };
-  std::vector<std::vector<Hpa>> got(kThreads);
-  {
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < kThreads; ++t) {
-      pool.emplace_back([&, t] {
-        pmem.frame_data(race_frame(t))[8] = static_cast<u8>(0xA0 + t);
-        for (unsigned i = 0; i < kPerThread; ++i) {
-          const Hpa f = pmem.alloc_frame();
-          pmem.write_u64(f, t * 1000003ull + i);
-          got[t].push_back(f);
-        }
-        // Free half back, so shard free lists see cross-thread recycling.
-        for (unsigned i = 0; i < kPerThread / 2; ++i) {
-          pmem.free_frame(got[t][i]);
-        }
-      });
-    }
-    for (std::thread& th : pool) th.join();
-  }
-  EXPECT_EQ(pmem.used_frames(), u64{kThreads} * (kPerThread / 2) + 2 * kChunk - 1);
-  // Every racing first touch survived in the one chunk that won the CAS.
-  for (unsigned t = 0; t < kThreads; ++t) {
-    const u8* data = pmem.frame_data_if_present(race_frame(t));
-    ASSERT_NE(data, nullptr) << "thread " << t << "'s first touch was lost";
-    EXPECT_EQ(data[8], 0xA0 + t);
-  }
-  // Only chunk 1 (the race) and chunk 2 (the bump-allocated frames).
-  EXPECT_EQ(pmem.installed_chunks(), 2u);
-  // Every surviving frame still holds the value its owner wrote.
-  std::set<Hpa> live;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    for (unsigned i = kPerThread / 2; i < kPerThread; ++i) {
-      EXPECT_EQ(pmem.read_u64(got[t][i]), t * 1000003ull + i);
-      live.insert(got[t][i]);
-    }
-  }
-  EXPECT_EQ(live.size(), std::size_t{kThreads} * (kPerThread / 2))
-      << "no frame was handed out twice";
+  EXPECT_EQ(b.counters.get(Event::kVmExit), 0u);
+  // Both contexts allocate from the one partition their VM owns.
+  EXPECT_EQ(&a.pmem, &vm.pmem());
+  EXPECT_EQ(&b.pmem, &vm.pmem());
 }
 
 // ---- serial vs. parallel determinism ----------------------------------------
@@ -127,6 +68,9 @@ struct TenantOutcome {
   EventCounters counters;
   std::vector<Gva> dirty;
   u64 truth_pages = 0;
+  std::vector<std::pair<Gpa, Hpa>> mappings;  // the VM's EPT, GPA order
+  u64 first_frame = 0;  // the VM's host-frame window
+  u64 end_frame = 0;
 };
 
 /// The same multi-tenant experiment either serially or on a worker pool:
@@ -167,6 +111,12 @@ std::vector<TenantOutcome> run_fleet(unsigned vms, unsigned threads,
         out[i].counters = k.ctx().counters;
         out[i].dirty = std::move(dirty);
         out[i].truth_pages = r.truth_pages;
+        bed.vm(i).ept().for_each_mapping(
+            [&](Gpa gpa, const sim::EptEntry&, Hpa hpa, PageGran) {
+              out[i].mappings.emplace_back(gpa, hpa);
+            });
+        out[i].first_frame = bed.vm(i).pmem().first_frame();
+        out[i].end_frame = bed.vm(i).pmem().end_frame();
       },
       threads);
   return out;
@@ -190,6 +140,55 @@ TEST(ParallelTenants, SerialAndParallelRunsAreBitIdentical) {
   // Different working-set sizes must yield different timelines — guard
   // against the comparison passing because everything is trivially zero.
   EXPECT_NE(serial[0].clock_us, serial[kVms - 1].clock_us);
+}
+
+TEST(ParallelTenants, HostFrameLayoutIsIdenticalAtAnyThreadCount) {
+  // Each VM allocates only from its own window, carved at creation, so its
+  // GPA -> HPA listing is a function of its own run: the same at 1 and 4
+  // worker threads, and every HPA inside the VM's window.
+  constexpr unsigned kVms = 4;
+  const std::vector<TenantOutcome> serial = run_fleet(kVms, 1);
+  const std::vector<TenantOutcome> parallel = run_fleet(kVms, 4);
+  for (unsigned i = 0; i < kVms; ++i) {
+    SCOPED_TRACE("vm " + std::to_string(i));
+    EXPECT_FALSE(serial[i].mappings.empty());
+    EXPECT_EQ(serial[i].mappings, parallel[i].mappings);
+    EXPECT_EQ(serial[i].first_frame, parallel[i].first_frame);
+    for (const auto& [gpa, hpa] : parallel[i].mappings) {
+      EXPECT_GE(page_index(hpa), parallel[i].first_frame) << "gpa " << gpa;
+      EXPECT_LT(page_index(hpa), parallel[i].end_frame) << "gpa " << gpa;
+    }
+    if (i > 0) {
+      EXPECT_EQ(parallel[i].first_frame, parallel[i - 1].end_frame);
+    }
+  }
+}
+
+TEST(ParallelTenants, ExhaustedWindowLeavesNeighbourUntouched) {
+  lib::TestBedOptions opts;
+  opts.tenant_vms = 2;
+  opts.vm_mem_bytes = 1 * kMiB;
+  opts.host_mem_bytes = 256 * kMiB;
+  lib::TestBed bed(opts);
+  const auto write_pages = [&](unsigned vm, u64 pages) {
+    guest::Process& p = bed.kernel(vm).create_process();
+    const Gva base = p.mmap(pages * kPageSize);
+    for (u64 j = 0; j < pages; ++j) p.touch_write(base + j * kPageSize);
+  };
+  write_pages(1, 16);
+  sim::PhysicalMemory& neighbour = bed.vm(1).pmem();
+  const u64 neighbour_used = neighbour.used_frames();
+  // Tenant 0 leaks all but four frames of its window, then faults in more
+  // pages than that: its own window runs dry.
+  sim::PhysicalMemory& mine = bed.vm(0).pmem();
+  const u64 window = mine.end_frame() - mine.first_frame();
+  while (mine.used_frames() + 4 < window) (void)mine.alloc_frame();
+  EXPECT_THROW(write_pages(0, 64), std::bad_alloc);
+  EXPECT_EQ(mine.used_frames(), window);
+  EXPECT_EQ(neighbour.used_frames(), neighbour_used);
+  // The neighbour still allocates from its own window.
+  write_pages(1, 16);
+  EXPECT_EQ(neighbour.used_frames(), neighbour_used + 16);
 }
 
 TEST(ParallelTenants, EveryTrackerBackendIsDeterministic) {

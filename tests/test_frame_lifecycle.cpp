@@ -37,7 +37,7 @@ class FrameLifecycleTest : public ::testing::TestWithParam<lib::Technique> {
 };
 
 TEST_P(FrameLifecycleTest, TeardownLeavesNoOrphanFrames) {
-  const u64 frames_at_start = machine_.pmem.used_frames();
+  const u64 frames_at_start = vm_.pmem().used_frames();
 
   guest::Process& proc = kernel_.create_process();
   const Gva base = proc.mmap(64 * kPageSize);
@@ -61,12 +61,12 @@ TEST_P(FrameLifecycleTest, TeardownLeavesNoOrphanFrames) {
   // The ownership audit re-derives every owner (EPT mappings + PML
   // buffers) and cross-checks the allocator: a frame freed twice or never
   // freed fails here with FRAME-1/FRAME-2.
-  EXPECT_NO_THROW(checker_.audit_frames());
+  EXPECT_NO_THROW(checker_.audit_frames(vm_));
   EXPECT_NO_THROW(checker_.audit_vm(vm_.id()));
 
   // Everything the workload touched was handed back; only buffers that
   // outlive the process (e.g. a hypervisor PML buffer page) may remain.
-  EXPECT_LE(machine_.pmem.used_frames(), frames_at_start + 2);
+  EXPECT_LE(vm_.pmem().used_frames(), frames_at_start + 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FrameLifecycleTest,

@@ -49,11 +49,45 @@ TEST_F(HypervisorTest, EptViolationAllocatesHostFrame) {
   Vm& vm = hv_.create_vm(64 * kMiB);
   MiniGuest g(vm);
   g.map(0x10000, 0x4000);
-  const u64 used_before = machine_.pmem.used_frames();
+  const u64 used_before = vm.pmem().used_frames();
   g.write(0x10000);
-  EXPECT_EQ(machine_.pmem.used_frames(), used_before + 1);
+  EXPECT_EQ(vm.pmem().used_frames(), used_before + 1);
   Hpa hpa = 0;
   EXPECT_TRUE(vm.ept().translate(0x4000, hpa));
+}
+
+TEST_F(HypervisorTest, EachVmAllocatesFromItsOwnWindow) {
+  Vm& a = hv_.create_vm(1 * kMiB, 1u << 10, /*vcpus=*/2);
+  Vm& b = hv_.create_vm(2 * kMiB);
+  // One frame per guest page plus one PML buffer per vCPU, carved in
+  // creation order after the reserved frame 0.
+  EXPECT_EQ(a.pmem().first_frame(), 1u);
+  EXPECT_EQ(a.pmem().end_frame(), 1u + 256 + 2);
+  EXPECT_EQ(b.pmem().first_frame(), a.pmem().end_frame());
+  EXPECT_EQ(b.pmem().end_frame(), b.pmem().first_frame() + 512 + 1);
+  MiniGuest g(b);
+  g.map(0x10000, 0x4000);
+  g.write(0x10000);
+  Hpa hpa = 0;
+  ASSERT_TRUE(b.ept().translate(0x4000, hpa));
+  EXPECT_TRUE(b.pmem().owns(page_index(hpa)));
+  EXPECT_EQ(a.pmem().used_frames(), 0u);
+}
+
+TEST_F(HypervisorTest, FreeingAnotherVmsFrameThrows) {
+  Vm& a = hv_.create_vm(1 * kMiB);
+  Vm& b = hv_.create_vm(1 * kMiB);
+  MiniGuest g(b);
+  g.map(0x10000, 0x4000);
+  g.write(0x10000);
+  Hpa theirs = 0;
+  ASSERT_TRUE(b.ept().translate(0x4000, theirs));
+  // A stray HPA (say, one another VM's EPT names) must not enter this VM's
+  // free list, where a later allocation would hand it out a second time.
+  EXPECT_THROW(a.pmem().free_frame(theirs), std::logic_error);
+  EXPECT_EQ(a.pmem().used_frames(), 0u);
+  EXPECT_EQ(b.pmem().used_frames(), 1u);
+  EXPECT_THROW(a.pmem().free_frame(machine_.host_frames() << kPageShift), std::logic_error);
 }
 
 TEST_F(HypervisorTest, EptViolationBeyondVmMemoryThrows) {

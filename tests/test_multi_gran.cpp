@@ -249,7 +249,7 @@ TEST(MultiGranTlb, HugeFillCoversTheRegionAndRegionInvalidationDropsIt) {
   const Gva gva = 64 * kMiB;
   const Gpa gpa = 128 * kMiB;
   f.pt.map_huge(gva, gpa, PageGran::k2M, true);
-  const Hpa run = f.machine.pmem.alloc_frames_contiguous(gran_pages(PageGran::k2M));
+  const Hpa run = f.vm.pmem().alloc_frames_contiguous(gran_pages(PageGran::k2M));
   f.vm.ept().map_huge(gpa, run, PageGran::k2M, true);
 
   const sim::Mmu::Result r = f.mmu.access(1, f.pt, gva + 13 * kPageSize + 5, true);
@@ -283,7 +283,7 @@ TEST(MultiGranTlb, FillGranIsTheMinimumOfGuestAndEptLeaves) {
   // entry would claim a contiguous HPA run the EPT never promised.
   f.pt.map_huge(gva, gpa, PageGran::k2M, true);
   for (u64 i = 0; i < 4; ++i) {
-    f.vm.ept().map(gpa + i * kPageSize, f.machine.pmem.alloc_frame(), true);
+    f.vm.ept().map(gpa + i * kPageSize, f.vm.pmem().alloc_frame(), true);
   }
   const sim::Mmu::Result r = f.mmu.access(1, f.pt, gva + 2 * kPageSize, true);
   ASSERT_EQ(r.status, sim::Mmu::Status::kOk);
@@ -302,7 +302,7 @@ TEST(MultiGranTlb, SegmentFillCachesTheAccessedPagesOwnGpa) {
   // GPA, not the run's base (TLB-1).
   for (u64 i = 0; i < 4; ++i) {
     f.pt.map(gva + i * kPageSize, gpa + i * kPageSize, true);
-    f.vm.ept().map(gpa + i * kPageSize, f.machine.pmem.alloc_frame(), true);
+    f.vm.ept().map(gpa + i * kPageSize, f.vm.pmem().alloc_frame(), true);
   }
   f.pt.convert_to_segments();
   ASSERT_EQ(f.pt.segment_table()->segment_count(), 1u);
@@ -379,6 +379,37 @@ TEST(EagerSplit, SessionShattersHugeLeavesAndFaultsFillAt4K) {
 
   bed.hypervisor().disable_pml_for_hyp(bed.vm());
   EXPECT_FALSE(bed.vm().eager_split_active());
+}
+
+TEST(HugeBackfill, RefaultAfterMunmapStaysInsideTheWindow) {
+  // Huge runs come only from the bump region of the VM's host-frame window,
+  // never from recycled frames. A VM that backs its whole memory with huge
+  // leaves, frees it and faults it in again finds no room for a fresh run:
+  // the backfill falls back to 4 KiB frames from the free list instead of
+  // failing.
+  lib::TestBedOptions opts;
+  opts.vm_mem_bytes = 4 * kMiB;
+  opts.host_mem_bytes = 64 * kMiB;
+  opts.ept_huge = true;
+  lib::TestBed bed(opts);
+  guest::Process& proc = bed.kernel().create_process();
+  const u64 pages = 1023;  // every guest frame but the reserved GPA 0
+  const auto fill = [&] {
+    const Gva base = proc.mmap(pages * kPageSize);
+    for (u64 i = 0; i < pages; ++i) proc.touch_write(base + i * kPageSize);
+    return base;
+  };
+  const Gva first = fill();
+  ASSERT_EQ(bed.vm().ept().huge_leaves(), 2u);
+  proc.munmap(first);
+  // The split left GPA 0's frame mapped: the process never owned it.
+  EXPECT_EQ(bed.vm().pmem().used_frames(), 1u);
+  ASSERT_NO_THROW((void)fill());
+  EXPECT_EQ(bed.vm().ept().huge_leaves(), 0u);
+  EXPECT_EQ(bed.vm().pmem().used_frames(), pages + 1);
+  bed.vm().ept().for_each_mapping([&](Gpa, const sim::EptEntry&, Hpa hpa, PageGran) {
+    EXPECT_TRUE(bed.vm().pmem().owns(page_index(hpa)));
+  });
 }
 
 // ---- property sweeps: GRAN-1 under random mixed-gran operation -------------

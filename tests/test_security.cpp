@@ -23,7 +23,7 @@ TEST(Security, SpmlRingCarriesGpasNotHpas) {
   // Skew host frame numbers away from guest frame numbers so a leaked HPA
   // would be distinguishable by value (on a fresh machine both count up
   // from the same base).
-  for (int i = 0; i < 64; ++i) (void)bed.machine().pmem.alloc_frame();
+  for (int i = 0; i < 64; ++i) (void)bed.vm().pmem().alloc_frame();
   auto& proc = k.create_process();
   const Gva base = proc.mmap(8 * kPageSize);
   guest::OohModule& mod = k.load_ooh_module(guest::OohMode::kSpml);

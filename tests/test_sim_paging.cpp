@@ -80,7 +80,7 @@ TEST(PhysicalMemory, LazyBackingAndWordAccess) {
 
 TEST(PhysicalMemory, OutOfRangeFrameFailsLoudly) {
   PhysicalMemory pm(4 * kPageSize);  // frames 0..3
-  const Hpa past = pm.total_frames() << kPageShift;
+  const Hpa past = pm.end_frame() << kPageShift;
   EXPECT_THROW((void)pm.frame_data(past), std::out_of_range);
   EXPECT_THROW(pm.write_u64(past + 8, 1), std::out_of_range);
   EXPECT_THROW((void)pm.frame_data(u64{1} << 50), std::out_of_range);
@@ -88,9 +88,26 @@ TEST(PhysicalMemory, OutOfRangeFrameFailsLoudly) {
   EXPECT_EQ(pm.read_u64(past + 8), 0u);
   EXPECT_EQ(pm.backed_frames(), 0u) << "a rejected access materialises nothing";
   // The last in-range frame still works.
-  const Hpa last = (pm.total_frames() - 1) << kPageShift;
+  const Hpa last = (pm.end_frame() - 1) << kPageShift;
   pm.write_u64(last, 42);
   EXPECT_EQ(pm.read_u64(last), 42u);
+}
+
+TEST(PhysicalMemory, FreeOutsideThePartitionThrows) {
+  PhysicalMemory a(1, 8);  // frames 1..8
+  PhysicalMemory b(9, 8);  // frames 9..16
+  const Hpa mine = b.alloc_frame();
+  const Hpa theirs = a.alloc_frame();
+  EXPECT_THROW(b.free_frame(theirs), std::logic_error);
+  EXPECT_THROW(b.free_frame(u64{17} << kPageShift), std::logic_error) << "past the window";
+  EXPECT_THROW(b.free_frame(u64{10} << kPageShift), std::logic_error)
+      << "inside the window but never handed out";
+  EXPECT_EQ(b.used_frames(), 1u);
+  EXPECT_EQ(a.used_frames(), 1u);
+  // A rejected free leaves the free list clean: the next frame is fresh.
+  EXPECT_EQ(b.alloc_frame(), u64{10} << kPageShift);
+  b.free_frame(mine);
+  EXPECT_EQ(b.alloc_frame(), mine);
 }
 
 // ---- radix ---------------------------------------------------------------------

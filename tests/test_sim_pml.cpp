@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/ept.hpp"
-#include "sim/machine.hpp"
 #include "sim/mmu.hpp"
 #include "sim/page_table.hpp"
 #include "sim/vcpu.hpp"
@@ -17,21 +16,21 @@ namespace {
 /// Test double: records exits, drains buffers the way the hypervisor must.
 class FakeHandler final : public VmExitHandler, public GuestIrqSink {
  public:
-  explicit FakeHandler(Machine& m) : m_(m) {}
+  explicit FakeHandler(PhysicalMemory& pmem) : pmem_(pmem) {}
 
   void on_pml_full(Vcpu& vcpu) override {
     ++pml_full;
     Vmcs& v = vcpu.vmcs();
     const Hpa buf = v.read(VmcsField::kPmlAddress);
     for (u64 slot = 0; slot < kPmlBufferEntries; ++slot) {
-      drained_gpas.push_back(m_.pmem.read_u64(buf + slot * 8));
+      drained_gpas.push_back(pmem_.read_u64(buf + slot * 8));
     }
     v.write(VmcsField::kPmlIndex, kPmlIndexStart);
   }
 
   void on_ept_violation(Vcpu& vcpu, Gpa gpa, bool) override {
     ++ept_violations;
-    vcpu.ept()->map(page_floor(gpa), m_.pmem.alloc_frame());
+    vcpu.ept()->map(page_floor(gpa), pmem_.alloc_frame());
   }
 
   u64 on_hypercall(Vcpu&, Hypercall, u64, u64) override {
@@ -44,12 +43,12 @@ class FakeHandler final : public VmExitHandler, public GuestIrqSink {
     Vmcs& shadow = *vcpu.shadow_vmcs();
     const Hpa buf = shadow.read(VmcsField::kGuestPmlAddress);
     for (u64 slot = 0; slot < kPmlBufferEntries; ++slot) {
-      drained_gvas.push_back(m_.pmem.read_u64(buf + slot * 8));
+      drained_gvas.push_back(pmem_.read_u64(buf + slot * 8));
     }
     shadow.write(VmcsField::kGuestPmlIndex, kPmlIndexStart);
   }
 
-  Machine& m_;
+  PhysicalMemory& pmem_;
   int pml_full = 0;
   int ept_violations = 0;
   int hypercalls = 0;
@@ -61,9 +60,9 @@ class FakeHandler final : public VmExitHandler, public GuestIrqSink {
 class PmlCircuitTest : public ::testing::Test {
  protected:
   PmlCircuitTest()
-      : machine_(64 * kMiB, CostModel::unit()),
-        vcpu_(machine_, 0),
-        handler_(machine_),
+      : pmem_(64 * kMiB),
+        vcpu_(cost_, pmem_, 0),
+        handler_(pmem_),
         mmu_(vcpu_, ept_) {
     vcpu_.attach(&handler_, &handler_, &ept_);
   }
@@ -74,12 +73,12 @@ class PmlCircuitTest : public ::testing::Test {
       const Gpa gpa = gpa_next_;
       gpa_next_ += kPageSize;
       pt_.map(gva_base + i * kPageSize, gpa, /*writable=*/true);
-      ept_.map(gpa, machine_.pmem.alloc_frame());
+      ept_.map(gpa, pmem_.alloc_frame());
     }
   }
 
   void enable_hyp_pml() {
-    pml_buf_ = machine_.pmem.alloc_frame();
+    pml_buf_ = pmem_.alloc_frame();
     vcpu_.vmcs().write(VmcsField::kPmlAddress, pml_buf_);
     vcpu_.vmcs().write(VmcsField::kPmlIndex, kPmlIndexStart);
     vcpu_.vmcs().set_control(kEnablePml, true);
@@ -96,7 +95,7 @@ class PmlCircuitTest : public ::testing::Test {
     Vmcs& shadow = vcpu_.create_shadow_vmcs();
     guest_buf_gpa_ = gpa_next_;
     gpa_next_ += kPageSize;
-    ept_.map(guest_buf_gpa_, machine_.pmem.alloc_frame());
+    ept_.map(guest_buf_gpa_, pmem_.alloc_frame());
     shadow.write(VmcsField::kGuestPmlIndex, kPmlIndexStart);
     vcpu_.guest_vmwrite(VmcsField::kGuestPmlAddress, guest_buf_gpa_);
     vcpu_.guest_vmwrite(VmcsField::kGuestPmlEnable, 1);
@@ -107,7 +106,8 @@ class PmlCircuitTest : public ::testing::Test {
     ASSERT_EQ(r.status, Mmu::Status::kOk);
   }
 
-  Machine machine_;
+  const CostModel cost_ = CostModel::unit();
+  PhysicalMemory pmem_;
   Vcpu vcpu_;
   FakeHandler handler_;
   Ept ept_;
@@ -128,8 +128,8 @@ TEST_F(PmlCircuitTest, LogsGpaOnEptDirtyTransitionOnly) {
   // Index counted down from 511 by two.
   EXPECT_EQ(vcpu_.vmcs().read(VmcsField::kPmlIndex), u64{kPmlIndexStart - 2});
   // Logged entries are at slots 511 and 510.
-  const Gpa logged0 = machine_.pmem.read_u64(pml_buf_ + 511 * 8);
-  const Gpa logged1 = machine_.pmem.read_u64(pml_buf_ + 510 * 8);
+  const Gpa logged0 = pmem_.read_u64(pml_buf_ + 511 * 8);
+  const Gpa logged1 = pmem_.read_u64(pml_buf_ + 510 * 8);
   EXPECT_EQ(logged0, pt_.pte(0x10000)->gpa_page);
   EXPECT_EQ(logged1, pt_.pte(0x11000)->gpa_page);
 }
@@ -223,10 +223,10 @@ TEST_F(PmlCircuitTest, DualLoggingFillsBothBuffers) {
   EXPECT_EQ(vcpu_.ctx().counters.get(Event::kPmlLogGpa), 10u);
   EXPECT_EQ(vcpu_.ctx().counters.get(Event::kPmlLogGvaGuest), 10u);
   // Hypervisor buffer holds GPAs, guest buffer holds GVAs (paper §IV-D).
-  const Gpa hyp_entry = machine_.pmem.read_u64(pml_buf_ + 511 * 8);
+  const Gpa hyp_entry = pmem_.read_u64(pml_buf_ + 511 * 8);
   Hpa guest_buf_hpa = 0;
   ASSERT_TRUE(ept_.translate(guest_buf_gpa_, guest_buf_hpa));
-  const Gva guest_entry = machine_.pmem.read_u64(guest_buf_hpa + 511 * 8);
+  const Gva guest_entry = pmem_.read_u64(guest_buf_hpa + 511 * 8);
   EXPECT_EQ(hyp_entry, pt_.pte(0x300000)->gpa_page);
   EXPECT_EQ(guest_entry, 0x300000u);
 }
@@ -267,14 +267,14 @@ TEST_F(PmlCircuitTest, FaultsReportedNotHandled) {
   EXPECT_EQ(mmu_.access(1, pt_, 0xdead000, true).status, Mmu::Status::kFaultNotPresent);
   // Read-only PTE.
   pt_.map(0x60000, 0x9000, /*writable=*/false);
-  ept_.map(0x9000, machine_.pmem.alloc_frame());
+  ept_.map(0x9000, pmem_.alloc_frame());
   EXPECT_EQ(mmu_.access(1, pt_, 0x60000, true).status, Mmu::Status::kFaultNotWritable);
   EXPECT_EQ(mmu_.access(1, pt_, 0x60000, false).status, Mmu::Status::kOk)
       << "reads through RO mappings succeed";
   // uffd-wp PTE.
   pt_.map(0x70000, 0xa000, /*writable=*/true);
   pt_.pte(0x70000)->uffd_wp = true;
-  ept_.map(0xa000, machine_.pmem.alloc_frame());
+  ept_.map(0xa000, pmem_.alloc_frame());
   EXPECT_EQ(mmu_.access(1, pt_, 0x70000, true).status, Mmu::Status::kFaultNotWritable);
 }
 
@@ -292,15 +292,17 @@ TEST(VmcsTest, ControlBitsSetAndClear) {
 }
 
 TEST(VcpuTest, GuestVmreadRequiresShadowing) {
-  Machine m(16 * kMiB, CostModel::unit());
-  Vcpu vcpu(m, 0);
+  const CostModel cost = CostModel::unit();
+  PhysicalMemory pmem(16 * kMiB);
+  Vcpu vcpu(cost, pmem, 0);
   EXPECT_THROW((void)vcpu.guest_vmread(VmcsField::kGuestPmlIndex), std::logic_error);
   EXPECT_THROW(vcpu.guest_vmwrite(VmcsField::kGuestPmlEnable, 1), std::logic_error);
 }
 
 TEST(VcpuTest, GuestAccessLimitedToPermissionBitmaps) {
-  Machine m(16 * kMiB, CostModel::unit());
-  Vcpu vcpu(m, 0);
+  const CostModel cost = CostModel::unit();
+  PhysicalMemory pmem(16 * kMiB);
+  Vcpu vcpu(cost, pmem, 0);
   Ept ept;
   vcpu.attach(nullptr, nullptr, &ept);
   vcpu.vmcs().set_control(kEnableVmcsShadowing, true);
@@ -316,8 +318,9 @@ TEST(VcpuTest, GuestAccessLimitedToPermissionBitmaps) {
 }
 
 TEST(VcpuTest, EpmlVmwriteTranslatesGpaThroughEpt) {
-  Machine m(16 * kMiB, CostModel::unit());
-  Vcpu vcpu(m, 0);
+  const CostModel cost = CostModel::unit();
+  PhysicalMemory pmem(16 * kMiB);
+  Vcpu vcpu(cost, pmem, 0);
   Ept ept;
   vcpu.attach(nullptr, nullptr, &ept);
   vcpu.vmcs().set_control(kEnableVmcsShadowing, true);
@@ -328,7 +331,7 @@ TEST(VcpuTest, EpmlVmwriteTranslatesGpaThroughEpt) {
     vcpu.shadow_writable().add(f);
   }
   const Gpa gpa = 0x7000;
-  const Hpa hpa = m.pmem.alloc_frame();
+  const Hpa hpa = pmem.alloc_frame();
   ept.map(gpa, hpa);
   vcpu.guest_vmwrite(VmcsField::kGuestPmlAddress, gpa);
   EXPECT_EQ(shadow.read(VmcsField::kGuestPmlAddress), hpa)
@@ -343,8 +346,9 @@ TEST(VcpuTest, EpmlVmwriteTranslatesGpaThroughEpt) {
 }
 
 TEST(VcpuTest, HypercallTransitionsModes) {
-  Machine m(16 * kMiB, CostModel::unit());
-  Vcpu vcpu(m, 0);
+  const CostModel cost = CostModel::unit();
+  PhysicalMemory pmem(16 * kMiB);
+  Vcpu vcpu(cost, pmem, 0);
   struct Handler final : VmExitHandler {
     CpuMode seen = CpuMode::kVmxNonRoot;
     void on_pml_full(Vcpu&) override {}

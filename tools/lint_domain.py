@@ -153,19 +153,17 @@ RULES: list[Rule] = [
         r"|recursive_mutex\b|condition_variable\b|thread\b|jthread\b"
         r"|lock_guard\b|scoped_lock\b|unique_lock\b)",
         [
-            # The seam itself, the explorer that instruments it (whose own
-            # engine must not be instrumented), and the one sanctioned
-            # host-thread-spawning call site, the worker pool (the sync seam
-            # wraps state, not thread lifetime).
-            "src/base/sync.hpp",
-            "src/sim/check/sched_explorer.hpp",
-            "src/sim/check/sched_explorer.cpp",
+            # The worker pool is the one sanctioned host-thread-spawning
+            # site, and its claim cursor and first-error slot are the only
+            # state two host threads share.
+            "src/sim/epoch/epoch_pool.hpp",
             "src/sim/epoch/epoch_pool.cpp",
         ],
-        "Cross-thread state must live behind sync::Atomic / sync::Mutex / "
-        "sync::SpinGuard (src/base/sync.hpp, invariant SYNC-1): raw std "
-        "primitives are invisible to the schedule explorer and to the "
-        "memory-order audit, so a race through them can never be flagged.",
+        "The epoch worker pool (src/sim/epoch/epoch_pool.{hpp,cpp}) holds the "
+        "only cross-thread state (invariant SYNC-1): its claim cursor and "
+        "first-error slot. Everything else belongs to the one thread that "
+        "owns a VM or a figure cell; a raw std atomic, mutex or thread "
+        "elsewhere adds shared state that TSan alone would have to find.",
     ),
     rule(
         "radix-node-allocation",
