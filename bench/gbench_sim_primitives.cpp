@@ -723,8 +723,9 @@ std::vector<u64> skewed_pages(u64 pages, u64 seed) {
 }
 
 void BM_CheckpointRedumpScattered(benchmark::State& state) {
-  // An incremental CRIU step's dump: re-dump ~1,000 skewed pages of a
-  // 64 MiB data-backed VMA into an image that already holds every page.
+  // Re-dump ~1,000 skewed pages of a 64 MiB data-backed VMA into an image
+  // that already holds every page. Nothing writes them between dumps, so
+  // each slot moves no line: this is a re-dump's per-page walk and claim.
   constexpr u64 kPages = 64 * kMiB / kPageSize;
   lib::TestBed bed;
   auto& k = bed.kernel();
@@ -745,8 +746,9 @@ void BM_CheckpointRedumpScattered(benchmark::State& state) {
 BENCHMARK(BM_CheckpointRedumpScattered)->Unit(benchmark::kMicrosecond);
 
 void BM_CheckpointDumpPages(benchmark::State& state) {
-  // One ckpt_kv step's memory write: dump 841 distinct, uniformly scattered
-  // pages of a 64 MiB data-backed VMA into an image that holds every page.
+  // Dump 841 distinct, uniformly scattered pages of a 64 MiB data-backed
+  // VMA into an image that holds every page, with nothing written between
+  // dumps (no line moves; BM_CheckpointRedumpDirtyLines writes first).
   constexpr u64 kPages = 64 * kMiB / kPageSize;
   constexpr std::size_t kDumped = 841;
   lib::TestBed bed;
@@ -771,6 +773,52 @@ void BM_CheckpointDumpPages(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kDumped));
 }
 BENCHMARK(BM_CheckpointDumpPages)->Unit(benchmark::kMicrosecond);
+
+void BM_CheckpointRedumpDirtyLines(benchmark::State& state) {
+  // One ckpt_kv step's memory write: 841 distinct, uniformly scattered pages
+  // of a 64 MiB data-backed VMA each get one or two 8-byte stores (straight
+  // to their frames, in the timed loop), then the step re-dumps them into an
+  // image that holds every page, moving only the written lines.
+  constexpr u64 kPages = 64 * kMiB / kPageSize;
+  constexpr std::size_t kDumped = 841;
+  lib::TestBed bed;
+  auto& k = bed.kernel();
+  auto& proc = k.create_process();
+  const Gva base = proc.mmap(kPages * kPageSize, /*data_backed=*/true);
+  for (u64 p = 0; p < kPages; ++p) proc.write_u64(base + p * kPageSize, p);
+  criu::Checkpointer cp(k, lib::Technique::kOracle);
+  criu::CheckpointImage image = cp.full_checkpoint(proc);
+  std::vector<Gva> pages;
+  Rng rng(841);
+  while (pages.size() < kDumped) {
+    pages.push_back(base + rng.below(kPages) * kPageSize);
+    std::sort(pages.begin(), pages.end());
+    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  }
+  struct Store {
+    Hpa addr;
+    u64 value;
+  };
+  std::vector<Store> stores;
+  for (const Gva page : pages) {
+    Hpa frame = 0;
+    (void)bed.vm().ept().translate(k.page_table(proc).pte(page)->gpa_page, frame);
+    const u64 words = 1 + rng.below(2);
+    for (u64 w = 0; w < words; ++w) stores.push_back({frame + rng.below(kPageSize / 8) * 8, w});
+  }
+  sim::PhysicalMemory& pmem = k.ctx_of(proc).pmem;
+  u64 lines = 0;
+  for (auto _ : state) {
+    for (Store& s : stores) pmem.write_u64(s.addr, ++s.value);
+    lines += cp.dump_pages(proc, pages, image);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(image.dump_ops);
+  state.counters["lines_per_page"] =
+      static_cast<double>(lines) / static_cast<double>(state.iterations() * kDumped);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kDumped));
+}
+BENCHMARK(BM_CheckpointRedumpDirtyLines)->Unit(benchmark::kMicrosecond);
 
 void BM_TruthRecordScattered(benchmark::State& state) {
   // Scalar stores to random pages of a prefaulted 64 MiB VMA: mostly TLB

@@ -57,7 +57,7 @@ u64 grid_steps(double a, u64 exp) noexcept {
 // operand with no fixed step takes one ordinary pair of additions, and the
 // run continues from where that pair left it.
 VirtualClock::PairRun VirtualClock::add_pairs_on_grid(double& x, double a, double b, u64 n,
-                                                      double deadline) noexcept {
+                                                      double deadline, GridMemo& memo) noexcept {
   PairRun run;
   const u64 stop = deadline > 0.0 ? std::bit_cast<u64>(deadline)
                                   : (deadline <= 0.0 ? 0 : ~u64{0});
@@ -66,11 +66,11 @@ VirtualClock::PairRun VirtualClock::add_pairs_on_grid(double& x, double a, doubl
   u64 v = std::bit_cast<u64>(x);
   while (run.done < n) {
     const u64 exp = std::max<u64>(v >> kMantissaBits, 1);
-    if (memo_.exp != exp || memo_.a_bits != a_bits || memo_.b_bits != b_bits) {
-      memo_ = {a_bits, b_bits, exp, grid_steps(a, exp), grid_steps(b, exp)};
+    if (memo.exp != exp || memo.a_bits != a_bits || memo.b_bits != b_bits) {
+      memo = {a_bits, b_bits, exp, grid_steps(a, exp), grid_steps(b, exp)};
     }
-    const u64 ra = memo_.ra;
-    const u64 rb = memo_.rb;
+    const u64 ra = memo.ra;
+    const u64 rb = memo.rb;
     if (exp < kMaxExp && ra != kNoStep && rb != kNoStep) {
       const u64 step = ra + rb;
       const u64 left = n - run.done;

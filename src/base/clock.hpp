@@ -72,12 +72,13 @@ class VirtualClock {
                         VirtDuration deadline) noexcept {
     assert(first.count() >= 0.0 && second.count() >= 0.0);
     double now = now_.count();
-    const PairRun run = add_pairs(now, first.count(), second.count(), n, deadline.count());
+    const PairRun run =
+        add_pairs(now, first.count(), second.count(), n, deadline.count(), clock_memo_);
     now_ = VirtDuration{now};
     const u64 full = run.done - (run.reached ? 1 : 0);
     for (VirtDuration* b : open_buckets_) {
       double sum = b->count();
-      add_pairs(sum, first.count(), second.count(), full, kNoDeadline);
+      add_pairs(sum, first.count(), second.count(), full, kNoDeadline, bucket_memo_);
       if (run.reached) sum += first.count();
       *b = VirtDuration{sum};
     }
@@ -129,10 +130,24 @@ class VirtualClock {
   static constexpr u64 kClosedFormMinPairs = 16;
   static constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
+  /// A grid_steps() pair add_pairs_on_grid computed: the addends' bit
+  /// patterns and the binade's biased exponent (0, which no binade has,
+  /// marks it empty), and the steps of each addend there. Successive
+  /// segments of one access run repeat the same key.
+  struct GridMemo {
+    u64 a_bits = 0;
+    u64 b_bits = 0;
+    u64 exp = 0;
+    u64 ra = 0;
+    u64 rb = 0;
+  };
+
   /// Apply up to `n` pairs `x += a; x += b` to `x`, stopping right after the
-  /// `x += a` that brings it to or past `deadline`.
-  PairRun add_pairs(double& x, double a, double b, u64 n, double deadline) noexcept {
-    if (n >= kClosedFormMinPairs) return add_pairs_on_grid(x, a, b, n, deadline);
+  /// `x += a` that brings it to or past `deadline`. `memo` keeps the last
+  /// grid steps computed for this target.
+  PairRun add_pairs(double& x, double a, double b, u64 n, double deadline,
+                    GridMemo& memo) noexcept {
+    if (n >= kClosedFormMinPairs) return add_pairs_on_grid(x, a, b, n, deadline, memo);
     PairRun run;
     double v = x;
     while (run.done < n) {
@@ -150,23 +165,16 @@ class VirtualClock {
 
   /// add_pairs() in a few integer operations per binade instead of 2n
   /// additions, bit-identical to the loop (clock.cpp explains why).
-  PairRun add_pairs_on_grid(double& x, double a, double b, u64 n, double deadline) noexcept;
-
-  /// The last grid_steps() pair add_pairs_on_grid computed: the addends'
-  /// bit patterns and the binade's biased exponent (0, which no binade has,
-  /// marks it empty), and the steps of each addend there. Successive
-  /// segments of one access run repeat the same key.
-  struct GridMemo {
-    u64 a_bits = 0;
-    u64 b_bits = 0;
-    u64 exp = 0;
-    u64 ra = 0;
-    u64 rb = 0;
-  };
+  PairRun add_pairs_on_grid(double& x, double a, double b, u64 n, double deadline,
+                            GridMemo& memo) noexcept;
 
   VirtDuration now_{0};
   std::vector<VirtDuration*> open_buckets_;
-  GridMemo memo_;
+  /// One memo per replay target: the clock and an open bucket usually sit in
+  /// different binades, so a shared entry would have them evict each other
+  /// every segment. Buckets share theirs; one is open in the common case.
+  GridMemo clock_memo_;
+  GridMemo bucket_memo_;
 };
 
 }  // namespace ooh

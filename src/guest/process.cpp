@@ -201,8 +201,7 @@ void Process::write_bytes(Gva gva, std::span<const u8> data) {
         nsecs(m.cost.workload_bulk_word_ns * static_cast<double>((chunk + 7) / 8)));
     const Vma* vma = vma_of(addr);
     if (vma != nullptr && vma->data_backed) {
-      std::memcpy(m.pmem.frame_data(page_floor(hpa)) + page_offset(hpa),
-                  data.data() + off, chunk);
+      m.pmem.write(hpa, data.subspan(off, chunk));
     }
     off += chunk;
   }

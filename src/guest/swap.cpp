@@ -31,6 +31,10 @@ SwapDaemon::EvictStats SwapDaemon::evict(Process& proc, u64 target_pages) {
     const sim::GuestPageTable::Lookup leaf = pt.lookup(gva);
     sim::Pte* pte = leaf.pte;
     if (pte == nullptr || !pte->present) continue;
+    // A page beneath a guest huge leaf is no candidate: unmapping one 4 KiB
+    // page would leave the leaf mapping the frame freed here (Linux splits
+    // a THP before it swaps a part of it).
+    if (leaf.gran != PageGran::k4K) continue;
     ++stats.scanned;
     m.charge_ns(50);  // PTE inspection
     if (pte->accessed) {
@@ -41,33 +45,24 @@ SwapDaemon::EvictStats SwapDaemon::evict(Process& proc, u64 target_pages) {
 
     // Victim. Dirty pages must be written back; clean pages are dropped --
     // this is the dirty-tracking payoff the paper's intro describes.
-    Slot slot;
-    slot.was_soft_dirty = pte->soft_dirty;
-    const Vma* vma = proc.vma_of(gva);
     if (pte->dirty) {
       ++stats.evicted_dirty;
       m.count(Event::kDiskPageWrite);
       m.charge_us(m.cost.disk_write_page_us);
-      if (vma != nullptr && vma->data_backed) {
-        Hpa hpa = 0;
-        if (kernel_.vm().ept().translate(leaf.gpa_page, hpa)) {
-          if (const u8* data = m.pmem.frame_data_if_present(hpa); data != nullptr) {
-            slot.content.assign(data, data + kPageSize);
-          }
-        }
-      }
     } else {
       ++stats.evicted_clean;
-      // A clean data page's content still needs preserving in the slot for
-      // this anonymous-memory model (no file to re-read it from); only the
-      // *I/O on the eviction path* is what the dirty flag saves.
-      if (vma != nullptr && vma->data_backed) {
-        Hpa hpa = 0;
-        if (kernel_.vm().ept().translate(leaf.gpa_page, hpa)) {
-          if (const u8* data = m.pmem.frame_data_if_present(hpa); data != nullptr) {
-            slot.content.assign(data, data + kPageSize);
-          }
-        }
+    }
+    // Clean or dirty, a data page's content is kept in the slot: this
+    // anonymous-memory model has no file to re-read it from, so only the
+    // I/O on the eviction path is what the dirty flag saves.
+    Slot slot;
+    slot.was_soft_dirty = pte->soft_dirty;
+    const Vma* vma = proc.vma_of(gva);
+    Hpa hpa = 0;
+    if (vma != nullptr && vma->data_backed &&
+        kernel_.vm().ept().translate(leaf.gpa_page, hpa)) {
+      if (const u8* data = m.pmem.frame_data_if_present(hpa); data != nullptr) {
+        slot.content.assign(data, data + kPageSize);
       }
     }
     slots_[key(proc.pid(), gva)] = std::move(slot);
@@ -110,10 +105,7 @@ bool SwapDaemon::swap_in_if_needed(Process& proc, Gva gva_page) {
   if (!it->second.content.empty()) {
     kernel_.ensure_ept_mapped(gpa, proc.cpu());
     Hpa hpa = 0;
-    if (kernel_.vm().ept().translate(gpa, hpa)) {
-      std::copy(it->second.content.begin(), it->second.content.end(),
-                m.pmem.frame_data(hpa));
-    }
+    if (kernel_.vm().ept().translate(gpa, hpa)) m.pmem.write(hpa, it->second.content);
   }
   slots_.erase(it);
   return true;

@@ -28,6 +28,7 @@ enum class Layer {
   kFrameAllocator, ///< host physical frame ownership.
   kClock,          ///< per-vCPU virtual clock.
   kNotifierChain,  ///< page-track notifier registry.
+  kCheckpointImage, ///< a CRIU image slot copied from a frame.
 };
 
 [[nodiscard]] constexpr std::string_view layer_name(Layer layer) noexcept {
@@ -41,6 +42,7 @@ enum class Layer {
     case Layer::kFrameAllocator: return "frame-allocator";
     case Layer::kClock: return "clock";
     case Layer::kNotifierChain: return "notifier-chain";
+    case Layer::kCheckpointImage: return "checkpoint-image";
   }
   return "?";
 }

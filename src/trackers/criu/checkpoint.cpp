@@ -1,11 +1,14 @@
 #include "trackers/criu/checkpoint.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "base/clock.hpp"
+#include "sim/check/coherence.hpp"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -14,30 +17,45 @@
 namespace ooh::criu {
 namespace {
 
-/// Copy one page into a page-aligned image slot with 16-byte non-temporal
-/// stores: each destination line is written whole and never read in, so the
-/// copy costs one streamed read and one streamed write. `src` may have any
-/// alignment. SSE2 is part of the x86-64 baseline; other targets memcpy.
-void stream_page(u8* dst, const u8* src) noexcept {
+constexpr u64 kLine = sim::PhysicalMemory::kLineSize;
+constexpr u64 kLinesPerPage = kPageSize / kLine;
+
+/// Copy one 64-byte line into a line-aligned image slot line with 16-byte
+/// non-temporal stores: the destination line is written whole and never
+/// read in, so the copy costs one streamed read and one streamed write.
+/// `src` may have any alignment. The four loads go before the stores, so
+/// the write-combining buffer fills whole lines. SSE2 is part of the x86-64
+/// baseline; other targets memcpy.
+void stream_line(u8* dst, const u8* src) noexcept {
 #if defined(__SSE2__)
   auto* d = reinterpret_cast<__m128i*>(dst);
   const auto* s = reinterpret_cast<const __m128i*>(src);
-  // One 64-byte line per step, its four loads issued before its stores: the
-  // write-combining buffer fills whole lines. It measured faster than a
-  // one-vector loop on perfbench's ckpt_kv.
-  for (std::size_t i = 0; i < kPageSize / sizeof(__m128i); i += 4) {
-    const __m128i v0 = _mm_loadu_si128(s + i);
-    const __m128i v1 = _mm_loadu_si128(s + i + 1);
-    const __m128i v2 = _mm_loadu_si128(s + i + 2);
-    const __m128i v3 = _mm_loadu_si128(s + i + 3);
-    _mm_stream_si128(d + i, v0);
-    _mm_stream_si128(d + i + 1, v1);
-    _mm_stream_si128(d + i + 2, v2);
-    _mm_stream_si128(d + i + 3, v3);
-  }
+  const __m128i v0 = _mm_loadu_si128(s);
+  const __m128i v1 = _mm_loadu_si128(s + 1);
+  const __m128i v2 = _mm_loadu_si128(s + 2);
+  const __m128i v3 = _mm_loadu_si128(s + 3);
+  _mm_stream_si128(d, v0);
+  _mm_stream_si128(d + 1, v1);
+  _mm_stream_si128(d + 2, v2);
+  _mm_stream_si128(d + 3, v3);
 #else
-  std::memcpy(dst, src, kPageSize);
+  std::memcpy(dst, src, kLine);
 #endif
+}
+
+/// Copy the lines of `lines` (bit i is bytes [64i, 64i + 64)) of a page
+/// into its page-aligned slot; returns how many.
+u64 stream_lines(u8* dst, const u8* src, u64 lines) noexcept {
+  if (lines == sim::PhysicalMemory::kAllLines) {  // a whole page: no bit scan
+    for (u64 off = 0; off < kPageSize; off += kLine) stream_line(dst + off, src + off);
+    return kLinesPerPage;
+  }
+  const auto moved = static_cast<u64>(std::popcount(lines));
+  for (; lines != 0; lines &= lines - 1) {
+    const u64 off = static_cast<u64>(std::countr_zero(lines)) * kLine;
+    stream_line(dst + off, src + off);
+  }
+  return moved;
 }
 
 /// Order every streamed store before the stores that follow, so a thread
@@ -136,29 +154,50 @@ PageStore::Region& PageStore::region_for(const guest::Vma& vma) {
   }
   it = regions_.insert(it, Region{vma.start, vma.end,
                                   std::vector<State>(page_index(vma.bytes()), State::kAbsent),
-                                  nullptr, nullptr});
+                                  {}, nullptr, nullptr});
   mru_ = static_cast<std::size_t>(it - regions_.begin());
   return *it;
 }
 
-void PageStore::store(const guest::Vma& vma, Gva gva, const u8* data) {
+std::pair<PageStore::Region*, std::size_t> PageStore::slot_for(const guest::Vma& vma,
+                                                                Gva gva) {
   Region& r = region_for(vma);
   const std::size_t page = page_index(gva - r.start);
   if (r.state[page] == State::kAbsent) ++present_;
-  if (data == nullptr) {
-    r.state[page] = State::kZero;
-    return;
+  return {&r, page};
+}
+
+void PageStore::store_zero(const guest::Vma& vma, Gva gva) {
+  const auto [r, page] = slot_for(vma, gva);
+  r->state[page] = State::kZero;
+  if (!r->source.empty()) r->source[page] = 0;
+}
+
+u64 PageStore::store(const guest::Vma& vma, Gva gva, sim::PhysicalMemory& pmem, Hpa frame) {
+  const auto [r, page] = slot_for(vma, gva);
+  if (r->source.empty()) r->source.assign(r->state.size(), 0);
+  std::uintptr_t& source = r->source[page];
+  const sim::PhysicalMemory::Claim claim = pmem.claim(frame, &source);
+  if (claim.bytes == nullptr) {
+    r->state[page] = State::kZero;
+    source = 0;
+    return 0;
   }
-  if (r.bytes == nullptr) {
+  if (r->bytes == nullptr) {
     // Uninitialised: the host commits only the pages a dump writes. The
     // extra page lets the slot base sit on a page boundary, so every slot
     // is one host page of whole cache lines.
-    r.buffer = std::make_unique_for_overwrite<u8[]>(r.end - r.start + kPageSize);
-    const auto base = reinterpret_cast<std::uintptr_t>(r.buffer.get());
-    r.bytes = r.buffer.get() + (page_ceil(base) - base);
+    r->buffer = std::make_unique_for_overwrite<u8[]>(r->end - r->start + kPageSize);
+    const auto base = reinterpret_cast<std::uintptr_t>(r->buffer.get());
+    r->bytes = r->buffer.get() + (page_ceil(base) - base);
   }
-  stream_page(r.bytes + page * kPageSize, data);
-  r.state[page] = State::kData;
+  // The frame's mask says what changed since *this slot* copied it; the
+  // slot's source says the slot still holds that copy.
+  const auto bytes_id = reinterpret_cast<std::uintptr_t>(claim.bytes);
+  const u64 lines = source == bytes_id ? claim.lines : sim::PhysicalMemory::kAllLines;
+  source = bytes_id;
+  r->state[page] = State::kData;
+  return stream_lines(r->bytes + page * kPageSize, claim.bytes, lines);
 }
 
 void PageStore::retain(const std::vector<guest::Vma>& vmas) noexcept {
@@ -183,10 +222,11 @@ void CheckpointImage::record_layout(const guest::Process& proc) {
 
 // ---- Checkpointer ----------------------------------------------------------------
 
-void Checkpointer::dump_pages(guest::Process& proc, const std::vector<Gva>& pages,
-                              CheckpointImage& image) {
+u64 Checkpointer::dump_pages(guest::Process& proc, const std::vector<Gva>& pages,
+                             CheckpointImage& image) {
   sim::ExecContext& m = kernel_.ctx_of(proc);
   sim::GuestPageTable& pt = kernel_.page_table(proc);
+  u64 moved = 0;
   for (const Gva gva : pages) {
     // The page's own GPA: a segment or a huge leaf shares one Pte whose
     // gpa_page is the base of its whole run.
@@ -194,15 +234,21 @@ void Checkpointer::dump_pages(guest::Process& proc, const std::vector<Gva>& page
     if (leaf.pte == nullptr || !leaf.pte->present) continue;  // unmapped since logging
     const guest::Vma* vma = proc.vma_of(gva);
     if (vma == nullptr) throw std::logic_error("dump_pages: present page outside every VMA");
-    const u8* data = nullptr;
-    if (vma->data_backed) {
-      Hpa hpa = 0;
-      if (kernel_.vm().ept().translate(leaf.gpa_page, hpa)) {
-        data = m.pmem.frame_data_if_present(hpa);
-      }
-    }
     // Overwrites the page's slot in place: a re-dump reuses it.
-    image.pages.store(*vma, page_floor(gva), data);
+    Hpa hpa = 0;
+    if (vma->data_backed && kernel_.vm().ept().translate(leaf.gpa_page, hpa)) {
+      const u64 lines = image.pages.store(*vma, page_floor(gva), m.pmem, hpa);
+      moved += lines;
+      if constexpr (check::kCoherenceAuditsEnabled) {
+        // A partial copy (none of a frame without contents) trusts the mask.
+        const u8* frame = m.pmem.frame_data_if_present(hpa);
+        if (lines < kLinesPerPage && frame != nullptr) {
+          audit_slot(image.pages, page_floor(gva), frame, kernel_.vm().id());
+        }
+      }
+    } else {
+      image.pages.store_zero(*vma, page_floor(gva));
+    }
     ++image.dump_ops;
     m.count(Event::kDiskPageWrite);
     m.charge_us(m.cost.disk_write_page_us);
@@ -210,6 +256,25 @@ void Checkpointer::dump_pages(guest::Process& proc, const std::vector<Gva>& page
   // One fence per dump, not per page: the image is complete and visible to
   // any thread it is handed to (the run_cells workers).
   stream_fence();
+  return moved;
+}
+
+void audit_slot(const PageStore& pages, Gva gva, const u8* frame, u32 vm) {
+  const std::span<const u8> slot = pages.at(gva);
+  std::string actual;
+  if (frame == nullptr) {
+    actual = "the frame has no contents";
+  } else if (slot.empty()) {
+    actual = "the slot is a zero page";
+  } else if (const auto diff = std::mismatch(slot.begin(), slot.end(), frame).first;
+             diff != slot.end()) {
+    actual = "bytes differ from offset " + std::to_string(diff - slot.begin());
+  }
+  if (!actual.empty()) {
+    throw check::InvariantViolation("IMG-1", check::Layer::kCheckpointImage, vm, gva,
+                                    check::kNoAddr, "the slot holds the frame's bytes",
+                                    actual);
+  }
 }
 
 CheckpointImage Checkpointer::full_checkpoint(guest::Process& proc) {

@@ -11,9 +11,14 @@
 //   * SPML performs the GPA->GVA reverse mapping inside MD, dominating the
 //     checkpoint (Fig. 8);
 //   * EPML reads GVAs from the ring, leaving MW as a pure page write.
+//
+// MW charges disk_write_page_us of virtual time per page written. The host
+// work behind it is smaller: a re-dump copies only the 64-byte lines the
+// page's frame changed since its image slot last copied it (PageStore).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <memory>
 #include <span>
@@ -24,6 +29,7 @@
 #include "base/vtime.hpp"
 #include "ooh/experiment.hpp"
 #include "ooh/tracker.hpp"
+#include "sim/phys_mem.hpp"
 
 namespace ooh::criu {
 
@@ -34,6 +40,16 @@ namespace ooh::criu {
 /// per-page allocation, and writes it with non-temporal stores: nothing reads
 /// the image again until restore, so the copy does not pull the slot into
 /// the cache first.
+///
+/// A re-dump moves only the 64-byte lines the frame changed since this slot
+/// last copied it. Each data slot records the frame it last copied (its
+/// contents pointer), and the frame records the slot that last claimed it
+/// (sim::PhysicalMemory::claim). Only when both name each other is the slot
+/// the frame's last copy and the frame the slot's last source; then the
+/// frame's line mask is exactly what changed. Anything else -- a first copy,
+/// another image or slot that copied the frame since, a slot re-stored from
+/// another frame, a frame freed and materialised again, a region erased and
+/// made again -- resets one side, and the slot takes the whole page.
 ///
 /// Reads like a map from page GVA to contents, iterated in ascending GVA
 /// order; a zero or metadata-only page reads as an empty span.
@@ -92,12 +108,16 @@ class PageStore {
   /// Same pages with the same contents.
   bool operator==(const PageStore& o) const noexcept;
 
-  /// Store page `gva` of `vma`: a copy of the frame at `data`, or a zero page
-  /// when `data` is null. A region left by a dead VMA that overlaps `vma` is
+  /// Store page `gva` of `vma` as a copy of `frame` in `pmem` (a zero page
+  /// when the frame has no contents) and return the lines it moved: all 64
+  /// for a whole-page copy, fewer when the slot already held the frame's
+  /// earlier bytes. A region left by a dead VMA that overlaps `vma` is
   /// dropped first. The copy is weakly ordered: before another thread reads
   /// the image, the writer fences (Checkpointer::dump_pages does, once per
   /// dump).
-  void store(const guest::Vma& vma, Gva gva, const u8* data);
+  u64 store(const guest::Vma& vma, Gva gva, sim::PhysicalMemory& pmem, Hpa frame);
+  /// Store page `gva` of `vma` as a zero (or metadata-only) page.
+  void store_zero(const guest::Vma& vma, Gva gva);
   /// Drop every region whose VMA is not in `vmas`.
   void retain(const std::vector<guest::Vma>& vmas) noexcept;
 
@@ -107,12 +127,19 @@ class PageStore {
     Gva start = 0;
     Gva end = 0;                   ///< exclusive.
     std::vector<State> state;      ///< per page.
+    /// Per page, the address of the frame contents its data slot last
+    /// copied (0 for none; an integer, since that frame may be gone). An
+    /// element's address is the slot's identity to the frame. Sized at the
+    /// first data store, so metadata-only regions carry none.
+    std::vector<std::uintptr_t> source;
     std::unique_ptr<u8[]> buffer;  ///< end - start bytes plus one page of slack.
     u8* bytes = nullptr;           ///< page-aligned slot base in buffer; null until a data page.
   };
 
   /// The region of `vma`, made (replacing dead overlapping ones) if missing.
   Region& region_for(const guest::Vma& vma);
+  /// The region of `vma` and the index of page `gva`, counted present.
+  std::pair<Region*, std::size_t> slot_for(const guest::Vma& vma, Gva gva);
   /// Region index holding `gva`, or regions_.size().
   [[nodiscard]] std::size_t region_index(Gva gva) const noexcept;
   void erase_region(std::size_t i) noexcept;
@@ -177,17 +204,25 @@ class Checkpointer {
 
   [[nodiscard]] lib::Technique technique() const noexcept { return technique_; }
 
-  /// Write `pages` of `proc` into `image` (content + disk cost per page).
-  /// Fences the image's streamed stores before returning, so the finished
-  /// image may be handed to another thread.
-  void dump_pages(guest::Process& proc, const std::vector<Gva>& pages,
-                  CheckpointImage& image);
+  /// Write `pages` of `proc` into `image` (content + disk cost per page) and
+  /// return the 64-byte lines moved (a page whose slot already held its
+  /// earlier bytes moves only the lines written since). Fences the image's
+  /// streamed stores before returning, so the finished image may be handed
+  /// to another thread. With OOH_COHERENCE_AUDITS, every partly copied slot
+  /// is checked against its frame (IMG-1).
+  u64 dump_pages(guest::Process& proc, const std::vector<Gva>& pages,
+                 CheckpointImage& image);
 
  private:
 
   guest::GuestKernel& kernel_;
   lib::Technique technique_;
 };
+
+/// IMG-1: the slot of page `gva` in `pages` holds exactly the 4 KiB at
+/// `frame`. Throws check::InvariantViolation (naming VM `vm`) when the page
+/// is absent, zero or differs.
+void audit_slot(const PageStore& pages, Gva gva, const u8* frame, u32 vm);
 
 /// Rebuild `proc` (must be fresh, no VMAs) from `image`: each recorded VMA is
 /// mapped at its recorded start (CRIU's MAP_FIXED restore), then the pages

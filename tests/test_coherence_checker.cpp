@@ -411,7 +411,7 @@ TEST_F(CoherenceMutationTest, DetectsOrphanedBackedFrame) {
   EXPECT_NO_THROW(checker_.audit_frames(vm_));
   // Materialise contents for a frame no EPT mapping or PML buffer owns.
   const Hpa orphan = (vm_.pmem().end_frame() - 1) * kPageSize;
-  (void)vm_.pmem().frame_data(orphan);
+  vm_.pmem().zero(orphan);
   expect_violation([&] { checker_.audit_frames(vm_); }, "FRAME-4");
 }
 

@@ -9,12 +9,16 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "base/rng.hpp"
+#include "guest/swap.hpp"
 #include "ooh/testbed.hpp"
+#include "sim/check/invariant.hpp"
 #include "sim/page_table.hpp"
+#include "sim/phys_mem.hpp"
 #include "trackers/criu/checkpoint.hpp"
 
 namespace ooh::criu {
@@ -490,7 +494,19 @@ guest::Vma make_vma(Gva start, u64 pages, bool data_backed) {
   return vma;
 }
 
-std::vector<u8> filled_page(u8 value) { return std::vector<u8>(kPageSize, value); }
+/// A small host partition that hands PageStore tests frames of known bytes.
+struct Frames {
+  sim::PhysicalMemory pm{64 * kPageSize};
+  /// A fresh frame, every byte `value`.
+  Hpa filled(u8 value) {
+    const Hpa f = pm.alloc_frame();
+    pm.write(f, std::vector<u8>(kPageSize, value));
+    return f;
+  }
+  [[nodiscard]] std::span<const u8> bytes(Hpa f) const {
+    return {pm.frame_data_if_present(f), kPageSize};
+  }
+};
 
 TEST(CriuPageStore, IteratesInAscendingGvaOrder) {
   const guest::Vma low = make_vma(0x1000'0000, 32, true);
@@ -504,10 +520,14 @@ TEST(CriuPageStore, IteratesInAscendingGvaOrder) {
   Rng rng(5);
   for (std::size_t i = order.size() - 1; i > 0; --i) std::swap(order[i], order[rng.below(i + 1)]);
   PageStore store;
-  const std::vector<u8> page = filled_page(7);
+  Frames frames;
+  const Hpa page = frames.filled(7);
   for (const Gva gva : order) {
-    const bool is_low = gva < high.start;
-    store.store(is_low ? low : high, gva, is_low ? page.data() : nullptr);
+    if (gva < high.start) {
+      (void)store.store(low, gva, frames.pm, page);
+    } else {
+      store.store_zero(high, gva);
+    }
   }
   std::vector<Gva> seen;
   for (const auto& [gva, bytes] : store) seen.push_back(gva);
@@ -519,8 +539,8 @@ TEST(CriuPageStore, FindOnAbsentPageReturnsEnd) {
   const guest::Vma vma = make_vma(0x1000'0000, 8, true);
   PageStore store;
   EXPECT_EQ(store.find(vma.start), store.end());
-  const std::vector<u8> page = filled_page(1);
-  store.store(vma, vma.start + 2 * kPageSize, page.data());
+  Frames frames;
+  (void)store.store(vma, vma.start + 2 * kPageSize, frames.pm, frames.filled(1));
   EXPECT_EQ(store.find(vma.start), store.end()) << "absent page inside a region";
   EXPECT_EQ(store.find(vma.end), store.end()) << "page past every region";
   EXPECT_EQ(store.find(vma.start - kPageSize), store.end()) << "page below every region";
@@ -536,8 +556,10 @@ TEST(CriuPageStore, MetadataOnlyPagesReadAsEmptySpans) {
   const guest::Vma meta = make_vma(0x1000'0000, 4, false);
   const guest::Vma data = make_vma(0x2000'0000, 4, true);
   PageStore store;
-  store.store(meta, meta.start, nullptr);
-  store.store(data, data.start, nullptr);  // a data page whose frame is gone
+  Frames frames;
+  store.store_zero(meta, meta.start);
+  // A data page whose frame has no contents.
+  EXPECT_EQ(store.store(data, data.start, frames.pm, frames.pm.alloc_frame()), 0u);
   EXPECT_TRUE(store.at(meta.start).empty());
   EXPECT_TRUE(store.at(data.start).empty());
   EXPECT_EQ(store.find(meta.start)->second.size(), 0u);
@@ -546,37 +568,37 @@ TEST(CriuPageStore, MetadataOnlyPagesReadAsEmptySpans) {
 TEST(CriuPageStore, RedumpKeepsTheSlotAddress) {
   const guest::Vma vma = make_vma(0x1000'0000, 16, true);
   PageStore store;
-  const std::vector<u8> first = filled_page(1), second = filled_page(2);
-  store.store(vma, vma.start + 5 * kPageSize, first.data());
+  Frames frames;
+  const Hpa first = frames.filled(1), second = frames.filled(2);
+  (void)store.store(vma, vma.start + 5 * kPageSize, frames.pm, first);
   const u8* slot = store.at(vma.start + 5 * kPageSize).data();
-  for (u64 i = 0; i < 16; ++i) store.store(vma, vma.start + i * kPageSize, first.data());
-  store.store(vma, vma.start + 5 * kPageSize, second.data());
+  for (u64 i = 0; i < 16; ++i) (void)store.store(vma, vma.start + i * kPageSize, frames.pm, first);
+  (void)store.store(vma, vma.start + 5 * kPageSize, frames.pm, second);
   const std::span<const u8> got = store.at(vma.start + 5 * kPageSize);
   EXPECT_EQ(got.data(), slot);
-  EXPECT_TRUE(std::ranges::equal(got, second));
+  EXPECT_TRUE(std::ranges::equal(got, frames.bytes(second)));
 }
 
-// Slots are page-aligned whatever the source's alignment, so the streamed
-// copy writes whole cache lines; the bytes match the source, also after a
-// re-dump into the same slot.
+// Slots are page-aligned whatever the alignment of the frame's contents (a
+// heap array), so the streamed copy writes whole cache lines; the bytes
+// match the frame, also after a re-dump into the same slot.
 TEST(CriuPageStore, DataSlotsArePageAlignedAndMatchUnalignedSources) {
   const guest::Vma vma = make_vma(0x1000'0000, 8, true);
   PageStore store;
-  std::vector<u8> buffer(3 * kPageSize);
-  const auto addr = reinterpret_cast<std::uintptr_t>(buffer.data());
-  u8* aligned = buffer.data() + (page_ceil(addr) - addr);
-  const std::array<std::size_t, 3> offsets = {0, 8, 16};
+  Frames frames;
+  std::vector<Hpa> sources;
+  for (std::size_t k = 0; k < 3; ++k) sources.push_back(frames.pm.alloc_frame());
+  std::vector<u8> pattern(kPageSize);
   for (const u8 round : {u8{1}, u8{2}}) {
-    for (std::size_t k = 0; k < offsets.size(); ++k) {
-      u8* src = aligned + offsets[k];
-      for (std::size_t j = 0; j < kPageSize; ++j) src[j] = static_cast<u8>(j * 7 + k + round);
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      for (std::size_t j = 0; j < kPageSize; ++j) pattern[j] = static_cast<u8>(j * 7 + k + round);
+      frames.pm.write(sources[k], pattern);
       const Gva gva = vma.start + k * kPageSize;
-      store.store(vma, gva, src);
+      EXPECT_EQ(store.store(vma, gva, frames.pm, sources[k]), kPageSize / 64);
       const std::span<const u8> slot = store.at(gva);
       EXPECT_EQ(reinterpret_cast<std::uintptr_t>(slot.data()) % kPageSize, 0u)
           << "slot " << k << " is not page-aligned";
-      EXPECT_TRUE(std::ranges::equal(slot, std::span<const u8>(src, kPageSize)))
-          << "source offset " << offsets[k] << ", round " << int{round};
+      EXPECT_TRUE(std::ranges::equal(slot, pattern)) << "frame " << k << ", round " << int{round};
     }
   }
 }
@@ -586,20 +608,245 @@ TEST(CriuPageStore, SizeCountsPresentPages) {
   const guest::Vma meta = make_vma(0x2000'0000, 8, false);
   PageStore store;
   EXPECT_TRUE(store.empty());
-  const std::vector<u8> page = filled_page(3);
-  for (u64 i = 0; i < 4; ++i) store.store(data, data.start + i * kPageSize, page.data());
-  for (u64 i = 0; i < 3; ++i) store.store(meta, meta.start + i * kPageSize, nullptr);
+  Frames frames;
+  const Hpa page = frames.filled(3);
+  for (u64 i = 0; i < 4; ++i) (void)store.store(data, data.start + i * kPageSize, frames.pm, page);
+  for (u64 i = 0; i < 3; ++i) store.store_zero(meta, meta.start + i * kPageSize);
   EXPECT_EQ(store.size(), 7u);
-  store.store(data, data.start, nullptr);  // re-dumps change state, not size
-  store.store(meta, meta.start, nullptr);
+  store.store_zero(data, data.start);  // re-dumps change state, not size
+  store.store_zero(meta, meta.start);
   EXPECT_EQ(store.size(), 7u);
   // A VMA remapped over the data region's range replaces the dead region.
-  store.store(make_vma(data.start + 2 * kPageSize, 2, true), data.start + 2 * kPageSize,
-              page.data());
+  (void)store.store(make_vma(data.start + 2 * kPageSize, 2, true), data.start + 2 * kPageSize,
+                    frames.pm, page);
   EXPECT_EQ(store.size(), 4u);
   std::vector<guest::Vma> live = {meta};
   store.retain(live);
   EXPECT_EQ(store.size(), 3u);
+}
+
+// ---- line-granular re-dumps: the slot/frame handshake ---------------------------
+
+constexpr u64 kLinesPerPage = kPageSize / sim::PhysicalMemory::kLineSize;
+
+TEST(CriuPageStore, RedumpMovesOnlyTheLinesWrittenSince) {
+  const guest::Vma vma = make_vma(0x1000'0000, 4, true);
+  PageStore store;
+  Frames frames;
+  const Hpa f = frames.filled(5);
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, f), kLinesPerPage) << "first copy";
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, f), 0u) << "nothing written since";
+  frames.pm.write_u64(f + 8, 1);
+  frames.pm.write_u64(f + 40 * 64, 2);
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, f), 2u);
+  EXPECT_TRUE(std::ranges::equal(store.at(vma.start), frames.bytes(f)));
+  // A zero store in between makes the slot forget its source.
+  store.store_zero(vma, vma.start);
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, f), kLinesPerPage);
+}
+
+// (a) Image A, then image B, then image A again on one frame: B's claim
+// broke A's, so A takes the whole page.
+TEST(CriuPageStore, AnotherImageCopyingTheFrameForcesAWholeCopy) {
+  const guest::Vma vma = make_vma(0x1000'0000, 4, true);
+  PageStore a, b;
+  Frames frames;
+  const Hpa f = frames.filled(5);
+  EXPECT_EQ(a.store(vma, vma.start, frames.pm, f), kLinesPerPage);
+  frames.pm.write_u64(f + 64, 1);
+  EXPECT_EQ(b.store(vma, vma.start, frames.pm, f), kLinesPerPage);
+  frames.pm.write_u64(f + 128, 2);
+  EXPECT_EQ(a.store(vma, vma.start, frames.pm, f), kLinesPerPage);
+  EXPECT_TRUE(std::ranges::equal(a.at(vma.start), frames.bytes(f)));
+  EXPECT_EQ(b.store(vma, vma.start, frames.pm, f), kLinesPerPage);
+  EXPECT_TRUE(std::ranges::equal(b.at(vma.start), frames.bytes(f)));
+}
+
+// (b) A frame freed and handed out again under a slot that copied it: the
+// fresh frame has no claimant, so the slot cannot keep the old frame's lines.
+TEST(CriuPageStore, ARecycledFrameUnderAnExistingSlotIsCopiedWhole) {
+  const guest::Vma vma = make_vma(0x1000'0000, 4, true);
+  PageStore store;
+  Frames frames;
+  const Hpa f = frames.filled(0xAA);
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, f), kLinesPerPage);
+  frames.pm.free_frame(f);
+  ASSERT_EQ(frames.pm.alloc_frame(), f);
+  frames.pm.write_u64(f + 8, 1);  // the rest of the recycled frame reads zero
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, f), kLinesPerPage);
+  EXPECT_TRUE(std::ranges::equal(store.at(vma.start), frames.bytes(f)));
+  // An erased region is made again with slots that copied nothing.
+  store.retain({});
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, f), kLinesPerPage);
+}
+
+// (c) A slot re-stored from another frame, then from the first again: the
+// first frame's claim still names the slot, but the slot's source does not.
+TEST(CriuPageStore, ASlotReStoredFromAnotherFrameCopiesTheFirstWhole) {
+  const guest::Vma vma = make_vma(0x1000'0000, 4, true);
+  PageStore store;
+  Frames frames;
+  const Hpa x = frames.filled(1), y = frames.filled(2);
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, x), kLinesPerPage);
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, y), kLinesPerPage);
+  frames.pm.write_u64(x + 8, 3);
+  EXPECT_EQ(store.store(vma, vma.start, frames.pm, x), kLinesPerPage);
+  EXPECT_TRUE(std::ranges::equal(store.at(vma.start), frames.bytes(x)));
+}
+
+// ---- line-granular re-dumps against whole-page copies ---------------------------
+
+/// dump_pages with every data page copied whole: each page goes through a
+/// fresh frame of `scratch`, which no slot has claimed.
+void dump_whole_pages(guest::GuestKernel& k, guest::Process& proc,
+                      const std::vector<Gva>& pages, CheckpointImage& image,
+                      sim::PhysicalMemory& scratch) {
+  sim::GuestPageTable& pt = k.page_table(proc);
+  for (const Gva gva : pages) {
+    const sim::GuestPageTable::Lookup leaf = pt.lookup(gva);
+    if (leaf.pte == nullptr || !leaf.pte->present) continue;
+    const guest::Vma& vma = *proc.vma_of(gva);
+    Hpa hpa = 0;
+    const u8* live = nullptr;
+    if (vma.data_backed && k.vm().ept().translate(leaf.gpa_page, hpa)) {
+      live = k.ctx_of(proc).pmem.frame_data_if_present(hpa);
+    }
+    if (live == nullptr) {
+      image.pages.store_zero(vma, gva);
+      continue;
+    }
+    const Hpa copy = scratch.alloc_frame();
+    scratch.write(copy, std::span<const u8>(live, kPageSize));
+    EXPECT_EQ(image.pages.store(vma, gva, scratch, copy), kLinesPerPage);
+    scratch.free_frame(copy);
+  }
+}
+
+// Seeded op sequences over one data-backed process -- word and byte-run
+// writes, swap-out and swap-in, munmap and mmap of the same range (frames
+// recycle), dumps into two images in turn, a restore into a second process
+// and dumps of that one -- and after every dump the image equals a
+// reference image that copied each page whole.
+TEST(CriuLineDumps, RandomOpsMatchWholePageCopies) {
+  constexpr u64 kVmaPages = 12;
+  constexpr std::array<Gva, 3> kData = {0x1000'0000, 0x1100'0000, 0x1200'0000};
+  constexpr Gva kMeta = 0x1300'0000;
+  for (const u64 seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    lib::TestBed bed;
+    guest::GuestKernel& k = bed.kernel();
+    guest::Process& proc = k.create_process();
+    for (const Gva base : kData) proc.mmap_fixed(base, kVmaPages * kPageSize, true);
+    proc.mmap_fixed(kMeta, 4 * kPageSize, false);
+    guest::Process* second = nullptr;  // the restore target, once made
+    Checkpointer cp(k, Technique::kOracle);
+    std::array<CheckpointImage, 3> images, refs;  // A, B, and C for the second process
+    sim::PhysicalMemory scratch(4 * kPageSize);
+    Rng rng(seed);
+    u64 moved = 0, whole = 0, dumps = 0;
+    const auto pick = [&](guest::Process* p) -> guest::Process& {
+      return second != nullptr && rng.below(2) == 0 ? *second : *p;
+    };
+    const auto dump = [&](guest::Process& p, std::size_t i) {
+      std::vector<Gva> pages;
+      const bool all = rng.below(4) == 0;
+      k.page_table(p).for_each_present([&](Gva gva, sim::Pte&) {
+        if (all || rng.below(2) == 0) pages.push_back(gva);
+      });
+      images[i].record_layout(p);
+      refs[i].record_layout(p);
+      moved += cp.dump_pages(p, pages, images[i]);
+      dump_whole_pages(k, p, pages, refs[i], scratch);
+      for (const Gva gva : pages) {
+        if (const auto it = refs[i].pages.find(gva); it != refs[i].pages.end() && !it->second.empty()) {
+          whole += kLinesPerPage;
+        }
+      }
+      ++dumps;
+      ASSERT_TRUE(images[i].pages == refs[i].pages) << "dump " << dumps << " into image " << i;
+    };
+    for (int op = 0; op < 300; ++op) {
+      const Gva base = kData[rng.below(kData.size())];
+      switch (rng.below(10)) {
+        case 0: case 1: case 2:
+          pick(&proc).write_u64(base + rng.below(kVmaPages * kPageSize / 8) * 8, rng.next());
+          break;
+        case 3: {
+          std::vector<u8> run(1 + rng.below(300));
+          for (u8& b : run) b = static_cast<u8>(rng.next());
+          const u64 at = rng.below(kVmaPages * kPageSize - run.size());
+          pick(&proc).write_bytes(base + at, run);
+          break;
+        }
+        case 4:
+          pick(&proc).touch_write(kMeta + rng.below(4) * kPageSize);
+          break;
+        case 5: {
+          guest::Process& p = pick(&proc);
+          (void)k.swap().evict(p, 1 + rng.below(4));
+          break;
+        }
+        case 6: {
+          guest::Process& p = pick(&proc);
+          p.munmap(base);
+          p.mmap_fixed(base, kVmaPages * kPageSize, true);
+          p.write_u64(base + rng.below(kVmaPages) * kPageSize, rng.next());
+          break;
+        }
+        case 7:
+          if (second == nullptr && op > 100 && !images[0].vmas.empty()) {
+            second = &k.create_process();
+            restore(*second, images[0]);
+            dump(*second, 2);
+          } else {
+            dump(pick(&proc), 2);
+          }
+          break;
+        default:
+          dump(proc, rng.below(2));
+          break;
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_NE(second, nullptr);
+    EXPECT_GT(dumps, 50u);
+    // About two thirds at these seeds: A and B take turns claiming frames.
+    EXPECT_LT(moved * 10, whole * 9) << moved << " of " << whole << " lines moved";
+  }
+}
+
+// IMG-1 mutation: a frame write that does not mark its line (here the line
+// is forgotten after write_u64 marked it) leaves the slot stale after a
+// partial re-dump. With OOH_COHERENCE_AUDITS dump_pages raises IMG-1
+// itself; otherwise the explicit audit does.
+TEST(CriuLineDumps, AWriteThatSkipsItsLineMaskTripsImg1) {
+  lib::TestBed bed;
+  guest::GuestKernel& k = bed.kernel();
+  guest::Process& proc = k.create_process();
+  const Gva base = proc.mmap(4 * kPageSize, /*data_backed=*/true);
+  for (u64 i = 0; i < 4; ++i) proc.write_u64(base + i * kPageSize, i + 1);
+  Checkpointer cp(k, Technique::kOracle);
+  CheckpointImage image;
+  image.record_layout(proc);
+  EXPECT_EQ(cp.dump_pages(proc, {base}, image), kLinesPerPage);
+  Hpa hpa = 0;
+  ASSERT_TRUE(k.vm().ept().translate(k.page_table(proc).pte(base)->gpa_page, hpa));
+  sim::PhysicalMemory& pmem = k.ctx_of(proc).pmem;
+
+  proc.write_u64(base + 64, 7);  // unmutated: a one-line copy that audits clean
+  EXPECT_EQ(cp.dump_pages(proc, {base}, image), 1u);
+  EXPECT_NO_THROW(audit_slot(image.pages, base, pmem.frame_data_if_present(hpa), k.vm().id()));
+
+  proc.write_u64(base + 200, 0xBAD);
+  pmem.debug_forget_lines(hpa);
+  try {
+    EXPECT_EQ(cp.dump_pages(proc, {base}, image), 0u) << "the forgotten line stays stale";
+    audit_slot(image.pages, base, pmem.frame_data_if_present(hpa), k.vm().id());
+    ADD_FAILURE() << "expected InvariantViolation IMG-1, none thrown";
+  } catch (const check::InvariantViolation& v) {
+    EXPECT_EQ(v.id, "IMG-1") << v.what();
+    EXPECT_EQ(v.gva, base);
+  }
 }
 
 }  // namespace

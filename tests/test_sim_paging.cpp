@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -59,7 +60,8 @@ TEST(PhysicalMemory, LazyBackingAndWordAccess) {
   ASSERT_EQ(again, f);
   EXPECT_EQ(pm.frame_data_if_present(again), nullptr);
   EXPECT_EQ(pm.read_u64(again + 64), 0u);
-  pm.frame_data(again)[0] = 1;
+  const std::array<u8, 1> one = {1};
+  pm.write(again, one);
   EXPECT_EQ(pm.read_u64(again + 64), 0u) << "materialised contents start zeroed";
 
   // Touch frames across several table chunks in descending order: the
@@ -81,9 +83,14 @@ TEST(PhysicalMemory, LazyBackingAndWordAccess) {
 TEST(PhysicalMemory, OutOfRangeFrameFailsLoudly) {
   PhysicalMemory pm(4 * kPageSize);  // frames 0..3
   const Hpa past = pm.end_frame() << kPageShift;
-  EXPECT_THROW((void)pm.frame_data(past), std::out_of_range);
+  const std::array<u8, 8> word{};
+  EXPECT_THROW(pm.zero(past), std::out_of_range);
   EXPECT_THROW(pm.write_u64(past + 8, 1), std::out_of_range);
-  EXPECT_THROW((void)pm.frame_data(u64{1} << 50), std::out_of_range);
+  EXPECT_THROW(pm.write(past + 8, word), std::out_of_range);
+  EXPECT_THROW(pm.zero(u64{1} << 50), std::out_of_range);
+  EXPECT_THROW(pm.write((pm.end_frame() - 1) * kPageSize + kPageSize - 4, word),
+               std::out_of_range)
+      << "a write may not run past the end of its frame";
   EXPECT_EQ(pm.frame_data_if_present(past), nullptr);
   EXPECT_EQ(pm.read_u64(past + 8), 0u);
   EXPECT_EQ(pm.backed_frames(), 0u) << "a rejected access materialises nothing";
@@ -91,6 +98,42 @@ TEST(PhysicalMemory, OutOfRangeFrameFailsLoudly) {
   const Hpa last = (pm.end_frame() - 1) << kPageShift;
   pm.write_u64(last, 42);
   EXPECT_EQ(pm.read_u64(last), 42u);
+}
+
+// Every write marks the 64-byte lines it covers; a claim hands them to the
+// copy that claimed the frame last and clears them, and hands every line to
+// any other copy.
+TEST(PhysicalMemory, WritesMarkTheirLinesAndClaimsHandThemOver) {
+  PhysicalMemory pm(16 * kPageSize);
+  const Hpa f = pm.alloc_frame();
+  int a = 0, b = 0;  // two copies' identities
+  EXPECT_EQ(pm.claim(f, &a).bytes, nullptr) << "a frame without contents claims nothing";
+  pm.write_u64(f + 3 * 64, 7);
+  const PhysicalMemory::Claim first = pm.claim(f, &a);
+  EXPECT_EQ(first.bytes, pm.frame_data_if_present(f));
+  EXPECT_EQ(first.lines, PhysicalMemory::kAllLines) << "first claim";
+  EXPECT_EQ(pm.claim(f, &a).lines, 0u) << "nothing written since";
+  pm.write_u64(f + 8, 1);
+  EXPECT_EQ(pm.claim(f, &a).lines, 0b1u);
+  pm.write_u64(f + 60, 1);  // straddles lines 0 and 1
+  EXPECT_EQ(pm.claim(f, &a).lines, 0b11u);
+  std::vector<u8> run(200, 9);
+  pm.write(f + 100, run);  // bytes 100..299: lines 1..4
+  pm.write_u64(f + kPageSize - 8, 1);
+  EXPECT_EQ(pm.claim(f, &a).lines, 0b11110u | (u64{1} << 63));
+  pm.zero(f);
+  EXPECT_EQ(pm.claim(f, &a).lines, PhysicalMemory::kAllLines) << "zero covers every line";
+  pm.write_u64(f, 1);
+  EXPECT_EQ(pm.claim(f, &b).lines, PhysicalMemory::kAllLines) << "another copy";
+  EXPECT_EQ(pm.claim(f, &a).lines, PhysicalMemory::kAllLines) << "b claimed it since";
+  pm.free_frame(f);
+  ASSERT_EQ(pm.alloc_frame(), f);
+  pm.write_u64(f, 2);
+  EXPECT_EQ(pm.claim(f, &a).lines, PhysicalMemory::kAllLines) << "a recycled frame";
+  pm.debug_forget_lines(f + 8);
+  pm.write_u64(f, 3);
+  pm.debug_forget_lines(f);
+  EXPECT_EQ(pm.claim(f, &a).lines, 0u) << "the corruption IMG-1 catches";
 }
 
 TEST(PhysicalMemory, FreeOutsideThePartitionThrows) {

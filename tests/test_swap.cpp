@@ -279,6 +279,42 @@ TEST_F(SwapTest, SegmentBackedPagesSwapTheirOwnBytes) {
   }
 }
 
+// A guest 2 MiB leaf maps its 512 pages with one Pte. Freeing the frame of
+// one page beneath it would leave the leaf mapping a free frame, so the
+// sweep passes those pages over and evicts 4 KiB pages only.
+TEST_F(SwapTest, PagesBeneathAGuestHugeLeafAreNotEvicted) {
+  const Gva huge = kGiB;     // 2 MiB-aligned, clear of the mmap area
+  const Gpa run = 4 * kGiB;  // far above the kernel's bump-allocated frames
+  proc_.mmap_fixed(huge, gran_size(PageGran::k2M), /*data_backed=*/true);
+  sim::GuestPageTable& pt = kernel_.page_table(proc_);
+  pt.map_huge(huge, run, PageGran::k2M, /*writable=*/true);
+  for (u64 i = 0; i < gran_pages(PageGran::k2M); ++i) kernel_.ensure_ept_mapped(run + i * kPageSize);
+  proc_.write_u64(huge + 3 * kPageSize + 16, 0x5AFE);
+  const Gva small = make_cold_clean(4, /*data_backed=*/true);  // also clears the leaf's bits
+
+  const SwapDaemon::EvictStats st = kernel_.swap().evict(proc_, 8);
+  EXPECT_EQ(st.evicted_clean + st.evicted_dirty, 4u) << "only the 4 KiB pages are victims";
+  EXPECT_EQ(kernel_.swap().swapped_out(proc_), 4u);
+  for (u64 i = 0; i < 4; ++i) {
+    const sim::Pte* pte = pt.pte(small + i * kPageSize);
+    EXPECT_TRUE(pte == nullptr || !pte->present) << "4 KiB page " << i << " still mapped";
+  }
+  const sim::GuestPageTable::Lookup leaf = pt.lookup(huge + 3 * kPageSize);
+  ASSERT_NE(leaf.pte, nullptr);
+  EXPECT_EQ(leaf.gran, PageGran::k2M);
+
+  // Fresh pages take the freed guest frames; none may lie under the leaf,
+  // whose page would then be zeroed and mapped twice.
+  const Gva fresh = proc_.mmap(8 * kPageSize, /*data_backed=*/true);
+  for (u64 i = 0; i < 8; ++i) {
+    proc_.touch_write(fresh + i * kPageSize);
+    const Gpa gpa = pt.pte(fresh + i * kPageSize)->gpa_page;
+    EXPECT_FALSE(gpa >= run && gpa < run + gran_size(PageGran::k2M)) << "page " << i;
+  }
+  EXPECT_EQ(proc_.read_u64(huge + 3 * kPageSize + 16), 0x5AFEu);
+  EXPECT_NO_THROW(bed_.audit());
+}
+
 TEST_F(SwapTest, EvictNothingOnEmptyProcess) {
   const SwapDaemon::EvictStats st = kernel_.swap().evict(proc_, 10);
   EXPECT_EQ(st.scanned, 0u);

@@ -120,6 +120,15 @@ RULES: list[Rule] = [
         "test-only corruption primitive.",
     ),
     rule(
+        "frame-line-forget",
+        r"\bdebug_forget_lines\s*\(",
+        ["src/sim/phys_mem.hpp", "src/sim/phys_mem.cpp"],
+        "Every write to a frame marks the lines it covers, and a re-dump "
+        "copies only the marked lines of a slot that already holds the "
+        "frame. Forgetting the marks is a test-only corruption primitive "
+        "(IMG-1); in src/ it would leave image slots silently stale.",
+    ),
+    rule(
         "raw-page-constant",
         r"(?<![\w'])4096(?![\w'])|>>\s*12\b|<<\s*12\b"
         r"|0x[Ff]{3}\b|0x1[Ff]{5}\b",
