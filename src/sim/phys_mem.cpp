@@ -49,9 +49,12 @@ void PhysicalMemory::free_frame(Hpa frame) {
                            ", " + std::to_string(end_frame_) + ") never handed out");
   }
   // Drop the contents and the claim before the frame is recycled, so its
-  // next owner reads zeroes and no image slot takes it for the old frame.
-  if (std::unique_ptr<Chunk>& chunk = chunks_[(fn - first_frame_) / kChunkFrames]) {
-    (*chunk)[(fn - first_frame_) % kChunkFrames] = FrameRecord{};
+  // next owner reads zeroes and no image slot takes it for the old frame:
+  // the bytes keep their address, so the reset claim is what tells them apart.
+  const u64 i = fn - first_frame_;
+  if (const Chunk& c = chunks_[i / kChunkFrames]; c.records != nullptr) {
+    (*c.records)[i % kChunkFrames] = FrameRecord{};
+    base::asan_poison(c.block.data() + i % kChunkFrames * kPageSize, kPageSize);
   }
   free_list_.push_back(fn);
   assert(used_frames_ > 0);
@@ -70,15 +73,7 @@ u64 lines_of(u64 offset, u64 len) noexcept {
 
 }  // namespace
 
-const PhysicalMemory::FrameRecord* PhysicalMemory::find(Hpa frame) const noexcept {
-  const u64 fn = page_index(frame);
-  if (!owns(fn)) return nullptr;
-  const u64 i = fn - first_frame_;
-  const std::unique_ptr<Chunk>& chunk = chunks_[i / kChunkFrames];
-  return chunk == nullptr ? nullptr : &(*chunk)[i % kChunkFrames];
-}
-
-PhysicalMemory::FrameRecord& PhysicalMemory::materialise(Hpa frame) {
+PhysicalMemory::FrameRef PhysicalMemory::materialise_fresh(Hpa frame) {
   const u64 fn = page_index(frame);
   if (!owns(fn)) {
     throw std::out_of_range("frame " + std::to_string(fn) + " outside the partition [" +
@@ -86,46 +81,31 @@ PhysicalMemory::FrameRecord& PhysicalMemory::materialise(Hpa frame) {
                             std::to_string(end_frame_) + ")");
   }
   const u64 i = fn - first_frame_;
-  std::unique_ptr<Chunk>& chunk = chunks_[i / kChunkFrames];
-  if (chunk == nullptr) chunk = std::make_unique<Chunk>();  // all records fresh
-  FrameRecord& f = (*chunk)[i % kChunkFrames];
-  if (f.frame == nullptr) {
-    f.frame = std::make_unique<Frame>();  // value-initialised: zeroed, unclaimed
-    f.lines = kAllLines;
+  Chunk& c = chunks_[i / kChunkFrames];
+  if (c.records == nullptr) {
+    c.block = base::HostBlock::take();
+    c.records = std::make_unique<std::array<FrameRecord, kChunkFrames>>();  // all fresh
   }
+  const u64 j = i % kChunkFrames;
+  const FrameRef f{&(*c.records)[j], c.block.data() + j * kPageSize};
+  // A recycled block holds its last owner's bytes.
+  base::asan_unpoison(f.bytes, kPageSize);
+  std::memset(f.bytes, 0, kPageSize);
+  *f.record = FrameRecord{kAllLines, kUnclaimed};
   return f;
-}
-
-const u8* PhysicalMemory::frame_data_if_present(Hpa frame) const {
-  const FrameRecord* f = find(frame);
-  return f == nullptr || f->frame == nullptr ? nullptr : f->frame->bytes.data();
 }
 
 std::vector<u64> PhysicalMemory::backed_frame_table() const {
   std::vector<u64> out;
   for (u64 c = 0; c < chunks_.size(); ++c) {
-    if (chunks_[c] == nullptr) continue;
-    for (u64 i = 0; i < kChunkFrames; ++i) {
-      if ((*chunks_[c])[i].frame != nullptr) out.push_back(first_frame_ + c * kChunkFrames + i);
+    if (chunks_[c].records == nullptr) continue;
+    for (u64 j = 0; j < kChunkFrames; ++j) {
+      if ((*chunks_[c].records)[j].claimed_by != kNoContents) {
+        out.push_back(first_frame_ + c * kChunkFrames + j);
+      }
     }
   }
   return out;
-}
-
-u64 PhysicalMemory::read_u64(Hpa addr) const {
-  assert(page_offset(addr) + 8 <= kPageSize);
-  const u8* p = frame_data_if_present(page_floor(addr));
-  if (p == nullptr) return 0;
-  u64 v;
-  std::memcpy(&v, p + page_offset(addr), sizeof v);
-  return v;
-}
-
-void PhysicalMemory::write_u64(Hpa addr, u64 value) {
-  assert(page_offset(addr) + 8 <= kPageSize);
-  FrameRecord& f = materialise(page_floor(addr));
-  std::memcpy(f.frame->bytes.data() + page_offset(addr), &value, sizeof value);
-  f.lines |= lines_of(page_offset(addr), sizeof value);
 }
 
 void PhysicalMemory::write(Hpa addr, std::span<const u8> bytes) {
@@ -133,34 +113,35 @@ void PhysicalMemory::write(Hpa addr, std::span<const u8> bytes) {
   if (page_offset(addr) + bytes.size() > kPageSize) {
     throw std::out_of_range("frame write crosses the end of its frame");
   }
-  FrameRecord& f = materialise(page_floor(addr));
-  std::memcpy(f.frame->bytes.data() + page_offset(addr), bytes.data(), bytes.size());
-  f.lines |= lines_of(page_offset(addr), bytes.size());
+  const FrameRef f = materialise(page_floor(addr));
+  std::memcpy(f.bytes + page_offset(addr), bytes.data(), bytes.size());
+  f.record->lines |= lines_of(page_offset(addr), bytes.size());
 }
 
 void PhysicalMemory::zero(Hpa frame) {
   assert(is_page_aligned(frame));
-  if (FrameRecord* f = find(frame); f != nullptr && f->frame != nullptr) {
-    f->frame->bytes.fill(0);
-    f->lines = kAllLines;
+  if (const FrameRef f = find(frame); f.record != nullptr) {
+    std::memset(f.bytes, 0, kPageSize);
+    f.record->lines = kAllLines;
     return;
   }
-  (void)materialise(frame);  // comes zeroed, every line marked
+  (void)materialise_fresh(frame);  // comes zeroed, every line marked
 }
 
 PhysicalMemory::Claim PhysicalMemory::claim(Hpa frame, const void* copy) {
   assert(is_page_aligned(frame));
-  FrameRecord* f = find(frame);
-  if (f == nullptr || f->frame == nullptr) return {};
+  const FrameRef f = find(frame);
+  if (f.record == nullptr) return {};
   const auto id = reinterpret_cast<std::uintptr_t>(copy);
-  const Claim out{f->frame->bytes.data(), f->frame->claimed_by == id ? f->lines : kAllLines};
-  f->frame->claimed_by = id;
-  f->lines = 0;
+  assert(id != kNoContents && id != kUnclaimed);
+  const Claim out{f.bytes, f.record->claimed_by == id ? f.record->lines : kAllLines};
+  f.record->claimed_by = id;
+  f.record->lines = 0;
   return out;
 }
 
 void PhysicalMemory::debug_forget_lines(Hpa frame) {
-  materialise(page_floor(frame)).lines = 0;
+  materialise(page_floor(frame)).record->lines = 0;
 }
 
 }  // namespace ooh::sim

@@ -13,10 +13,15 @@
 // materialised when something actually stores data (PML hardware writes,
 // data-backed workloads, CRIU image verification); metadata-only workloads
 // touch translations without allocating backing bytes, which keeps GB-scale
-// sweeps cheap. Contents live in a two-level table: a directory of chunk
-// pointers, each chunk holding kChunkFrames frame records, both filled on
-// first touch. For a 5 GiB window the directory is 2.5 KiB, plus 64 KiB of
-// records per touched 16 MiB of frames.
+// sweeps cheap. The frame table is two-level: a directory with one entry per
+// 16 MiB of frames (kChunkFrames = 4096), each entry a pointer to that
+// chunk's 16-byte frame records and the chunk's contents block
+// (base::HostBlock: one page-aligned 16 MiB host mapping, recycled per
+// thread). Both are taken on the chunk's first materialise, and frame j of
+// the chunk keeps its bytes at block + j * 4 KiB, found by arithmetic. For
+// a 5 GiB window the directory is 5 KiB, plus 64 KiB of records per touched
+// 16 MiB of frames; the block commits host pages only as frames are
+// touched.
 //
 // The write surface is closed: write_u64, write and zero are the only ways
 // to change a frame's bytes, and each marks the 64-byte lines it covers in
@@ -24,23 +29,29 @@
 // claims it (claim()), which clears the mask and records the slot; the next
 // claim by the same slot learns which lines changed since, so a re-dump
 // moves only those (criu::PageStore holds the slot side of the handshake).
+// A frame keeps its bytes address across free and reuse, so the slot's
+// record of the address it copied cannot tell a recycled frame from the old
+// one: free_frame resetting the claimant is what forces the whole copy
+// after reuse.
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
+#include "base/host_block.hpp"
 #include "base/types.hpp"
 
 namespace ooh::sim {
 
 class PhysicalMemory {
  public:
-  /// Frame-table slots per lazily allocated chunk: 16 MiB of host memory.
-  static constexpr u64 kChunkFrames = 16 * kMiB / kPageSize;
+  /// Frames per lazily allocated chunk: one 16 MiB host block of contents.
+  static constexpr u64 kChunkFrames = base::HostBlock::kPages;
 
   /// The partition of host frames [first_frame, first_frame + frames).
   PhysicalMemory(u64 first_frame, u64 frames);
@@ -84,16 +95,31 @@ class PhysicalMemory {
   static constexpr u64 kAllLines = ~u64{0};
   static_assert(kPageSize / kLineSize == 64, "one mask bit per line of a page");
 
-  /// Read-only view of a frame's 4KiB contents; nullptr when the frame was
-  /// never written (all-zero) or lies outside the partition. The pointer
-  /// stays valid until the frame is freed.
-  [[nodiscard]] const u8* frame_data_if_present(Hpa frame) const;
+  /// Read-only view of a frame's 4KiB contents, page-aligned; nullptr when
+  /// the frame was never written (all-zero) or lies outside the partition.
+  /// The pointer stays valid until the frame is freed.
+  [[nodiscard]] const u8* frame_data_if_present(Hpa frame) const { return find(frame).bytes; }
 
   // The write surface. Each materialises the frame's contents (zeroed) on
   // first touch and marks the lines it covers. Out-of-range addresses read
-  // as zero and throw std::out_of_range on write.
-  [[nodiscard]] u64 read_u64(Hpa addr) const;
-  void write_u64(Hpa addr, u64 value);
+  // as zero and throw std::out_of_range on write. The word accessors are
+  // inline: every simulated data store and PML log entry takes them.
+  [[nodiscard]] u64 read_u64(Hpa addr) const {
+    assert(page_offset(addr) + 8 <= kPageSize);
+    const u8* p = frame_data_if_present(page_floor(addr));
+    if (p == nullptr) return 0;
+    u64 v = 0;
+    std::memcpy(&v, p + page_offset(addr), sizeof v);
+    return v;
+  }
+  void write_u64(Hpa addr, u64 value) {
+    assert(page_offset(addr) + 8 <= kPageSize);
+    const FrameRef f = materialise(page_floor(addr));
+    std::memcpy(f.bytes + page_offset(addr), &value, sizeof value);
+    // The word's first and last byte: one line, or two when it straddles.
+    f.record->lines |= (u64{1} << (page_offset(addr) / kLineSize)) |
+                       (u64{1} << ((page_offset(addr) + sizeof value - 1) / kLineSize));
+  }
   /// Copy `bytes` to `addr`; the span must end inside addr's frame.
   void write(Hpa addr, std::span<const u8> bytes);
   /// Zero `frame`'s contents, materialising them if absent: a demand fault's
@@ -123,38 +149,57 @@ class PhysicalMemory {
   [[nodiscard]] std::vector<u64> backed_frame_table() const;
 
  private:
-  /// A frame's materialised contents and the copy that last claimed them:
-  /// that copy's address, 0 for none (an integer, since the copy may be
-  /// gone; it is only ever compared). The claim lives and dies with the
-  /// contents, and on glibc it costs no heap: 4096 and 4104 bytes round to
-  /// the same chunk.
-  struct Frame {
-    std::array<u8, kPageSize> bytes;
-    std::uintptr_t claimed_by;
-  };
-  /// One frame-table slot: 16 bytes, four to a cache line, so a word store
-  /// finds the contents and marks its line in the same line of the table.
+  /// One frame-table slot: 16 bytes, four to a cache line. `claimed_by` is
+  /// kNoContents until the frame is materialised, kUnclaimed until a copy
+  /// claims it, and then that copy's address (an integer, since the copy
+  /// may be gone; it is only ever compared, and a copy's address is never
+  /// 0 or 1).
+  static constexpr std::uintptr_t kNoContents = 0;
+  static constexpr std::uintptr_t kUnclaimed = 1;
   struct FrameRecord {
-    std::unique_ptr<Frame> frame;  ///< null until materialised.
-    u64 lines = 0;                 ///< lines written since the last claim.
+    u64 lines = 0;                ///< lines written since the last claim.
+    std::uintptr_t claimed_by = kNoContents;
   };
-  using Chunk = std::array<FrameRecord, kChunkFrames>;
+  /// A directory entry: the records of a 16 MiB chunk of frames and the
+  /// block holding their contents, both null until its first materialise.
+  struct Chunk {
+    std::unique_ptr<std::array<FrameRecord, kChunkFrames>> records;
+    base::HostBlock block;
+  };
+  /// A frame's record and the address of its contents' 4 KiB.
+  struct FrameRef {
+    FrameRecord* record = nullptr;
+    u8* bytes = nullptr;
+  };
 
-  /// The record of `frame`, or nullptr outside the partition or its chunks.
-  [[nodiscard]] const FrameRecord* find(Hpa frame) const noexcept;
-  [[nodiscard]] FrameRecord* find(Hpa frame) noexcept {
-    return const_cast<FrameRecord*>(std::as_const(*this).find(frame));
+  /// The record and bytes of `frame` if it has contents; {nullptr, nullptr}
+  /// otherwise, or outside the partition.
+  [[nodiscard]] FrameRef find(Hpa frame) const noexcept {
+    const u64 i = page_index(frame) - first_frame_;  // wraps below the partition
+    if (i >= end_frame_ - first_frame_) return {};
+    const Chunk& c = chunks_[i / kChunkFrames];
+    if (c.records == nullptr) return {};
+    const u64 j = i % kChunkFrames;
+    FrameRecord& r = (*c.records)[j];
+    if (r.claimed_by == kNoContents) return {};
+    return {&r, c.block.data() + j * kPageSize};
   }
-  /// The record of `frame` with its contents materialised (zeroed, every
-  /// line marked); throws std::out_of_range outside the partition.
-  [[nodiscard]] FrameRecord& materialise(Hpa frame);
+  /// `frame` with its contents materialised (zeroed, every line marked);
+  /// throws std::out_of_range outside the partition.
+  [[nodiscard]] FrameRef materialise(Hpa frame) {
+    const FrameRef f = find(frame);
+    return f.record != nullptr ? f : materialise_fresh(frame);
+  }
+  /// materialise() for a frame that has no contents (or lies outside the
+  /// partition, which throws).
+  FrameRef materialise_fresh(Hpa frame);
 
   u64 first_frame_;
   u64 end_frame_;
   u64 next_frame_;  // bump pointer, in frame numbers
   u64 used_frames_ = 0;
   std::vector<u64> free_list_;  // recycled frame numbers
-  std::vector<std::unique_ptr<Chunk>> chunks_;  // the frame-table directory
+  std::vector<Chunk> chunks_;   // the frame-table directory
 };
 
 }  // namespace ooh::sim

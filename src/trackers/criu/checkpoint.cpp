@@ -74,7 +74,7 @@ PageStore::value_type PageStore::const_iterator::operator*() const noexcept {
   const Region& r = store_->regions_[region_];
   const Gva gva = r.start + page_ * kPageSize;
   if (r.state[page_] == State::kZero) return {gva, {}};
-  return {gva, std::span<const u8>(r.bytes + page_ * kPageSize, kPageSize)};
+  return {gva, std::span<const u8>(r.slot(page_), kPageSize)};
 }
 
 void PageStore::const_iterator::settle() noexcept {
@@ -154,7 +154,7 @@ PageStore::Region& PageStore::region_for(const guest::Vma& vma) {
   }
   it = regions_.insert(it, Region{vma.start, vma.end,
                                   std::vector<State>(page_index(vma.bytes()), State::kAbsent),
-                                  {}, nullptr, nullptr});
+                                  {}, {}});
   mru_ = static_cast<std::size_t>(it - regions_.begin());
   return *it;
 }
@@ -175,7 +175,10 @@ void PageStore::store_zero(const guest::Vma& vma, Gva gva) {
 
 u64 PageStore::store(const guest::Vma& vma, Gva gva, sim::PhysicalMemory& pmem, Hpa frame) {
   const auto [r, page] = slot_for(vma, gva);
-  if (r->source.empty()) r->source.assign(r->state.size(), 0);
+  if (r->source.empty()) {
+    r->source.assign(r->state.size(), 0);
+    r->blocks.resize((r->state.size() + base::HostBlock::kPages - 1) / base::HostBlock::kPages);
+  }
   std::uintptr_t& source = r->source[page];
   const sim::PhysicalMemory::Claim claim = pmem.claim(frame, &source);
   if (claim.bytes == nullptr) {
@@ -183,21 +186,18 @@ u64 PageStore::store(const guest::Vma& vma, Gva gva, sim::PhysicalMemory& pmem, 
     source = 0;
     return 0;
   }
-  if (r->bytes == nullptr) {
-    // Uninitialised: the host commits only the pages a dump writes. The
-    // extra page lets the slot base sit on a page boundary, so every slot
-    // is one host page of whole cache lines.
-    r->buffer = std::make_unique_for_overwrite<u8[]>(r->end - r->start + kPageSize);
-    const auto base = reinterpret_cast<std::uintptr_t>(r->buffer.get());
-    r->bytes = r->buffer.get() + (page_ceil(base) - base);
+  if (base::HostBlock& block = r->blocks[page / base::HostBlock::kPages]; !block) {
+    block = base::HostBlock::take();
   }
+  u8* const slot = r->slot(page);
+  if (source == 0) base::asan_unpoison(slot, kPageSize);  // the slot's first data
   // The frame's mask says what changed since *this slot* copied it; the
   // slot's source says the slot still holds that copy.
   const auto bytes_id = reinterpret_cast<std::uintptr_t>(claim.bytes);
   const u64 lines = source == bytes_id ? claim.lines : sim::PhysicalMemory::kAllLines;
   source = bytes_id;
   r->state[page] = State::kData;
-  return stream_lines(r->bytes + page * kPageSize, claim.bytes, lines);
+  return stream_lines(slot, claim.bytes, lines);
 }
 
 void PageStore::retain(const std::vector<guest::Vma>& vmas) noexcept {

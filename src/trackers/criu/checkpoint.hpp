@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/host_block.hpp"
 #include "base/types.hpp"
 #include "base/vtime.hpp"
 #include "ooh/experiment.hpp"
@@ -34,12 +35,16 @@
 namespace ooh::criu {
 
 /// The image's pages in CRIU's own layout: one pagemap region per VMA, each
-/// a per-page state (absent, zero or data) plus, from the first data page
-/// dumped into it, one contiguous page-aligned buffer of the VMA's bytes. A
+/// a per-page state (absent, zero or data) plus a directory of host blocks
+/// (base::HostBlock, page-aligned 16 MiB, recycled per thread), one per
+/// 16 MiB of the VMA, each taken at the first data page dumped into its
+/// range. Page i's slot is block i / 4 Ki at offset (i % 4 Ki) * 4 KiB. A
 /// dump finds its slot by region and page index, with no hashing and no
 /// per-page allocation, and writes it with non-temporal stores: nothing reads
 /// the image again until restore, so the copy does not pull the slot into
-/// the cache first.
+/// the cache first. A recycled block holds stale bytes, but a fresh slot's
+/// source is 0, so its first store copies the whole page and nothing reads
+/// a slot before that.
 ///
 /// A re-dump moves only the 64-byte lines the frame changed since this slot
 /// last copied it. Each data slot records the frame it last copied (its
@@ -129,11 +134,18 @@ class PageStore {
     std::vector<State> state;      ///< per page.
     /// Per page, the address of the frame contents its data slot last
     /// copied (0 for none; an integer, since that frame may be gone). An
-    /// element's address is the slot's identity to the frame. Sized at the
-    /// first data store, so metadata-only regions carry none.
+    /// element's address is the slot's identity to the frame. Sized, with
+    /// `blocks`, at the first data store, so metadata-only regions carry none.
     std::vector<std::uintptr_t> source;
-    std::unique_ptr<u8[]> buffer;  ///< end - start bytes plus one page of slack.
-    u8* bytes = nullptr;           ///< page-aligned slot base in buffer; null until a data page.
+    /// The slots: one block per 16 MiB of the region, each taken at the
+    /// first data page stored into its range.
+    std::vector<base::HostBlock> blocks;
+
+    /// The slot of page `page`; its block must be taken.
+    [[nodiscard]] u8* slot(std::size_t page) const noexcept {
+      return blocks[page / base::HostBlock::kPages].data() +
+             page % base::HostBlock::kPages * kPageSize;
+    }
   };
 
   /// The region of `vma`, made (replacing dead overlapping ones) if missing.

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/host_block.hpp"
 #include "base/rng.hpp"
 #include "guest/swap.hpp"
 #include "ooh/testbed.hpp"
@@ -579,9 +580,10 @@ TEST(CriuPageStore, RedumpKeepsTheSlotAddress) {
   EXPECT_TRUE(std::ranges::equal(got, frames.bytes(second)));
 }
 
-// Slots are page-aligned whatever the alignment of the frame's contents (a
-// heap array), so the streamed copy writes whole cache lines; the bytes
-// match the frame, also after a re-dump into the same slot.
+// Slots are page-aligned whatever the alignment of the source (frame
+// contents are page-aligned too, but the copy does not rely on it), so the
+// streamed copy writes whole cache lines; the bytes match the frame, also
+// after a re-dump into the same slot.
 TEST(CriuPageStore, DataSlotsArePageAlignedAndMatchUnalignedSources) {
   const guest::Vma vma = make_vma(0x1000'0000, 8, true);
   PageStore store;
@@ -625,6 +627,20 @@ TEST(CriuPageStore, SizeCountsPresentPages) {
   EXPECT_EQ(store.size(), 3u);
 }
 
+#if defined(OOH_ASAN)
+// Under AddressSanitizer a slot block is poisoned except for the slots that
+// hold data, so a read of a slot nothing was dumped into is reported.
+TEST(CriuPageStore, SlotsWithoutDataArePoisoned) {
+  const guest::Vma vma = make_vma(0x1000'0000, 4, true);
+  PageStore store;
+  Frames frames;
+  (void)store.store(vma, vma.start, frames.pm, frames.filled(1));
+  const u8* slot = store.at(vma.start).data();
+  EXPECT_EQ(__asan_region_is_poisoned(const_cast<u8*>(slot), kPageSize), nullptr);
+  EXPECT_TRUE(__asan_address_is_poisoned(slot + kPageSize)) << "the next slot holds nothing";
+}
+#endif
+
 // ---- line-granular re-dumps: the slot/frame handshake ---------------------------
 
 constexpr u64 kLinesPerPage = kPageSize / sim::PhysicalMemory::kLineSize;
@@ -663,7 +679,8 @@ TEST(CriuPageStore, AnotherImageCopyingTheFrameForcesAWholeCopy) {
 }
 
 // (b) A frame freed and handed out again under a slot that copied it: the
-// fresh frame has no claimant, so the slot cannot keep the old frame's lines.
+// recycled frame keeps its bytes address, so the slot's source still names
+// it, but the frame has no claimant, so the slot cannot keep the old lines.
 TEST(CriuPageStore, ARecycledFrameUnderAnExistingSlotIsCopiedWhole) {
   const guest::Vma vma = make_vma(0x1000'0000, 4, true);
   PageStore store;
@@ -755,17 +772,33 @@ TEST(CriuLineDumps, RandomOpsMatchWholePageCopies) {
       });
       images[i].record_layout(p);
       refs[i].record_layout(p);
-      moved += cp.dump_pages(p, pages, images[i]);
+      // Pages the image holds no slot for go first: a fresh slot's first
+      // data store copies the whole page, also in a recycled block.
+      std::vector<Gva> fresh, held;
+      for (const Gva gva : pages) (images[i].pages.contains(gva) ? held : fresh).push_back(gva);
+      const u64 fresh_moved = cp.dump_pages(p, fresh, images[i]);
+      moved += fresh_moved + cp.dump_pages(p, held, images[i]);
       dump_whole_pages(k, p, pages, refs[i], scratch);
+      u64 fresh_whole = 0;
       for (const Gva gva : pages) {
         if (const auto it = refs[i].pages.find(gva); it != refs[i].pages.end() && !it->second.empty()) {
           whole += kLinesPerPage;
+          if (std::ranges::find(fresh, gva) != fresh.end()) fresh_whole += kLinesPerPage;
         }
       }
       ++dumps;
+      EXPECT_EQ(fresh_moved, fresh_whole) << "dump " << dumps << ": a fresh slot kept stale lines";
       ASSERT_TRUE(images[i].pages == refs[i].pages) << "dump " << dumps << " into image " << i;
     };
     for (int op = 0; op < 300; ++op) {
+      if (op == 200) {
+        // Image A dies; the A made next reuses its blocks, stale bytes and
+        // all, from this thread's pool.
+        const std::size_t spares = base::HostBlock::spares();
+        images[0] = CheckpointImage{};
+        refs[0] = CheckpointImage{};
+        EXPECT_GT(base::HostBlock::spares(), spares) << "image A's blocks were not recycled";
+      }
       const Gva base = kData[rng.below(kData.size())];
       switch (rng.below(10)) {
         case 0: case 1: case 2:

@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "base/host_block.hpp"
 #include "sim/ept.hpp"
 #include "sim/page_table.hpp"
 #include "sim/phys_mem.hpp"
@@ -135,6 +139,87 @@ TEST(PhysicalMemory, WritesMarkTheirLinesAndClaimsHandThemOver) {
   pm.debug_forget_lines(f);
   EXPECT_EQ(pm.claim(f, &a).lines, 0u) << "the corruption IMG-1 catches";
 }
+
+// A partition's contents block goes back to this thread's pool when the
+// partition dies, and the next partition on the thread gets it back with the
+// old bytes in it: every frame it materialises must still read zero, and an
+// unmaterialised frame has no contents to show.
+TEST(PhysicalMemory, FramesOfARecycledBlockMaterialiseZeroed) {
+  constexpr u64 kFrames = 64;
+  std::uintptr_t old_bytes = 0;
+  {
+    PhysicalMemory first(1, kFrames);
+    for (u64 i = 0; i < kFrames; ++i) first.write(first.alloc_frame(), std::vector<u8>(kPageSize, 0xA5));
+    old_bytes = reinterpret_cast<std::uintptr_t>(first.frame_data_if_present(u64{1} << kPageShift));
+  }
+  PhysicalMemory second(1, kFrames);
+  for (u64 i = 0; i < kFrames; ++i) {
+    const Hpa f = second.alloc_frame();
+    EXPECT_EQ(second.frame_data_if_present(f), nullptr) << "frame " << i << " before materialise";
+    if (i % 2 == 0) {
+      second.zero(f);
+    } else {
+      second.write_u64(f + 8, 0);
+    }
+    const u8* bytes = second.frame_data_if_present(f);
+    ASSERT_NE(bytes, nullptr);
+    EXPECT_TRUE(std::all_of(bytes, bytes + kPageSize, [](u8 b) { return b == 0; }))
+        << "frame " << i << " shows its last owner's bytes";
+  }
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(second.frame_data_if_present(u64{1} << kPageShift)),
+            old_bytes)
+      << "the second partition did not get the recycled block";
+}
+
+// A thread keeps at most its own high-water mark of live blocks: a thread
+// that took none keeps no spare when it releases one, and a thread that
+// held two keeps two however many it releases.
+TEST(HostBlockPool, SparesAreBoundedByTheThreadsOwnHighWaterMark) {
+  base::HostBlock a, b, c;
+  std::thread([&] { a = base::HostBlock::take(); }).join();
+  std::size_t spares = 1;
+  std::thread([&] {
+    a = base::HostBlock{};
+    spares = base::HostBlock::spares();
+  }).join();
+  EXPECT_EQ(spares, 0u) << "a thread that never took a block kept one";
+
+  std::thread([&] { c = base::HostBlock::take(); }).join();
+  std::thread([&] {
+    a = base::HostBlock::take();
+    b = base::HostBlock::take();
+    a = base::HostBlock{};
+    b = base::HostBlock{};
+    EXPECT_EQ(base::HostBlock::spares(), 2u);
+    c = base::HostBlock{};  // a third, taken elsewhere
+    spares = base::HostBlock::spares();
+    a = base::HostBlock::take();  // recycled: no new mapping
+    EXPECT_EQ(base::HostBlock::spares(), 1u);
+    a = base::HostBlock{};
+  }).join();
+  EXPECT_EQ(spares, 2u) << "the releasing thread kept more than it ever held";
+}
+
+#if defined(OOH_ASAN)
+// Under AddressSanitizer a contents block is poisoned except for the frames
+// materialised in it, so a stray access past one frame into its neighbour
+// is reported, as it was when each frame was its own heap chunk.
+TEST(PhysicalMemory, UnmaterialisedFramesArePoisoned) {
+  PhysicalMemory pm(1, 8);
+  const Hpa f = pm.alloc_frame();
+  const Hpa next = pm.alloc_frame();
+  ASSERT_EQ(next, f + kPageSize);
+  pm.write_u64(f, 1);
+  const u8* bytes = pm.frame_data_if_present(f);
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(__asan_region_is_poisoned(const_cast<u8*>(bytes), kPageSize), nullptr);
+  EXPECT_TRUE(__asan_address_is_poisoned(bytes + kPageSize)) << "the next frame is not materialised";
+  pm.zero(next);
+  EXPECT_FALSE(__asan_address_is_poisoned(bytes + kPageSize));
+  pm.free_frame(f);
+  EXPECT_TRUE(__asan_address_is_poisoned(bytes)) << "a freed frame is poisoned again";
+}
+#endif
 
 TEST(PhysicalMemory, FreeOutsideThePartitionThrows) {
   PhysicalMemory a(1, 8);  // frames 1..8

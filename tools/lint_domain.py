@@ -185,6 +185,17 @@ RULES: list[Rule] = [
         "guarantee the gbench harness pins.",
     ),
     rule(
+        "host-block-mapping",
+        r"<sys/mman\.h>|(?<![\w:])::(mmap|munmap|madvise)\s*\(|\bmadvise\s*\(",
+        ["src/base/host_block.cpp"],
+        "Frame contents and checkpoint image slots live in page-aligned "
+        "16 MiB host blocks (base/host_block.hpp) that each thread's pool "
+        "recycles, bounded by the thread's own high-water mark. A mapping "
+        "made elsewhere escapes that bound and the ASan poisoning of "
+        "unmaterialised frames, and pays a host page fault per first touch "
+        "where a recycled block pays none.",
+    ),
+    rule(
         "relaxed-needs-justification",
         r"\bmemory_order_relaxed\b",
         [],
